@@ -8,7 +8,7 @@ gracefully, they do not fall off a cliff):
 * **operational** -- the simulated MST phases keep producing the correct
   tree under seeded message drops, delays and node crashes, at a measured
   message/round overhead, with rate-0 pinned byte-identical to fail-free
-  and the three simulator modes pinned equal under faults.
+  and the two simulator modes pinned equal under faults.
 
 The degradation sweep appends its record to ``benchmarks/BENCH_E8.json``
 so the overhead trajectory is visible across commits.
@@ -41,9 +41,9 @@ def test_e8_fault_degradation(benchmark):
         kinds=kinds,
     )
     # Contracts, not just measurements: null models reproduce fail-free
-    # records exactly, and faulty records agree across all three modes.
+    # records exactly, and faulty records agree across both modes.
     assert result["rate_zero_matches_fail_free"]
-    assert result["three_mode_equal"]
+    assert result["modes_equal"]
     # Every cell still computes the reference MST weight (the protocol
     # degrades in cost, not in correctness).
     assert all(row["weight_matches_reference"] for row in result["rows"])

@@ -10,15 +10,13 @@ numbers quoted in EXPERIMENTS.md can be regenerated with::
 The experiment functions are thin declarative layers over the scenario
 engine (:mod:`repro.scenarios`): instances come from the family registry and
 shortcuts from the constructor registry.  ``bench_scenarios.py`` runs the
-full family x constructor matrix through the engine's single entry point,
-and ``bench_simulator_speedup.py`` gates the active-set simulator's >=2x
-speedup over the seed full-scan implementation.
+full family x constructor matrix through the engine's single entry point.
 
-Every ``bench_*_speedup.py`` gate appends its record to a
+The S6 and S7 gates append their records to a
 ``benchmarks/BENCH_S<k>.json`` trajectory file through
-:func:`append_trajectory`, so speedup regressions are visible across
-commits (not just against the gate) from the very first run after a fresh
-clone; the E8 fault-degradation sweep does the same into
+:func:`append_trajectory`, so regressions are visible across commits (not
+just against the gate) from the very first run after a fresh clone; the
+E8 fault-degradation sweep does the same into
 ``benchmarks/BENCH_E8.json``.  The trajectory files are gitignored.
 """
 

@@ -18,28 +18,21 @@ vectorised all-pairs formula -- the distributed versions of this step in the
 cited works are intricate but add only polylogarithmic factors, so the round
 accounting charges them as aggregations (see DESIGN.md, substitutions).
 
-Dual-path contract
-------------------
+Implementation
+--------------
 
-:func:`approximate_min_cut` has two implementations behind one signature:
+The greedy packing runs in :class:`~repro.core.GraphView` index space
+(per-edge load array, stable argsort Kruskal reproducing
+``nx.minimum_spanning_tree``'s tie-breaking, CSR-ordered BFS rooting).  The
+1-/2-respecting sweep derives the edge-crossing indicator matrix from the
+packed tree's Euler-tour ``tin``/``tout`` intervals in one vectorised
+comparison instead of materialising a subtree vertex set per tree edge.
 
-* the **array-native fast path** (default): the greedy packing runs in
-  :class:`~repro.core.GraphView` index space (per-edge load array, stable
-  argsort Kruskal reproducing ``nx.minimum_spanning_tree``'s tie-breaking,
-  CSR-ordered BFS rooting), and the 1-/2-respecting sweep derives the
-  edge-crossing indicator matrix from the packed tree's Euler-tour
-  ``tin``/``tout`` intervals in one vectorised comparison instead of
-  materialising a subtree vertex set per tree edge;
-* the **preserved reference path**, the seed implementation verbatim
-  (label-keyed load dicts, per-edge ``subtree_nodes`` sets, ``nx`` packing
-  graphs), runs inside :func:`repro.core.networkx_reference_paths`.
-
-Both build the identical indicator matrix in the identical row/column
-order, so every downstream float (cut values, argmin tie-breaks, reported
-sides) is bit-for-bit equal -- ``tests/test_algorithms_core.py`` pins cut
-value, side, cut edges, rounds and per-tree rounds on every registered
-graph family, and ``benchmarks/bench_algorithms_speedup.py`` (S5) gates the
-end-to-end speedup.
+The matrix has the seed implementation's row/column order, so every
+downstream float (cut values, argmin tie-breaks, reported sides) is
+bit-for-bit equal to the oracle in ``tests/oracles/mincut.py`` --
+``tests/test_algorithms_core.py`` pins cut value, side, cut edges, rounds
+and per-tree rounds on every registered graph family.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ from typing import Hashable, Sequence
 import networkx as nx
 import numpy as np
 
-from ..core import core_enabled, view_of
+from ..core import view_of
 from ..errors import InvalidGraphError
 from ..graphs.weights import WEIGHT
 from ..congest.aggregation import partwise_aggregate
@@ -69,11 +62,8 @@ class MinCutResult:
         value: the best (smallest) cut weight found.
         cut_edges: the edges crossing the reported cut.
         side: one side of the reported cut (vertex set).
-        exact_value: the exact minimum cut (Stoer--Wagner), for reference;
-            ``nan`` when the run skipped the centralised oracle
-            (``compute_exact=False``).
-        approximation_ratio: ``value / exact_value`` (>= 1); ``nan`` when
-            the oracle was skipped.
+        exact_value: the exact minimum cut (Stoer--Wagner), for reference.
+        approximation_ratio: ``value / exact_value`` (>= 1).
         rounds: total CONGEST rounds charged.
         num_trees: how many trees were packed.
     """
@@ -93,7 +83,7 @@ def exact_min_cut(graph: nx.Graph) -> float:
 
     This is the centralised ``networkx`` oracle used for the
     ``approximation_ratio`` bookkeeping; it is not part of the measured
-    distributed algorithm and has no fast-path twin.
+    distributed algorithm.
     """
     if graph.number_of_nodes() < 2:
         raise InvalidGraphError("min cut needs at least two vertices")
@@ -108,7 +98,6 @@ def approximate_min_cut(
     tree: RootedTree | None = None,
     max_trees: int | None = None,
     seed: int = 0,
-    compute_exact: bool = True,
 ) -> MinCutResult:
     """Compute a (1 + eps)-approximate minimum cut with CONGEST round accounting.
 
@@ -123,70 +112,11 @@ def approximate_min_cut(
             fast); the default cap is 12.
         seed: reserved for future randomised variants (the greedy packing is
             deterministic).
-        compute_exact: also run the centralised Stoer--Wagner oracle and
-            report ``exact_value`` / ``approximation_ratio``.  Pass
-            ``False`` to skip it (both fields come back as ``nan``) -- the
-            S5 benchmark does, because the oracle is identical dead weight
-            in both timing arms.
 
     Returns:
         A :class:`MinCutResult`; the tests assert ``approximation_ratio <=
         1 + epsilon`` on every workload.
-
-    Reference path: inside :func:`repro.core.networkx_reference_paths` the
-    preserved seed implementation runs; the array-native fast path returns
-    bit-identical results on every field -- see the module docstring.
     """
-    if core_enabled():
-        return _approximate_min_cut_core(
-            graph, epsilon, shortcut_builder, tree, max_trees, compute_exact
-        )
-    return _approximate_min_cut_reference(
-        graph, epsilon, shortcut_builder, tree, max_trees, compute_exact
-    )
-
-
-def _packing_size(n: int, epsilon: float, max_trees: int | None) -> int:
-    """Shared packing-size rule: ``O(log n / eps^2)`` capped at ``max_trees``."""
-    target_trees = max(3, math.ceil(math.log2(n + 2) / (epsilon**2)))
-    if max_trees is None:
-        max_trees = 12
-    return min(target_trees, max_trees)
-
-
-def _charging_probe(graph: nx.Graph, tree: RootedTree) -> int:
-    """Measured rounds of one whole-graph aggregation (the per-cut charge).
-
-    One aggregation on the single full-vertex-set part, communicating over
-    the spanning tree -- both paths charge every 1-/2-respecting evaluation
-    batch at this measured cost.
-    """
-    whole_part = [frozenset(graph.nodes())]
-    whole_shortcut = Shortcut(
-        graph=graph,
-        tree=tree,
-        parts=whole_part,
-        edge_sets=[tree.edge_set()],
-        constructor="mincut-charging",
-    )
-    probe = partwise_aggregate(whole_shortcut, {v: 1 for v in graph.nodes()}, combine=min)
-    return probe.rounds
-
-
-# ---------------------------------------------------------------------------
-# The array-native fast path
-# ---------------------------------------------------------------------------
-
-
-def _approximate_min_cut_core(
-    graph: nx.Graph,
-    epsilon: float,
-    shortcut_builder: ShortcutBuilder | None,
-    tree: RootedTree | None,
-    max_trees: int | None,
-    compute_exact: bool,
-) -> MinCutResult:
-    """Index-space packing + Euler-interval respecting-cut sweep."""
     if epsilon <= 0:
         raise InvalidGraphError("epsilon must be positive")
     builder = shortcut_builder if shortcut_builder is not None else oblivious_builder
@@ -204,7 +134,7 @@ def _approximate_min_cut_core(
 
     # The packing state is flat and index-native: edges in the graph's own
     # iteration order (the order every float reduction below follows, which
-    # is what keeps the sweep bit-identical to the reference), weights and
+    # is what keeps the sweep bit-identical to the seed oracle), weights and
     # loads as parallel arrays.
     edges_nx = list(graph.edges())
     num_edges = len(edges_nx)
@@ -275,7 +205,7 @@ def _approximate_min_cut_core(
                     parent[neighbour] = node
                     queue.append(neighbour)
 
-        value, side, charges = _respecting_cuts_core(
+        value, side, charges = _respecting_cuts(
             view, base, edge_u, edge_v, parent
         )
         if value < best_value and 0 < len(side) < n:
@@ -287,36 +217,58 @@ def _approximate_min_cut_core(
     cut_edges = frozenset(
         (u, v) for u, v in edges_nx if (u in best_side) != (v in best_side)
     )
-    if compute_exact:
-        exact = exact_min_cut(graph)
-        ratio = best_value / exact if exact > 0 else 1.0
-    else:
-        exact = float("nan")
-        ratio = float("nan")
+    exact = exact_min_cut(graph)
     return MinCutResult(
         value=best_value,
         cut_edges=cut_edges,
         side=best_side,
         exact_value=exact,
-        approximation_ratio=ratio,
+        approximation_ratio=best_value / exact if exact > 0 else 1.0,
         rounds=total_rounds,
         num_trees=num_trees,
         tree_rounds=tree_rounds,
     )
 
 
-def _respecting_cuts_core(
+def _packing_size(n: int, epsilon: float, max_trees: int | None) -> int:
+    """Shared packing-size rule: ``O(log n / eps^2)`` capped at ``max_trees``."""
+    target_trees = max(3, math.ceil(math.log2(n + 2) / (epsilon**2)))
+    if max_trees is None:
+        max_trees = 12
+    return min(target_trees, max_trees)
+
+
+def _charging_probe(graph: nx.Graph, tree: RootedTree) -> int:
+    """Measured rounds of one whole-graph aggregation (the per-cut charge).
+
+    One aggregation on the single full-vertex-set part, communicating over
+    the spanning tree -- every 1-/2-respecting evaluation batch is charged
+    at this measured cost.
+    """
+    whole_part = [frozenset(graph.nodes())]
+    whole_shortcut = Shortcut(
+        graph=graph,
+        tree=tree,
+        parts=whole_part,
+        edge_sets=[tree.edge_set()],
+        constructor="mincut-charging",
+    )
+    probe = partwise_aggregate(whole_shortcut, {v: 1 for v in graph.nodes()}, combine=min)
+    return probe.rounds
+
+
+def _respecting_cuts(
     view, base: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray, parent: list[int]
 ) -> tuple[float, frozenset, list[int]]:
     """Best 1-/2-respecting cut of the tree given by ``parent`` (index space).
 
-    The reference implementation materialises the subtree vertex set of
+    The seed implementation materialises the subtree vertex set of
     every tree edge and asks a set-membership question per (graph edge,
     tree edge) pair.  Here a subtree is the Euler-tour interval
     ``[tin, tout]`` of the edge's child endpoint, so the whole indicator
     matrix ``X`` is two vectorised interval tests; because the rows follow
     the same graph-edge order and the columns the same sorted-tree-edge
-    order as the reference, the downstream matrix algebra -- and therefore
+    order as the seed, the downstream matrix algebra -- and therefore
     every argmin tie-break -- is bit-identical.
     """
     n = len(parent)
@@ -344,7 +296,7 @@ def _respecting_cuts_core(
         if par >= 0 and tout[node] > tout[par]:
             tout[par] = tout[node]
 
-    # Tree edges in the reference's order: canonical label pairs, sorted.
+    # Tree edges in the seed's order: canonical label pairs, sorted.
     entries = sorted(
         (canonical_edge(node_of[child], node_of[parent[child]]), child)
         for child in range(n)
@@ -392,144 +344,3 @@ def _respecting_cuts_core(
     # the distributed implementations); recorded as a single unit here and
     # converted by the caller.
     return value, side, [1]
-
-
-# ---------------------------------------------------------------------------
-# The preserved reference path (the seed implementation, verbatim)
-# ---------------------------------------------------------------------------
-
-
-def _respecting_cuts(
-    graph: nx.Graph, tree: RootedTree
-) -> tuple[float, frozenset, list[int]]:
-    """Return the best 1- or 2-respecting cut of ``tree`` (value, side, charges).
-
-    For every tree edge ``e`` let ``S_e`` be the vertex set of the subtree
-    below ``e``.  A cut that 1-respects the tree is some ``S_e``; a cut that
-    2-respects it is the symmetric difference ``S_e xor S_f`` for a pair of
-    tree edges.  Both families are evaluated in one vectorised pass: with the
-    indicator matrix ``X[edge, tree_edge] = [exactly one endpoint lies in the
-    subtree]``, the cut value of the pair ``(i, j)`` is
-    ``s_i + s_j - 2 * (X^T W X)_{ij}`` where ``s`` is the 1-respecting value
-    vector.  The returned "charges" list records the number of aggregation-
-    equivalent operations, which the caller converts to rounds.
-
-    This is the preserved reference sweep (one ``subtree_nodes`` set per
-    tree edge, a Python loop per matrix entry); the fast path derives the
-    same matrix from Euler-tour intervals.
-    """
-    tree_edges = sorted(tree.edges())
-    if not tree_edges:
-        return float("inf"), frozenset(), []
-    node_list = sorted(graph.nodes(), key=repr)
-    node_index = {node: i for i, node in enumerate(node_list)}
-
-    # Subtree membership per tree edge.
-    below: list[set] = []
-    for u, v in tree_edges:
-        child = u if tree.parent.get(u) == v else v
-        below.append(tree.subtree_nodes(child))
-
-    graph_edges = list(graph.edges())
-    weights = np.array([graph[u][v].get(WEIGHT, 1.0) for u, v in graph_edges], dtype=float)
-    # X[e, k] = 1 iff graph edge e crosses the subtree of tree edge k.
-    X = np.zeros((len(graph_edges), len(tree_edges)), dtype=float)
-    for k, subtree in enumerate(below):
-        for e, (u, v) in enumerate(graph_edges):
-            X[e, k] = 1.0 if (u in subtree) != (v in subtree) else 0.0
-
-    ones_cut = weights @ X  # 1-respecting values s_k
-    cross = X.T @ (X * weights[:, None])  # (X^T W X)
-    pair_cut = ones_cut[:, None] + ones_cut[None, :] - 2.0 * cross
-    np.fill_diagonal(pair_cut, np.inf)
-
-    best_single = int(np.argmin(ones_cut))
-    best_single_value = float(ones_cut[best_single])
-    best_pair_flat = int(np.argmin(pair_cut))
-    i, j = divmod(best_pair_flat, pair_cut.shape[1])
-    best_pair_value = float(pair_cut[i, j])
-
-    if best_single_value <= best_pair_value:
-        side = frozenset(below[best_single])
-        value = best_single_value
-    else:
-        side = frozenset(below[i] ^ below[j])
-        value = best_pair_value
-    # Charges: one subtree aggregation per tree edge batch (log n batches in
-    # the distributed implementations); recorded as a single unit here and
-    # converted by the caller.
-    return value, side, [1]
-
-
-def _approximate_min_cut_reference(
-    graph: nx.Graph,
-    epsilon: float,
-    shortcut_builder: ShortcutBuilder | None,
-    tree: RootedTree | None,
-    max_trees: int | None,
-    compute_exact: bool,
-) -> MinCutResult:
-    """The preserved seed implementation (label-keyed networkx structures)."""
-    if epsilon <= 0:
-        raise InvalidGraphError("epsilon must be positive")
-    builder = shortcut_builder if shortcut_builder is not None else oblivious_builder
-    tree = tree if tree is not None else bfs_spanning_tree(graph)
-    n = graph.number_of_nodes()
-    num_trees = _packing_size(n, epsilon, max_trees)
-
-    # Measure the distributed MST cost once; each packed tree is one MST
-    # computation of the same shape (only the weights change), so each is
-    # charged the measured cost of a representative run.
-    representative = boruvka_mst(graph, shortcut_builder=builder, tree=tree)
-    mst_rounds = representative.rounds
-
-    loads: dict[tuple, float] = {}
-    best_value = float("inf")
-    best_side: frozenset = frozenset()
-    total_rounds = 0
-    tree_rounds: list[int] = []
-
-    # One aggregation on the full-graph part gives the per-cut-evaluation charge.
-    aggregation_rounds = _charging_probe(graph, tree)
-    log_n = max(1, math.ceil(math.log2(n + 2)))
-
-    for _round in range(num_trees):
-        # Greedy packing: MST under current loads (load-dominated weights).
-        packed = nx.Graph()
-        packed.add_nodes_from(graph.nodes())
-        for u, v in graph.edges():
-            base = graph[u][v].get(WEIGHT, 1.0)
-            load = loads.get((min(u, v, key=repr), max(u, v, key=repr)), 0.0)
-            packed.add_edge(u, v, **{WEIGHT: load + base / (graph.number_of_edges() + 1.0)})
-        packing_tree_graph = nx.minimum_spanning_tree(packed, weight=WEIGHT)
-        packing_tree = bfs_spanning_tree(packing_tree_graph, root=tree.root)
-        for u, v in packing_tree.edges():
-            key = (min(u, v, key=repr), max(u, v, key=repr))
-            loads[key] = loads.get(key, 0.0) + 1.0
-
-        value, side, charges = _respecting_cuts(graph, packing_tree)
-        if value < best_value and 0 < len(side) < n:
-            best_value, best_side = value, side
-        rounds_this_tree = mst_rounds + len(charges) * aggregation_rounds * log_n
-        total_rounds += rounds_this_tree
-        tree_rounds.append(rounds_this_tree)
-
-    cut_edges = frozenset(
-        (u, v) for u, v in graph.edges() if (u in best_side) != (v in best_side)
-    )
-    if compute_exact:
-        exact = exact_min_cut(graph)
-        ratio = best_value / exact if exact > 0 else 1.0
-    else:
-        exact = float("nan")
-        ratio = float("nan")
-    return MinCutResult(
-        value=best_value,
-        cut_edges=cut_edges,
-        side=best_side,
-        exact_value=exact,
-        approximation_ratio=ratio,
-        rounds=total_rounds,
-        num_trees=num_trees,
-        tree_rounds=tree_rounds,
-    )

@@ -34,36 +34,30 @@ vectorized batch programs of :mod:`repro.congest.runtime` with exactly
 the same rounds, messages and telemetry (``docs/simulator.md``; the S6
 benchmark gates the speedup).
 
-Dual-path contract
-------------------
+Implementation
+--------------
 
-:func:`boruvka_mst` has two implementations behind one signature:
+Fragments live in a flat union-find owner array over the graph's
+:class:`~repro.core.GraphView` indices.  Each phase's family is handed to
+the shortcut machinery as an incremental
+:meth:`~repro.core.PartSet.from_member_lists` part set (no per-phase
+label-frozenset materialisation).  The MWOE search is one scan over the CSR
+adjacency slices with per-edge canonical tie-break keys precomputed once
+per run.  Shortcuts for the default oblivious builder are built by driving
+:class:`~repro.shortcuts.engine.ConstructionEngine` directly (reusing the
+tree's cached Euler-tour index and one
+:class:`~repro.shortcuts.engine.EngineScratch` across all phases), and the
+aggregation runs through
+:func:`~repro.congest.aggregation.partwise_aggregate_indexed` on flat value
+arrays.
 
-* the **array-native fast path** (default): fragments live in a flat
-  union-find owner array over the graph's :class:`~repro.core.GraphView`
-  indices, each phase's family is handed to the shortcut machinery as an
-  incremental :meth:`~repro.core.PartSet.from_member_lists` part set (no
-  per-phase label-frozenset materialisation), the MWOE search is one scan
-  over the CSR adjacency slices with per-edge canonical tie-break keys
-  precomputed once per run, shortcuts for the default oblivious builder are
-  built by driving :class:`~repro.shortcuts.engine.ConstructionEngine`
-  directly (reusing the tree's cached Euler-tour index and one
-  :class:`~repro.shortcuts.engine.EngineScratch` across all phases), and
-  the aggregation runs through
-  :func:`~repro.congest.aggregation.partwise_aggregate_indexed` on flat
-  value arrays;
-* the **preserved reference path**, the seed implementation verbatim
-  (label-keyed dicts, per-phase frozenset families), runs inside
-  :func:`repro.core.networkx_reference_paths`.
-
-Both return *identical* results -- MST edge set, weight, total rounds,
-phases, per-phase rounds and qualities -- which
-``tests/test_algorithms_core.py`` pins on every registered graph family,
-and ``benchmarks/bench_algorithms_speedup.py`` (S5) gates the fast path's
-end-to-end speedup.  (With non-integer edge weights the two paths may sum
-the identical MST edge set in different orders, so ``weight`` can differ in
-the last float ulp; every generator in this package uses integer-valued
-weights, where the sums are exact.)
+``tests/test_algorithms_core.py`` pins the result -- MST edge set, weight,
+total rounds, phases, per-phase rounds and qualities -- to the seed
+implementation in ``tests/oracles/mst.py`` on every registered graph
+family.  (With non-integer edge weights the two may sum the identical MST
+edge set in different orders, so ``weight`` can differ in the last float
+ulp; every generator in this package uses integer-valued weights, where the
+sums are exact.)
 """
 
 from __future__ import annotations
@@ -73,10 +67,10 @@ from typing import Callable, Hashable, Sequence
 
 import networkx as nx
 
-from ..core import GraphView, PartSet, core_enabled, view_of
+from ..core import GraphView, PartSet, view_of
 from ..errors import ConvergenceError
 from ..graphs.weights import WEIGHT
-from ..congest.aggregation import partwise_aggregate, partwise_aggregate_indexed
+from ..congest.aggregation import partwise_aggregate_indexed
 from ..shortcuts.congestion_capped import oblivious_shortcut, oblivious_sweep
 from ..shortcuts.engine import ConstructionEngine, EngineScratch
 from ..shortcuts.shortcut import Shortcut
@@ -163,10 +157,6 @@ def native_mst_weight(view: GraphView) -> float:
     return float(minimum_spanning_tree(matrix).sum())
 
 
-def _edge_weight(graph: nx.Graph, u: Hashable, v: Hashable) -> float:
-    return graph[u][v].get(WEIGHT, 1.0)
-
-
 def boruvka_mst(
     graph: nx.Graph | GraphView,
     shortcut_builder: ShortcutBuilder | None = None,
@@ -181,12 +171,10 @@ def boruvka_mst(
             missing weights default to 1; ties are broken by edge identity so
             the algorithm is deterministic).  Accepts a weighted
             :class:`~repro.core.GraphView` directly (the native generators'
-            output): the fast path then reads weights straight from the CSR
+            output): the loop then reads weights straight from the CSR
             arrays and never materialises an ``nx.Graph`` -- the million-node
             configuration of the S7 scale gate.  A view requires an
-            engine-driven builder (the default); the reference path under
-            :func:`repro.core.networkx_reference_paths` materialises the
-            adapter graph.
+            engine-driven builder (the default).
         shortcut_builder: how each phase obtains its shortcut; defaults to the
             structure-oblivious constructor.
         tree: the global spanning tree ``T`` used for T-restriction and for
@@ -198,32 +186,7 @@ def boruvka_mst(
     Returns:
         An :class:`MstResult`; ``result.weight`` always equals the reference
         MST weight (the tests assert this on every workload).
-
-    Reference path: inside :func:`repro.core.networkx_reference_paths` the
-    preserved seed implementation runs (label-keyed fragments, per-phase
-    frozenset families); the array-native fast path returns identical
-    results on every field -- see the module docstring for the exact
-    equality guarantee.
     """
-    if core_enabled():
-        return _boruvka_mst_core(
-            graph, shortcut_builder, tree, max_phases, validate_shortcuts
-        )
-    if isinstance(graph, GraphView):
-        graph = graph.graph  # reference path runs on the (lazy) nx adapter
-    return _boruvka_mst_reference(
-        graph, shortcut_builder, tree, max_phases, validate_shortcuts
-    )
-
-
-def _boruvka_mst_core(
-    graph: nx.Graph,
-    shortcut_builder: ShortcutBuilder | None,
-    tree: RootedTree | None,
-    max_phases: int | None,
-    validate_shortcuts: bool,
-) -> MstResult:
-    """The array-native Boruvka loop (see the module docstring)."""
     builder = shortcut_builder if shortcut_builder is not None else oblivious_builder
     use_engine = bool(getattr(builder, "uses_engine", False))
     view = view_of(graph)
@@ -236,13 +199,12 @@ def _boruvka_mst_core(
     indptr, indices = core._indptr_list, core._indices_list
     node_of = view.nodes
 
-    # Canonical per-slot tie-break keys, computed once per run: the reference
-    # recomputes repr(canonical_edge(u, v)) for every directed edge in every
-    # phase; the string for slot (u -> v) here is byte-identical to that repr.
+    # Canonical per-slot tie-break keys, computed once per run: the string for
+    # slot (u -> v) is byte-identical to repr(canonical_edge(u, v)).
     # Weights are re-read from the nx graph per run rather than taken from
     # the CSR cache: the frozen-once-viewed convention covers topology, but
     # callers legitimately reassign *weights* between runs over one graph
-    # (the README quickstart does), and the reference path sees those live.
+    # (the README quickstart does), and each run must see the live weights.
     node_repr = [repr(label) for label in node_of]
     slot_key = [""] * len(indices)
     if isinstance(graph, GraphView):
@@ -269,15 +231,15 @@ def _boruvka_mst_core(
     # Fragment state: a flat owner array (vertex index -> fragment root) and
     # incrementally merged member lists.  Roots are the minimum vertex index
     # of their fragment (merges always point the larger root at the smaller,
-    # exactly like the reference's union), so the ascending roots list is
-    # also the reference's ascending-fragment-id part order.
+    # exactly like the seed oracle's union), so the ascending roots list is
+    # also the oracle's ascending-fragment-id part order.
     frag = list(range(n))
     members: list[list[int]] = [[index] for index in range(n)]
     roots = list(range(n))
 
     mst_edges: set[tuple[Hashable, Hashable]] = set()
-    # Weight of each accepted MWOE, recorded at merge time: for GraphView
-    # inputs there is no nx adjacency to re-read the final sum from.
+    # Weight of each accepted MWOE, recorded at merge time; the final weight
+    # is their sum (GraphView inputs have no nx adjacency to re-read).
     merge_weight: dict[tuple[Hashable, Hashable], float] = {}
     total_rounds = 0
     phase_rounds: list[int] = []
@@ -379,115 +341,7 @@ def _boruvka_mst_core(
         if len(roots) > 1:
             raise ConvergenceError("Boruvka did not converge within the phase budget")
 
-    if isinstance(graph, GraphView):
-        weight = sum(merge_weight[edge] for edge in mst_edges)
-    else:
-        weight = sum(_edge_weight(graph, u, v) for u, v in mst_edges)
-    return MstResult(
-        edges=frozenset(mst_edges),
-        weight=weight,
-        rounds=total_rounds,
-        phases=len(phase_rounds),
-        phase_rounds=phase_rounds,
-        phase_qualities=phase_qualities,
-    )
-
-
-def _boruvka_mst_reference(
-    graph: nx.Graph,
-    shortcut_builder: ShortcutBuilder | None,
-    tree: RootedTree | None,
-    max_phases: int | None,
-    validate_shortcuts: bool,
-) -> MstResult:
-    """The preserved seed implementation (label-keyed networkx structures)."""
-    builder = shortcut_builder if shortcut_builder is not None else oblivious_builder
-    tree = tree if tree is not None else bfs_spanning_tree(graph)
-    nodes = sorted(graph.nodes(), key=repr)
-    if max_phases is None:
-        max_phases = 2 + max(1, len(nodes)).bit_length()
-
-    fragment: dict[Hashable, int] = {node: index for index, node in enumerate(nodes)}
-    mst_edges: set[tuple[Hashable, Hashable]] = set()
-    total_rounds = 0
-    phase_rounds: list[int] = []
-    phase_qualities: list[int] = []
-    sync_cost = max(1, tree.height)
-
-    def fragments_as_parts() -> list[frozenset]:
-        groups: dict[int, set[Hashable]] = {}
-        for node, frag in fragment.items():
-            groups.setdefault(frag, set()).add(node)
-        return [frozenset(group) for _, group in sorted(groups.items())]
-
-    for phase in range(max_phases):
-        parts = fragments_as_parts()
-        if len(parts) <= 1:
-            break
-        shortcut = builder(graph, tree, parts)
-        if validate_shortcuts:
-            shortcut.validate()
-        phase_qualities.append(shortcut.quality())
-
-        # Every node's best outgoing edge (1 round of neighbour exchange lets
-        # every node learn its neighbours' fragment ids).
-        infinity = (float("inf"), "", None, None)
-        candidate: dict[Hashable, tuple[float, str, Hashable | None, Hashable | None]] = {}
-        for node in nodes:
-            best = infinity
-            for neighbour in graph.neighbors(node):
-                if fragment[neighbour] == fragment[node]:
-                    continue
-                weight = _edge_weight(graph, node, neighbour)
-                key = (weight, repr(canonical_edge(node, neighbour)), node, neighbour)
-                if key[:2] < best[:2]:
-                    best = key
-            candidate[node] = best
-
-        aggregation = partwise_aggregate(
-            shortcut,
-            values=candidate,
-            combine=lambda a, b: a if a[:2] <= b[:2] else b,
-        )
-        # Fragment leaders now know the MWOE; a second aggregation round trip
-        # (merge coordination: agreeing on the merged fragment identifier) is
-        # charged at the same measured cost.
-        rounds_this_phase = 1 + 2 * aggregation.rounds + sync_cost
-        total_rounds += rounds_this_phase
-        phase_rounds.append(rounds_this_phase)
-
-        # Apply the merges centrally (the simulation already charged the
-        # communication); standard union-find with the MWOEs as merge edges.
-        union: dict[int, int] = {frag: frag for frag in set(fragment.values())}
-
-        def find(frag: int) -> int:
-            while union[frag] != frag:
-                union[frag] = union[union[frag]]
-                frag = union[frag]
-            return frag
-
-        merged_any = False
-        for part_index, part in enumerate(shortcut.parts):
-            mwoe = aggregation.values[part_index]
-            if mwoe is None or mwoe[2] is None:
-                continue
-            weight, _key, u, v = mwoe
-            if weight == float("inf"):
-                continue
-            ru, rv = find(fragment[u]), find(fragment[v])
-            if ru == rv:
-                continue
-            union[max(ru, rv)] = min(ru, rv)
-            mst_edges.add(canonical_edge(u, v))
-            merged_any = True
-        if not merged_any:
-            raise ConvergenceError("Boruvka phase made no progress; graph may be disconnected")
-        fragment = {node: find(frag) for node, frag in fragment.items()}
-    else:
-        if len(set(fragment.values())) > 1:
-            raise ConvergenceError("Boruvka did not converge within the phase budget")
-
-    weight = sum(_edge_weight(graph, u, v) for u, v in mst_edges)
+    weight = sum(merge_weight[edge] for edge in mst_edges)
     return MstResult(
         edges=frozenset(mst_edges),
         weight=weight,

@@ -8,13 +8,9 @@ outgoing edge.  Each wrapper returns both the per-part answers and the
 measured CONGEST rounds, so callers can account costs uniformly.
 
 Every wrapper delegates to
-:func:`repro.congest.aggregation.partwise_aggregate`, so each inherits the
-aggregation primitive's dual-path guarantee: inside
-:func:`repro.core.networkx_reference_paths` the preserved label-keyed
-scheduler runs, outside it the index-space fast path runs, and the two are
-round-, message- and value-identical on every input.  The wrappers
+:func:`repro.congest.aggregation.partwise_aggregate`.  The wrappers
 themselves stay in label space -- they are convenience API, not hot paths;
-the Boruvka fast loop implements its MWOE step natively instead (see
+the Boruvka loop implements its MWOE step natively instead (see
 :mod:`repro.algorithms.mst`).
 """
 

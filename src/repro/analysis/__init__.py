@@ -21,7 +21,6 @@ from .experiments import (
     experiment_planar_quality,
     experiment_robustness,
     experiment_scenario_matrix,
-    experiment_simulator_speedup,
     experiment_treewidth_quality,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "experiment_planar_quality",
     "experiment_robustness",
     "experiment_scenario_matrix",
-    "experiment_simulator_speedup",
     "experiment_treewidth_quality",
     "fit_growth_exponent",
     "quality_sweep",

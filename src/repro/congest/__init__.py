@@ -19,13 +19,13 @@ Two levels of simulation are provided:
   directly reflects the congestion + dilation of the shortcut.  This is the
   primitive Theorem 1 invokes ``O(log n)`` times per Boruvka phase.
 
-The node-program level runs in three execution modes with one equality
+The node-program level runs in two execution modes with one equality
 contract (rounds, messages, words, outputs and per-round telemetry all
-exactly equal -- see ``docs/simulator.md``): the full-scan
-:class:`ReferenceSimulator` (the seed oracle), the active-set
-:class:`CongestSimulator` (label or core submode), and the vectorized
+exactly equal -- see ``docs/simulator.md``): the active-set
+:class:`CongestSimulator` (label or core submode) and the vectorized
 :class:`RuntimeSimulator` (compiled batch programs over flat arrays,
-:mod:`repro.congest.runtime`).
+:mod:`repro.congest.runtime`).  Both are pinned to a full-scan seed oracle
+kept in the test suite.
 """
 
 from .node import NodeContext, NodeProgram
@@ -37,8 +37,7 @@ from .faults import (
     parse_fault_spec,
 )
 from .simulator import CongestSimulator, RoundTelemetry, SimulationResult
-from .reference import ReferenceSimulator
-from .runtime import FaultRuntime, RuntimeProgram, RuntimeSimulator
+from .runtime import RuntimeProgram, RuntimeSimulator
 from .primitives import (
     broadcast_value,
     convergecast_aggregate,
@@ -54,11 +53,9 @@ __all__ = [
     "CongestSimulator",
     "FaultModel",
     "FaultQueue",
-    "FaultRuntime",
     "FaultSchedule",
     "NodeContext",
     "NodeProgram",
-    "ReferenceSimulator",
     "RoundTelemetry",
     "RuntimeProgram",
     "RuntimeSimulator",

@@ -20,24 +20,23 @@ greedy FIFO schedule is used; optimal scheduling is NP-hard but within
 one the theory predicts.
 
 This schedule-level simulation sits *beside* the node-program simulator
-and its three execution modes (``docs/simulator.md``): the single-tree
+and its execution modes (``docs/simulator.md``): the single-tree
 convergecast that does run as node programs is
 :func:`repro.congest.primitives.convergecast_aggregate`; this module is
 the many-parts, shared-edges generalisation whose round counts realise the
 quality -> rounds argument of Theorem 1.
 
-Two entry points share one core scheduler:
+Two entry points share one scheduler:
 
 * :func:`partwise_aggregate` -- the label-keyed public primitive: ``values``
   maps node labels to inputs, per-part aggregates come back in part order.
-  On the CSR fast path the schedule runs entirely in vertex-index space
-  (flat adjacency slices, int-keyed queues, per-edge delivery keys derived
-  from the label reprs exactly once), producing round-for-round identical
-  schedules to the preserved label implementation; forcing
-  :func:`repro.core.networkx_reference_paths` runs the seed scheduler
-  verbatim, and the differential tests pin the two equal on every family.
+  The schedule runs entirely in vertex-index space (flat adjacency slices,
+  int-keyed queues, per-edge delivery keys derived from the label reprs
+  exactly once), round-for-round identical to the seed label scheduler in
+  ``tests/oracles/aggregation.py``; the differential tests pin the two equal
+  on every family.
 * :func:`partwise_aggregate_indexed` -- the array-native twin used by the
-  Boruvka fast path (:mod:`repro.algorithms.mst`): ``values`` is a flat
+  Boruvka loop (:mod:`repro.algorithms.mst`): ``values`` is a flat
   sequence indexed by :class:`~repro.core.GraphView` vertex index, so a
   caller that already lives in index space never round-trips through label
   dictionaries.  Aggregates, rounds and messages are identical to the
@@ -57,14 +56,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
-import networkx as nx
-
-from ..core import core_enabled, view_of
 from ..errors import SimulationError
 from ..shortcuts.shortcut import Shortcut
 
 Value = object
-DirectedEdge = tuple[Hashable, Hashable]
 
 
 @dataclass
@@ -84,30 +79,6 @@ class AggregationResult:
     rounds: int
     messages: int
     per_part_rounds: list[int] = field(default_factory=list)
-
-
-@dataclass
-class _Task:
-    """One message that must traverse one directed edge for one part."""
-
-    part: int
-    edge: DirectedEdge
-    kind: str  # "up" or "down"
-    child: Hashable  # the aggregation-subtree child whose data moves (for "up")
-
-
-def _aggregation_tree(augmented: nx.Graph, anchor: Hashable) -> dict[Hashable, Hashable | None]:
-    """Return a BFS parent map of the component of ``anchor`` in the augmented graph."""
-    component = nx.node_connected_component(augmented, anchor)
-    parent: dict[Hashable, Hashable | None] = {anchor: None}
-    queue: deque[Hashable] = deque([anchor])
-    while queue:
-        node = queue.popleft()
-        for neighbour in sorted(augmented.neighbors(node), key=repr):
-            if neighbour in component and neighbour not in parent:
-                parent[neighbour] = node
-                queue.append(neighbour)
-    return parent
 
 
 def partwise_aggregate(
@@ -132,14 +103,8 @@ def partwise_aggregate(
         An :class:`AggregationResult` with per-part aggregates and the exact
         number of rounds used by the greedy schedule.
 
-    Reference path: inside :func:`repro.core.networkx_reference_paths` the
-    preserved seed scheduler runs on label-keyed dicts and ``nx`` subgraphs;
-    the fast index-space scheduler is round-, message- and value-identical
-    (``tests/test_core_graphview.py`` pins this on every family).
     """
-    if core_enabled():
-        return _partwise_aggregate_core(shortcut, values, None, combine, max_rounds)
-    return _partwise_aggregate_reference(shortcut, values, combine, max_rounds)
+    return _partwise_aggregate_core(shortcut, values, None, combine, max_rounds)
 
 
 def partwise_aggregate_indexed(
@@ -155,15 +120,9 @@ def partwise_aggregate_indexed(
     vertex has an entry, so the label path's missing-value check does not
     apply).  This is the entry point for callers that already hold their
     state in flat arrays, like the Boruvka MWOE step; it skips the
-    label-dictionary round trip entirely.  Outside the CSR fast paths the
-    values are relabelled once and the preserved reference scheduler runs,
-    so both modes remain available to differential tests.
+    label-dictionary round trip entirely.
     """
-    if core_enabled():
-        return _partwise_aggregate_core(shortcut, None, values, combine, max_rounds)
-    view = view_of(shortcut.graph)
-    labelled = {view.nodes[index]: value for index, value in enumerate(values)}
-    return _partwise_aggregate_reference(shortcut, labelled, combine, max_rounds)
+    return _partwise_aggregate_core(shortcut, None, values, combine, max_rounds)
 
 
 def _core_members(shortcut: Shortcut):
@@ -193,12 +152,12 @@ def _partwise_aggregate_core(
     combine: Callable[[Value, Value], Value],
     max_rounds: int,
 ) -> AggregationResult:
-    """The index-space greedy scheduler (the CSR fast path).
+    """The index-space greedy scheduler.
 
     Vertices are view indices throughout; the only label work is the
     per-directed-edge delivery key ``repr((label_u, label_v))``, computed
     once per edge that actually carries a message, which keeps the greedy
-    schedule order identical to the preserved label implementation (index
+    schedule order identical to the seed label implementation (index
     order is repr order for vertices, but *edge* keys are string reprs of
     label pairs, so they must be derived from the labels).
     """
@@ -209,8 +168,8 @@ def _partwise_aggregate_core(
     per_part_done: list[int] = [0] * num_parts
 
     if label_values is not None:
-        # Same missing-value check (and same reported vertex) as the
-        # reference path: iterate the label parts in frozenset order.
+        # Same missing-value check (and same reported vertex) as the seed
+        # scheduler: iterate the label parts in frozenset order.
         for index, part in enumerate(shortcut.parts):
             for vertex in part:
                 if vertex not in label_values:
@@ -254,8 +213,8 @@ def _partwise_aggregate_core(
         parent: dict[int, int | None] = {anchor: None}
         # Children lists recorded in BFS discovery order -- the same order a
         # scan of ``parent.items()`` yields (dict insertion order), so the
-        # down-phase enqueues below are schedule-identical to the reference
-        # path's full scans while costing O(children) instead of O(part).
+        # down-phase enqueues below are schedule-identical to the seed
+        # scheduler's full scans while costing O(children) instead of O(part).
         kids: dict[int, list[int]] = {}
         queue: deque[int] = deque([anchor])
         while queue:
@@ -284,7 +243,7 @@ def _partwise_aggregate_core(
     # the repr of an index edge is derived from its labels once, when the
     # edge first carries a task.
     #
-    # Hot-path representation (schedule-identical to the reference
+    # Hot-path representation (schedule-identical to the seed
     # scheduler, several times cheaper per message): tasks are plain
     # ``(part, sender, receiver, is_up)`` tuples, and the active edges are
     # kept as an always-sorted list that is *merged* with each round's
@@ -409,140 +368,6 @@ def _partwise_aggregate_core(
             aggregate = value_of(members[0])
             for member in members[1:]:
                 aggregate = combine(aggregate, value_of(member))
-            aggregates[index] = aggregate
-            per_part_done[index] = max(per_part_done[index], 0)
-
-    return AggregationResult(
-        values=aggregates,
-        rounds=rounds,
-        messages=messages,
-        per_part_rounds=per_part_done,
-    )
-
-
-def _partwise_aggregate_reference(
-    shortcut: Shortcut,
-    values: Mapping[Hashable, Value],
-    combine: Callable[[Value, Value], Value],
-    max_rounds: int,
-) -> AggregationResult:
-    """The preserved label-keyed scheduler (the pre-CoreGraph implementation).
-
-    Kept verbatim as the differential oracle behind
-    :func:`repro.core.networkx_reference_paths`: per-part ``nx`` augmented
-    subgraphs, label-keyed parent maps, and a full re-sort (and re-``repr``)
-    of every queue key each round -- exactly the seed's cost profile.
-    """
-    num_parts = shortcut.num_parts
-    aggregates: list[Value] = [None] * num_parts
-    per_part_done: list[int] = [0] * num_parts
-
-    # Per-part aggregation trees and bookkeeping.
-    parents: list[dict[Hashable, Hashable | None]] = []
-    pending_children: list[dict[Hashable, int]] = []
-    partial: list[dict[Hashable, Value]] = []
-    for index in range(num_parts):
-        part = shortcut.parts[index]
-        for vertex in part:
-            if vertex not in values:
-                raise SimulationError(f"no input value for vertex {vertex} of part {index}")
-        augmented = shortcut.augmented_subgraph(index)
-        anchor = min(part, key=repr)
-        parent = _aggregation_tree(augmented, anchor)
-        parents.append(parent)
-        counts: dict[Hashable, int] = {node: 0 for node in parent}
-        for node, par in parent.items():
-            if par is not None:
-                counts[par] += 1
-        pending_children.append(counts)
-        partial.append(
-            {
-                node: values[node] if node in part else None
-                for node in parent
-            }
-        )
-
-    # Build the initial set of ready "up" tasks: leaves of each aggregation tree.
-    edge_queues: dict[DirectedEdge, deque[_Task]] = {}
-    outstanding = 0
-
-    def enqueue(task: _Task) -> None:
-        nonlocal outstanding
-        queue = edge_queues.get(task.edge)
-        if queue is None:
-            queue = edge_queues[task.edge] = deque()
-        queue.append(task)
-        outstanding += 1
-
-    for index in range(num_parts):
-        parent = parents[index]
-        for node, par in parent.items():
-            if par is not None and pending_children[index][node] == 0:
-                enqueue(_Task(part=index, edge=(node, par), kind="up", child=node))
-
-    # Down-phase bookkeeping: which vertices still await the broadcast.
-    awaiting_down: list[set[Hashable]] = [set() for _ in range(num_parts)]
-
-    rounds = 0
-    messages = 0
-    while outstanding > 0:
-        if rounds > max_rounds:
-            raise SimulationError("aggregation schedule exceeded the round budget")
-        rounds += 1
-        delivered: list[_Task] = []
-        # Each directed edge delivers at most one message per round.
-        for edge in sorted(edge_queues.keys(), key=repr):
-            queue = edge_queues[edge]
-            if queue:
-                delivered.append(queue.popleft())
-                outstanding -= 1
-                messages += 1
-        for task in delivered:
-            index = task.part
-            parent = parents[index]
-            if task.kind == "up":
-                sender, receiver = task.edge
-                value = partial[index][sender]
-                current = partial[index][receiver]
-                if value is not None:
-                    partial[index][receiver] = (
-                        value if current is None else combine(current, value)
-                    )
-                pending_children[index][receiver] -= 1
-                if pending_children[index][receiver] == 0:
-                    grand = parent[receiver]
-                    if grand is not None:
-                        enqueue(_Task(part=index, edge=(receiver, grand), kind="up", child=receiver))
-                    else:
-                        # The root has the aggregate: start the broadcast.
-                        aggregates[index] = partial[index][receiver]
-                        awaiting_down[index] = {
-                            node for node, par in parent.items() if par is not None
-                        }
-                        if not awaiting_down[index]:
-                            per_part_done[index] = rounds
-                        for node, par in parent.items():
-                            if par == receiver:
-                                enqueue(
-                                    _Task(part=index, edge=(receiver, node), kind="down", child=node)
-                                )
-            else:  # down
-                sender, receiver = task.edge
-                awaiting_down[index].discard(receiver)
-                if not awaiting_down[index]:
-                    per_part_done[index] = rounds
-                for node, par in parents[index].items():
-                    if par == receiver:
-                        enqueue(_Task(part=index, edge=(receiver, node), kind="down", child=node))
-
-    # Single-vertex parts never enqueue anything; their aggregate is their value.
-    for index in range(num_parts):
-        if aggregates[index] is None:
-            part = shortcut.parts[index]
-            part_values = [values[v] for v in part]
-            aggregate = part_values[0]
-            for value in part_values[1:]:
-                aggregate = combine(aggregate, value)
             aggregates[index] = aggregate
             per_part_done[index] = max(per_part_done[index], 0)
 

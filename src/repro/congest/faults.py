@@ -9,8 +9,8 @@ round's delivery order -- is drawn by a **pure hash function** of
 mutable RNG state.  Two consequences follow directly:
 
 * a faulty run is exactly reproducible from ``(FaultModel, seed)`` alone,
-  so faulty executions are differentially testable across the three
-  simulator modes just like fail-free ones (the equality contract of
+  so faulty executions are differentially testable across the simulator
+  modes just like fail-free ones (the equality contract of
   ``docs/simulator.md`` extends verbatim); and
 * the decision stream is independent of evaluation order and of process
   identity, so a parallel ``run_matrix(jobs=N)`` sweep with faults is
@@ -30,26 +30,29 @@ The three pieces:
     drop/delay/duplication, ``crash_round(node)`` for node failures,
     ``shuffle_order`` for delivery-order permutations.  Node identifiers
     are **canonical**: CSR indices in core/runtime mode, repr-rank in
-    label mode -- the same ints in every mode, so one schedule drives all
-    three engines identically.
+    label mode -- the same ints in every mode, so one schedule drives every
+    engine identically.
 
 :class:`FaultQueue`
-    the shared mailbox all three run loops route their sends through: a
+    the mailbox every fault-aware run loop routes its sends through: a
     round-bucketed pending store that applies the schedule at the *send*
     boundary (drop / delay / duplicate) and the *deliver* boundary
     (crashed-recipient filtering, adversarial permutation), and accounts
     every decision into the per-round fault telemetry columns.
 
-Accounting identity (asserted by the property tests): ``messages`` keeps
+Accounting bound (asserted by the property tests): ``messages`` keeps
 counting what programs *send*; of those, ``dropped`` never arrive and each
-``duplicated`` send arrives once more, so total deliveries equal
-``messages - dropped + duplicated``.  A delayed message is counted in
+``duplicated`` send is copied once more, so total deliveries are *at most*
+``messages - dropped + duplicated``.  It is a bound, not an identity: when
+two messages from the same sender reach the same recipient in the same
+round (possible only under delays/duplication), they land in one
+(arrival round, recipient, sender) mailbox slot and the chronologically
+later send replaces the earlier one -- the two merge into one delivery.
+Every mode writes through this one queue in canonical node order, so the
+overwrite rule is the same in all of them.  A delayed message is counted in
 ``delayed`` once at its send round and still delivers (unless its
 recipient crashes first, which re-books it as dropped in the delivery
-round).  When two messages from the same sender reach the same recipient
-in the same round (possible only under delays/duplication), the
-chronologically later send wins -- the same overwrite rule in all modes,
-since every mode writes through this one queue in canonical node order.
+round).
 """
 
 from __future__ import annotations
@@ -325,7 +328,7 @@ class FaultSchedule:
 
 
 class FaultQueue:
-    """The round-bucketed mailbox shared by all three fault-aware run loops.
+    """The round-bucketed mailbox of the fault-aware run loop.
 
     Sends pass through :meth:`send` (drop / delay / duplicate applied at
     the send boundary); each round's deliveries come back from

@@ -8,12 +8,12 @@ words) it wants to send this round.  A node that has nothing left to do
 declares itself halted; the simulation ends when every node has halted and no
 messages are in flight.
 
-Everything here serves the two *per-node* execution modes (the full-scan
-reference and the active-set simulator, in label or core space); the
+Everything here serves the *per-node* execution mode (the active-set
+simulator, in label or core space); the
 vectorized runtime mode never instantiates node programs -- it runs the
 compiled batch twins of :mod:`repro.congest.runtime`, which must reproduce
 these semantics observationally (``docs/simulator.md``).  Only
-:func:`message_size_in_words` is shared by all three modes, so word
+:func:`message_size_in_words` is shared by every mode, so word
 accounting cannot drift between them.
 """
 

@@ -9,9 +9,8 @@ check both their outputs and their ``O(D)`` round counts.
 
 Every primitive accepts a ``simulator_cls`` so that callers (the scenario
 engine, the differential tests, the speedup benchmarks) can run the same
-node programs under any of the three execution modes -- the active-set
-:class:`CongestSimulator`, the full-scan
-:class:`repro.congest.reference.ReferenceSimulator`, or the vectorized
+node programs under either execution mode -- the active-set
+:class:`CongestSimulator` or the vectorized
 :class:`repro.congest.runtime.RuntimeSimulator` -- and a ``graph`` that is
 either an ``nx.Graph`` or a :class:`repro.core.GraphView`.  Given a view
 the simulation runs in core mode (integer node ids over CSR slices); the
@@ -144,7 +143,7 @@ def distributed_bfs_tree(
     ``root`` is always a node *label*; in core mode the primitive converts it
     to an index on the way in and maps the parent pointers back to labels on
     the way out, so the returned tree is label-keyed either way.  Runs under
-    all three simulator modes (``simulator_cls``); the runtime mode requires
+    every simulator mode (``simulator_cls``); the runtime mode requires
     ``graph`` to be a :class:`~repro.core.GraphView`.
 
     With an active ``fault_schedule`` the robust retry/ack flood runs
@@ -258,8 +257,7 @@ class _RobustBfsFactory:
     """Factory for :class:`_RobustBfsProgram` (fault schedules only).
 
     No ``compile_runtime`` hook: under an active schedule the runtime mode
-    runs the batched :class:`~repro.congest.runtime.FaultRuntime`
-    interpreter, which executes genuine node programs and needs no twin.
+    runs the active-set loop on genuine node programs and needs no twin.
     """
 
     __slots__ = ("root", "retry_budget")
@@ -430,8 +428,8 @@ def flood_max_id(
     """Elect the maximum-id node as the leader by flooding; return (leader, stats).
 
     In core mode the elected maximum *index* is the maximum-repr label (index
-    order is repr order), returned in label form.  Runs under all three
-    simulator modes; the runtime mode requires a view.
+    order is repr order), returned in label form.  Runs under every
+    simulator mode; the runtime mode requires a view.
 
     Under an active ``fault_schedule`` the plain flood runs through the
     fault layer unchanged (it cannot hang: a node halts on its first quiet
@@ -621,8 +619,8 @@ def broadcast_value(
     phase of the distributed algorithms as a genuine simulated execution.
     The returned outputs map every node to the received value, which the
     callers assert for correctness.  ``source`` is a label; in core mode it
-    is converted to an index at the boundary.  Runs under all three
-    simulator modes; the runtime mode requires a view.
+    is converted to an index at the boundary.  Runs under every
+    simulator mode; the runtime mode requires a view.
 
     Under an active ``fault_schedule`` the retry/ack announcement of
     :class:`_RobustBroadcastProgram` runs instead; nodes still uninformed
@@ -893,7 +891,7 @@ def convergecast_aggregate(
     network edges, so the simulator's topology enforcement applies) and
     ``values`` must cover every node; ``combine`` must be associative but
     may be non-commutative/non-exact (folding order is pinned to ascending
-    child id, identically in all three simulator modes).
+    child id, identically in every simulator mode).
 
     Under an active ``fault_schedule`` the acked/retried convergecast of
     :class:`_RobustConvergecastProgram` runs instead, with per-node

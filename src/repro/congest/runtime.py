@@ -25,7 +25,7 @@ traversal, where list indexing beats numpy item access.
 
 **The equality contract.**  A runtime execution is *observationally
 identical* to the per-node core mode (and therefore to the label mode and
-the full-scan :class:`~repro.congest.reference.ReferenceSimulator`): the
+the seed full-scan simulator kept as the test oracle): the
 returned :class:`~repro.congest.simulator.SimulationResult` has exactly
 equal ``rounds``, ``messages``, ``words``, label-keyed ``outputs`` and
 per-round telemetry (including executed-node counts, which requires the
@@ -39,7 +39,9 @@ Only programs with a compiled twin can run here: the simulator's
 hook (attached by the factories in :mod:`repro.congest.primitives`) and
 refuses factories without one -- arbitrary user ``NodeProgram``
 subclasses keep running under the per-node modes, which remain the
-semantic reference.
+semantic reference.  The twins assume fail-free delivery, so under an
+active fault schedule the runtime mode runs the per-node loop in core mode
+instead (with any factory).
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..errors import RoundLimitError, SimulationError
-from .faults import FaultQueue
-from .node import NodeContext, message_size_in_words
-from .simulator import CongestSimulator, RoundTelemetry, SimulationResult, _identity
+from .node import message_size_in_words
+from .simulator import CongestSimulator, RoundTelemetry, SimulationResult
 
 
 class _Inbox:
@@ -551,207 +552,20 @@ class ConvergecastRuntime(RuntimeProgram):
         return [self._result if node == root else None for node in range(self.core.num_nodes)]
 
 
-class FaultRuntime(RuntimeProgram):
-    """The runtime mode's engine under an active fault schedule.
-
-    The compiled twins above are fail-free by construction: ``BfsRuntime``
-    collapses the per-node tie-break because all offers of a round carry
-    the same depth (false under delays), and :class:`_Inbox` double-buffers
-    on round parity (breaks for delays > 1).  Rather than forking every
-    twin per fault combination, an active schedule switches the runtime
-    mode to this batched flat-array interpreter: node programs are built
-    once into an index-addressed list (no per-label dicts anywhere),
-    per-round state lives in ``bytearray`` live/crashed masks plus a
-    compacted live list, telemetry accumulates into parallel columns, and
-    all mail flows through the same :class:`~repro.congest.faults.FaultQueue`
-    as the per-node modes -- one decision stream, three engines.  This is
-    a deliberate trade: faulty runtime executions keep the observational
-    equality contract (and stay faster than the label mode) but give up
-    the compiled twins' constant factors.
-    """
-
-    def __init__(self, simulator: CongestSimulator, program_factory) -> None:
-        super().__init__(simulator._view, simulator.bandwidth_words)
-        self._schedule = simulator._fault_schedule
-        core = self.core
-        n = core.num_nodes
-        resolve = simulator._resolve_diameter_bound
-        programs = []
-        neighbour_sets: list[set[int]] = []
-        for node in range(n):
-            neighbours = core.neighbors(node)
-            weights = dict(zip(neighbours, core.neighbor_weights(node)))
-            neighbour_sets.append(set(neighbours))
-            context = NodeContext(
-                node=node,
-                neighbours=tuple(neighbours),
-                edge_weights=weights,
-                num_nodes=n,
-                diameter_bound=resolve,
-                id_key=_identity,
-            )
-            programs.append(program_factory(context))
-        self._programs = programs
-        self._neighbour_sets = neighbour_sets
-
-    def _validate(self, sender: int, outgoing: dict) -> None:
-        neighbour_set = self._neighbour_sets[sender]
-        for target, message in outgoing.items():
-            if target not in neighbour_set:
-                raise SimulationError(
-                    f"node {sender} attempted to send to non-neighbour {target}"
-                )
-            self._check_bandwidth(sender, target, message)
-
-    def drive(self, max_rounds: int = 10_000) -> SimulationResult:
-        """Fault-aware batch loop; results equal the per-node fault loops."""
-        n = self.core.num_nodes
-        schedule = self._schedule
-        queue = FaultQueue(schedule)  # runtime ids are already canonical
-        programs = self._programs
-        crash_by_round: dict[int, list[int]] = {}
-        for node in range(n):
-            crash = schedule.crash_round(node)
-            if crash is not None:
-                crash_by_round.setdefault(crash, []).append(node)
-        crashed = bytearray(n)
-        live = bytearray(n)
-        executed_column: list[int] = []
-        sent_column: list[int] = []
-        words_column: list[int] = []
-        fault_columns: list[tuple[int, int, int, int]] = []
-        total_messages = total_words = 0
-        total_dropped = total_delayed = total_duplicated = 0
-        total_crashed = 0
-
-        def materialise(last_active_round: int) -> SimulationResult:
-            node_of = self.view.nodes
-            outputs = {
-                node_of[index]: programs[index].result()
-                for index in range(n)
-                if not crashed[index]
-            }
-            telemetry = [
-                RoundTelemetry(index + 1, executed, sent, words, *faults)
-                for index, (executed, sent, words, faults) in enumerate(
-                    zip(executed_column, sent_column, words_column, fault_columns)
-                )
-            ]
-            return SimulationResult(
-                rounds=last_active_round,
-                messages=total_messages,
-                words=total_words,
-                outputs=outputs,
-                telemetry=telemetry,
-                dropped=total_dropped,
-                delayed=total_delayed,
-                duplicated=total_duplicated,
-                crashed_nodes=total_crashed,
-            )
-
-        newly = crash_by_round.get(1, ())
-        for node in newly:
-            crashed[node] = 1
-        total_crashed += len(newly)
-        sent = words = executed = 0
-        for node in range(n):
-            if crashed[node]:
-                continue
-            executed += 1
-            program = programs[node]
-            outgoing = program.on_start() or {}
-            self._validate(node, outgoing)
-            for target, message in outgoing.items():
-                if message is None:
-                    continue
-                queue.send(1, node, target, message)
-                sent += 1
-                words += message_size_in_words(message)
-            if not program.halted:
-                live[node] = 1
-        dropped, delayed, duplicated = queue.take_round_stats()
-        total_messages += sent
-        total_words += words
-        total_dropped += dropped
-        total_delayed += delayed
-        total_duplicated += duplicated
-        executed_column.append(executed)
-        sent_column.append(sent)
-        words_column.append(words)
-        fault_columns.append((dropped, delayed, duplicated, len(newly)))
-        last_active_round = 1 if sent else 0
-        live_list = [node for node in range(n) if live[node]]
-
-        round_number = 1
-        while live_list or queue.has_mail():
-            round_number += 1
-            if round_number > max_rounds + 1:
-                raise RoundLimitError(
-                    f"simulation did not converge within {max_rounds} rounds",
-                    partial=materialise(last_active_round),
-                )
-            inboxes = queue.deliveries(round_number)
-            delivered = bool(inboxes)
-            newly = crash_by_round.get(round_number, ())
-            for node in newly:
-                crashed[node] = 1
-                live[node] = 0
-            total_crashed += len(newly)
-            if inboxes:
-                candidates = sorted(set(live_list).union(inboxes))
-            else:
-                candidates = live_list
-            sent = words = executed = 0
-            for node in candidates:
-                if crashed[node]:
-                    continue
-                program = programs[node]
-                inbox = inboxes.get(node)
-                if inbox is None:
-                    if program.halted:
-                        continue
-                    inbox = {}
-                executed += 1
-                outgoing = program.on_round(round_number, inbox) or {}
-                self._validate(node, outgoing)
-                for target, message in outgoing.items():
-                    if message is None:
-                        continue
-                    queue.send(round_number, node, target, message)
-                    sent += 1
-                    words += message_size_in_words(message)
-                live[node] = 0 if program.halted else 1
-            live_list = [node for node in candidates if live[node]]
-            dropped, delayed, duplicated = queue.take_round_stats()
-            total_messages += sent
-            total_words += words
-            total_dropped += dropped
-            total_delayed += delayed
-            total_duplicated += duplicated
-            executed_column.append(executed)
-            sent_column.append(sent)
-            words_column.append(words)
-            fault_columns.append((dropped, delayed, duplicated, len(newly)))
-            if sent or delivered:
-                last_active_round = round_number
-
-        return materialise(last_active_round)
-
-
 class RuntimeSimulator(CongestSimulator):
     """:class:`CongestSimulator` pinned to the vectorized runtime mode.
 
     A convenience subclass for the ``simulator_cls`` threading used by the
     primitives, the scenario engine and the benchmarks: passing this class
-    where :class:`CongestSimulator` or
-    :class:`~repro.congest.reference.ReferenceSimulator` is accepted runs
-    the same workload on compiled batch programs.  The network must be a
+    where :class:`CongestSimulator` is accepted runs the same workload on
+    compiled batch programs.  The network must be a
     :class:`repro.core.GraphView` (the runtime is index-native) and the
     program factory must carry a ``compile_runtime`` hook -- both enforced
     at construction with the same exception contract as the core mode
     (:class:`~repro.errors.InvalidGraphError` for empty/disconnected/
     label-space networks, :class:`~repro.errors.SimulationError` for
-    factories without a compiled twin).
+    factories without a compiled twin).  Under an active fault schedule it
+    runs core mode, where no compiled twin is needed.
     """
 
     def __init__(

@@ -17,9 +17,8 @@ bookkeeping rounds the programs took to halt -- the seed implementation
 counted trailing silent rounds but not a silent first round, which made
 round counts depend on *where* the silence happened.
 
-:class:`ReferenceSimulator` in :mod:`repro.congest.reference` preserves the
-seed's full-scan behaviour (same results, eager diameter, O(n) per round)
-as a differential-testing oracle and benchmark baseline.
+The seed's full-scan simulator (same results, eager diameter, O(n) per
+round) is kept in the test suite as the differential-testing oracle.
 
 Handing the simulator a :class:`repro.core.GraphView` instead of an
 ``nx.Graph`` switches it into **core mode**: node identifiers are the
@@ -42,8 +41,14 @@ programs are compiled into whole-network batch step functions
 operations.  Rounds, messages, words, outputs and per-round telemetry are
 *exactly* equal to the per-node modes -- the model semantics live in the
 per-node loop below, which stays the differential oracle for the compiled
-programs.  ``docs/simulator.md`` documents the model and the three-mode
-equality contract.
+programs.  Under an active fault schedule the runtime mode runs that
+per-node loop in core mode.  ``docs/simulator.md`` documents the model and
+the mode equality contract.
+
+There is one round loop, :meth:`CongestSimulator.run`.  Mail flows through
+a mailbox object: a :class:`~repro.congest.faults.FaultQueue` under an
+active fault schedule, otherwise a pass-through mailbox that delivers every
+send in the next round.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ class SimulationResult:
     Attributes:
         rounds: index of the last synchronous round in which any message was
             sent or delivered (0 for computations that never communicate).
-        messages: total number of (non-``None``) messages delivered.
+        messages: total number of (non-``None``) messages sent.
         words: total message volume in machine words.
         outputs: mapping node -> whatever the node's program returned from
             :meth:`NodeProgram.result`.  Crashed nodes are excluded --
@@ -110,8 +115,11 @@ class SimulationResult:
         duplicated: total extra copies injected (0 fail-free).
         crashed_nodes: number of nodes that crashed during the run.
 
-    ``messages``/``words`` always count what the programs *sent*; under
-    faults the delivered count is ``messages - dropped + duplicated``.
+    ``messages``/``words`` always count what the programs *sent*.  Under
+    faults at most ``messages - dropped + duplicated`` messages are
+    delivered: a delayed or duplicate copy that lands in an occupied
+    (arrival round, recipient, sender) slot replaces the message there, so
+    the two count as one delivery.
     """
 
     rounds: int
@@ -151,8 +159,8 @@ class CongestSimulator:
             (or bare :class:`~repro.congest.faults.FaultModel`, wrapped with
             seed 0) injecting seeded message drops/delays/duplications, node
             crashes and adversarial delivery order.  A null schedule is
-            normalised to ``None``, so a rate-0 model runs the unchanged
-            fail-free code path bit-for-bit.
+            normalised to ``None``, so a rate-0 model runs fail-free
+            bit-for-bit.
     """
 
     def __init__(
@@ -175,8 +183,17 @@ class CongestSimulator:
             fault_schedule if fault_schedule is not None and fault_schedule.active else None
         )
         if runtime:
-            self._init_runtime(program_factory)
-            return
+            if self._view is None:
+                raise InvalidGraphError(
+                    "the vectorized runtime needs a GraphView network; wrap the graph "
+                    "with repro.core.view_of (the per-node modes accept nx.Graph)"
+                )
+            # The compiled twins assume fail-free delivery (depth-uniform BFS
+            # rounds, parity-buffered inboxes); under an active schedule the
+            # runtime mode runs core mode, where any factory works.
+            if self._fault_schedule is None:
+                self._init_runtime(program_factory)
+                return
         if self._view is not None:
             self._init_core(self._view, program_factory)
             return
@@ -207,16 +224,7 @@ class CongestSimulator:
         self, view: GraphView, program_factory: Callable[[NodeContext], NodeProgram]
     ) -> None:
         """Core mode: nodes are CSR indices, adjacency comes from flat slices."""
-        core = view.core
-        # Same exception contract as label mode (require_connected): an empty
-        # or disconnected network is a *precondition* failure of the caller's
-        # input, so both modes raise InvalidGraphError with the same message;
-        # SimulationError stays reserved for illegal states detected while a
-        # simulation is running (bad sends, bandwidth, round budgets).
-        if core.num_nodes == 0:
-            raise InvalidGraphError("network graph is empty")
-        if not core.is_connected():
-            raise InvalidGraphError("network graph is not connected")
+        core = _require_connected_core(view)
         self._graph = None  # lazy: materialised only if .graph is read
         n = core.num_nodes
         # Index order == repr order of the labels, so this *is* the canonical
@@ -245,42 +253,19 @@ class CongestSimulator:
     def _init_runtime(self, program_factory) -> None:
         """Runtime mode: no per-node programs; one compiled batch program.
 
-        The network must already be a :class:`repro.core.GraphView` -- the
-        batch programs are index-native and their outputs are mapped back
-        to labels through the view, exactly like core mode.  Construction
-        performs the same empty/disconnected precondition checks as
-        :meth:`_init_core` (and raises the same
-        :class:`~repro.errors.InvalidGraphError`), then asks the factory
-        for its compiled twin via the ``compile_runtime`` hook attached by
+        The batch programs are index-native and their outputs are mapped
+        back to labels through the view, exactly like core mode.
+        Construction performs the same empty/disconnected precondition
+        checks as :meth:`_init_core`, then asks the factory for its
+        compiled twin via the ``compile_runtime`` hook attached by
         :mod:`repro.congest.primitives`.
         """
-        view = self._view
-        if view is None:
-            raise InvalidGraphError(
-                "the vectorized runtime needs a GraphView network; wrap the graph "
-                "with repro.core.view_of (the per-node modes accept nx.Graph)"
-            )
-        core = view.core
-        if core.num_nodes == 0:
-            raise InvalidGraphError("network graph is empty")
-        if not core.is_connected():
-            raise InvalidGraphError("network graph is not connected")
+        core = _require_connected_core(self._view)
         self._graph = None  # lazy: materialised only if .graph is read
         self._order = list(range(core.num_nodes))
         self._rank = None
         self._sort_key = None
         self._neighbour_sets = None
-        if self._fault_schedule is not None:
-            # The compiled twins assume fail-free delivery (depth-uniform BFS
-            # rounds, parity-buffered inboxes); under an active schedule the
-            # runtime mode drives a batched flat-array interpreter instead --
-            # see FaultRuntime in repro.congest.runtime.  Any factory works
-            # here (the interpreter runs genuine node programs), so the
-            # robust retry/ack factories need no compiled twin.
-            from .runtime import FaultRuntime
-
-            self._runtime_program = FaultRuntime(self, program_factory)
-            return
         compile_hook = getattr(program_factory, "compile_runtime", None)
         if compile_hook is None:
             raise SimulationError(
@@ -371,22 +356,34 @@ class CongestSimulator:
                 by_round.setdefault(crash, []).append(node)
         return by_round
 
-    def _run_faulty(self, max_rounds: int) -> SimulationResult:
-        """The active-set loop with the fault layer at both mail boundaries.
+    def run(self, max_rounds: int = 10_000) -> SimulationResult:
+        """Run the simulation to quiescence (all halted, no messages in flight).
 
-        All sends route through a :class:`~repro.congest.faults.FaultQueue`
-        (drop/delay/duplicate at the send boundary) and each round's
-        inboxes come back crash-filtered and adversarially ordered from
-        the same queue (deliver boundary).  The activation rule is the
-        fail-free one -- recipients of this round's deliveries plus every
-        never-halted program -- minus crashed nodes, which never execute
-        from their crash round on.
+        In runtime mode the compiled batch program drives the loop instead;
+        the returned :class:`SimulationResult` is exactly equal either way
+        (the equality contract in ``docs/simulator.md``).  Exceeding
+        ``max_rounds`` raises :class:`~repro.errors.RoundLimitError`
+        carrying the partial result.
+
+        Per round only the *active set* runs: the recipients of this round's
+        deliveries plus every never-halted program, minus crashed nodes,
+        which never execute from their crash round on.  Under an active
+        fault schedule all sends route through a
+        :class:`~repro.congest.faults.FaultQueue` (drop/delay/duplicate at
+        the send boundary) and each round's inboxes come back crash-filtered
+        and adversarially ordered from the same queue (deliver boundary).
         """
+        if self._runtime_program is not None:
+            return self._runtime_program.drive(max_rounds)
         programs = self.programs
         sort_key = self._sort_key
-        schedule = self._fault_schedule
-        queue = FaultQueue(schedule, self._rank)
-        crash_by_round = self._crash_rounds()
+        if self._fault_schedule is None:
+            queue = _Mailbox()
+            crash_by_round: dict[int, list[Hashable]] = {}
+        else:
+            queue = FaultQueue(self._fault_schedule, self._rank)
+            crash_by_round = self._crash_rounds()
+        send = queue.send
         crashed: set[Hashable] = set()
         total_messages = total_words = 0
         total_dropped = total_delayed = total_duplicated = 0
@@ -406,7 +403,7 @@ class CongestSimulator:
             for target, message in outgoing.items():
                 if message is None:
                     continue
-                queue.send(1, node, target, message)
+                send(1, node, target, message)
                 sent += 1
                 words += message_size_in_words(message)
         dropped, delayed, duplicated = queue.take_round_stats()
@@ -420,6 +417,9 @@ class CongestSimulator:
         )
         if sent:
             last_active_round = 1
+        # live is the set of non-halted programs; together with the round's
+        # recipients it forms the active set.  Inbox dicts are created on
+        # demand, so idle nodes never own a buffer.
         live = {
             node
             for node in self._order
@@ -465,7 +465,7 @@ class CongestSimulator:
                 for target, message in outgoing.items():
                     if message is None:
                         continue
-                    queue.send(round_number, node, target, message)
+                    send(round_number, node, target, message)
                     sent += 1
                     words += message_size_in_words(message)
                 if program.halted:
@@ -496,106 +496,48 @@ class CongestSimulator:
             crashed_nodes=len(crashed),
         )
 
-    def run(self, max_rounds: int = 10_000) -> SimulationResult:
-        """Run the simulation to quiescence (all halted, no messages in flight).
 
-        In runtime mode the compiled batch program drives the loop instead;
-        the returned :class:`SimulationResult` is exactly equal either way
-        (the equality contract in ``docs/simulator.md``).  With an active
-        fault schedule the fault-aware loop runs instead; exceeding
-        ``max_rounds`` raises :class:`~repro.errors.RoundLimitError`
-        carrying the partial result.
-        """
-        if self._runtime_program is not None:
-            return self._runtime_program.drive(max_rounds)
-        if self._fault_schedule is not None:
-            return self._run_faulty(max_rounds)
-        programs = self.programs
-        sort_key = self._sort_key
-        # pending maps recipient -> {sender: message}; inbox dicts are created
-        # on demand, so idle nodes never own (or cause the allocation of) a
-        # buffer.  live is the set of non-halted programs; together with the
-        # pending recipients it forms the active set of the next round.
-        pending: dict[Hashable, dict[Hashable, object]] = {}
-        live: set[Hashable] = {
-            node for node, program in programs.items() if not program.halted
-        }
-        total_messages = 0
-        total_words = 0
-        telemetry: list[RoundTelemetry] = []
-        last_active_round = 0
+class _Mailbox:
+    """The fail-free mailbox: every send arrives in the next round, intact.
 
-        # Round 1: on_start messages (every program executes once).
-        sent = words = 0
-        for node in self._order:
-            outgoing = programs[node].on_start() or {}
-            self._validate_outgoing(node, outgoing)
-            for target, message in outgoing.items():
-                if message is None:
-                    continue
-                pending.setdefault(target, {})[node] = message
-                sent += 1
-                words += message_size_in_words(message)
-        total_messages += sent
-        total_words += words
-        telemetry.append(RoundTelemetry(1, len(self._order), sent, words))
-        if sent:
-            last_active_round = 1
-        live = {node for node in live if not programs[node].halted}
+    ``pending`` maps recipient -> {sender: message}; :meth:`deliveries`
+    hands the whole map over and starts a fresh one.
+    """
 
-        round_number = 1
-        while live or pending:
-            round_number += 1
-            if round_number > max_rounds + 1:
-                raise RoundLimitError(
-                    f"simulation did not converge within {max_rounds} rounds",
-                    partial=SimulationResult(
-                        rounds=last_active_round,
-                        messages=total_messages,
-                        words=total_words,
-                        outputs=self._final_outputs(),
-                        telemetry=telemetry,
-                    ),
-                )
-            inboxes = pending
-            pending = {}
-            delivered = bool(inboxes)
-            active = live if not inboxes else live.union(inboxes.keys())
-            sent = words = 0
-            executed = 0
-            for node in sorted(active, key=sort_key):
-                program = programs[node]
-                inbox = inboxes.get(node)
-                if inbox is None:
-                    if program.halted:
-                        continue
-                    inbox = {}
-                executed += 1
-                outgoing = program.on_round(round_number, inbox) or {}
-                self._validate_outgoing(node, outgoing)
-                for target, message in outgoing.items():
-                    if message is None:
-                        continue
-                    pending.setdefault(target, {})[node] = message
-                    sent += 1
-                    words += message_size_in_words(message)
-                if program.halted:
-                    live.discard(node)
-                else:
-                    live.add(node)
-            total_messages += sent
-            total_words += words
-            telemetry.append(RoundTelemetry(round_number, executed, sent, words))
-            if sent or delivered:
-                last_active_round = round_number
+    __slots__ = ("pending",)
 
-        return SimulationResult(
-            rounds=last_active_round,
-            messages=total_messages,
-            words=total_words,
-            outputs=self._final_outputs(),
-            telemetry=telemetry,
-        )
+    def __init__(self) -> None:
+        self.pending: dict[Hashable, dict[Hashable, object]] = {}
+
+    def send(self, round_number: int, sender: Hashable, target: Hashable, message) -> None:
+        self.pending.setdefault(target, {})[sender] = message
+
+    def deliveries(self, round_number: int) -> dict[Hashable, dict[Hashable, object]]:
+        inboxes, self.pending = self.pending, {}
+        return inboxes
+
+    def has_mail(self) -> bool:
+        return bool(self.pending)
+
+    def take_round_stats(self) -> tuple[int, int, int]:
+        return (0, 0, 0)
+
+
+def _require_connected_core(view: GraphView):
+    """Return ``view.core`` after the label-mode precondition checks.
+
+    Same exception contract as label mode (``require_connected``): an empty
+    or disconnected network is a *precondition* failure of the caller's
+    input, so every mode raises InvalidGraphError with the same message;
+    SimulationError stays reserved for illegal states detected while a
+    simulation is running (bad sends, bandwidth, round budgets).
+    """
+    core = view.core
+    if core.num_nodes == 0:
+        raise InvalidGraphError("network graph is empty")
+    if not core.is_connected():
+        raise InvalidGraphError("network graph is not connected")
+    return core
 
 
 def _identity(value: object) -> object:

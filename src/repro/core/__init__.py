@@ -20,48 +20,14 @@ The traversal layer (``repro.structure``), the quality measurements
 the CSR arrays; ``networkx`` remains the generator/witness frontend.
 """
 
-from contextlib import contextmanager
-
 from .graph import CoreGraph
 from .partset import PartSet, part_connected, part_set_of
 from .view import GraphView, nx_materializations, view_of
-
-_CORE_ENABLED = True
-
-
-def core_enabled() -> bool:
-    """True when the CSR fast paths are active (the default)."""
-    return _CORE_ENABLED
-
-
-@contextmanager
-def networkx_reference_paths():
-    """Force every dual-path function down its preserved ``networkx`` branch.
-
-    The pre-CoreGraph implementations are kept alongside the CSR fast paths
-    as differential oracles (the same pattern as
-    :class:`repro.congest.ReferenceSimulator`).  Inside this context the
-    shortcut quality measurement, part validation, part-wise aggregation and
-    the scenario engine's simulator wiring all run the ``networkx``
-    dict-of-dict code: ``benchmarks/bench_core_speedup.py`` uses it as the
-    baseline arm of the >=2x gate, and the differential tests assert that
-    records computed inside and outside the context are identical.
-    """
-    global _CORE_ENABLED
-    previous = _CORE_ENABLED
-    _CORE_ENABLED = False
-    try:
-        yield
-    finally:
-        _CORE_ENABLED = previous
-
 
 __all__ = [
     "CoreGraph",
     "GraphView",
     "PartSet",
-    "core_enabled",
-    "networkx_reference_paths",
     "nx_materializations",
     "part_connected",
     "part_set_of",

@@ -23,7 +23,7 @@ import networkx as nx
 
 from ..errors import InvalidGraphError
 from ..utils import ensure_rng, relabel_to_integers
-from .planar import grid_graph, is_planar
+from .planar import grid_graph, grid_labels, is_planar
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def genus_grid(
     base = grid_graph(rows, cols)
     graph = base.copy()
     coords = sorted((r, c) for r in range(rows) for c in range(cols))
-    index = {coord: i for i, coord in enumerate(coords)}
+    index = grid_labels(rows, cols)
     min_distance = max(2, (rows + cols) // 2)
     handles: list[frozenset[tuple[int, int]]] = []
     attempts = 0

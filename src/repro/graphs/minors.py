@@ -32,12 +32,9 @@ def _quick_negative(graph: nx.Graph, minor: nx.Graph) -> bool:
         return True
     if graph.number_of_edges() < minor.number_of_edges():
         return True
-    # A minor model needs `h` branch sets whose contracted degrees cover H's
-    # degrees; if G has max degree < min degree of H and H is connected with
-    # more vertices than... keep only the safe check: if H has a vertex of
-    # degree d, G must have at least d vertices of degree >= 1 -- too weak to
-    # bother.  The planarity shortcut below is the main fast path.
-    return False
+    # Deleting and contracting edges never creates a cycle, so a forest host
+    # has no minor containing one.
+    return nx.is_forest(graph) and not nx.is_forest(minor)
 
 
 def _quick_positive(graph: nx.Graph, minor: nx.Graph) -> bool:

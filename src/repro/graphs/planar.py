@@ -37,6 +37,18 @@ def grid_graph(rows: int, cols: int) -> nx.Graph:
     return relabel_to_integers(graph)
 
 
+def grid_labels(rows: int, cols: int) -> dict[tuple[int, int], int]:
+    """Return the integer label :func:`grid_graph` gives each ``(r, c)`` coordinate.
+
+    :func:`grid_graph` relabels through :func:`repro.utils.relabel_to_integers`,
+    which orders the coordinates by ``repr``.  For sides of 11 or more that is
+    not tuple order (``"(0, 10)" < "(0, 2)"``), so code that addresses grid
+    vertices by coordinate must go through this map.
+    """
+    coords = sorted(((r, c) for r in range(rows) for c in range(cols)), key=repr)
+    return {coord: label for label, coord in enumerate(coords)}
+
+
 def cycle_graph(n: int) -> nx.Graph:
     """Return the cycle on ``n >= 3`` nodes (diameter ``floor(n/2)``)."""
     if n < 3:
@@ -233,13 +245,11 @@ def boundary_cycle(rows: int, cols: int, graph: nx.Graph | None = None) -> Seque
 
     The vortex construction (Definition 4) attaches a vortex to a facial
     cycle; for grid-based generators the outer boundary is the natural face
-    to use, and this helper returns it in cyclic order.  If ``graph`` is
-    given it must be the graph returned by :func:`grid_graph` for the same
-    dimensions (the labelling convention of :func:`relabel_to_integers` sorts
-    ``(r, c)`` pairs lexicographically, which this function reproduces).
+    to use, and this helper returns it in cyclic order, in the labelling of
+    :func:`grid_graph` (:func:`grid_labels`).  If ``graph`` is given it must
+    be the graph returned by :func:`grid_graph` for the same dimensions.
     """
-    coords = sorted((r, c) for r in range(rows) for c in range(cols))
-    index = {coord: i for i, coord in enumerate(coords)}
+    index = grid_labels(rows, cols)
     path: list[int] = []
     # top row left->right, right column top->bottom, bottom row right->left,
     # left column bottom->top.

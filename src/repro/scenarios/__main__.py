@@ -6,9 +6,9 @@ with ``--jobs N``; records are always emitted in the same deterministic
 (family x constructor x algorithm) order regardless of ``--jobs``.
 
 ``--simulator`` selects the execution mode for the simulated phases of the
-``mst`` workload (``active`` per-node active-set, ``reference`` full-scan
-oracle, ``runtime`` vectorized batch programs); records are identical
-across modes, only the wall-clock differs.
+``mst`` workload (``active`` per-node active-set, ``runtime`` vectorized
+batch programs); records are identical across modes, only the wall-clock
+differs.
 
 ``--faults`` injects seeded faults into those simulated phases -- a spec
 string such as ``drop=0.05,delay=0.02:3,dup=0.01,crash=0.01:8,shuffle``
@@ -37,7 +37,6 @@ import sys
 from dataclasses import replace
 
 from ..congest.faults import parse_fault_spec
-from ..congest.reference import ReferenceSimulator
 from ..congest.runtime import RuntimeSimulator
 from ..congest.simulator import CongestSimulator
 from .engine import run_matrix, scenario_matrix
@@ -110,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--simulator",
         default="active",
-        choices=("active", "reference", "runtime"),
+        choices=("active", "runtime"),
         help="CONGEST execution mode for simulated phases (identical records)",
     )
     parser.add_argument(
@@ -178,7 +177,6 @@ def main(argv: list[str] | None = None) -> int:
         ]
     simulator_cls = {
         "active": CongestSimulator,
-        "reference": ReferenceSimulator,
         "runtime": RuntimeSimulator,
     }[args.simulator]
     records = run_matrix(

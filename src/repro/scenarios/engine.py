@@ -14,12 +14,12 @@ the command-line entry point over these functions.
 
 Scenarios whose workload drives the CONGEST simulator (the ``mst``
 algorithm's BFS build and result broadcast) accept a simulator mode:
-``simulator_cls`` selects between the active-set default, the full-scan
-:class:`~repro.congest.reference.ReferenceSimulator` and the vectorized
-:class:`~repro.congest.runtime.RuntimeSimulator`; ``runtime=True`` on
-:func:`run_scenario` / :func:`run_matrix` (and ``--simulator runtime`` on
-the CLI) is shorthand for the latter.  All three modes produce identical
-records -- only the wall-clock differs (see ``docs/simulator.md``).
+``simulator_cls`` selects between the active-set default and the
+vectorized :class:`~repro.congest.runtime.RuntimeSimulator`;
+``runtime=True`` on :func:`run_scenario` / :func:`run_matrix` (and
+``--simulator runtime`` on the CLI) is shorthand for the latter.  Both
+modes produce identical records -- only the wall-clock differs (see
+``docs/simulator.md``).
 
 Those same simulated phases accept seeded fault injection: ``faults`` (a
 :class:`~repro.congest.faults.FaultModel` or a spec string such as
@@ -27,7 +27,7 @@ Those same simulated phases accept seeded fault injection: ``faults`` (a
 :func:`run_matrix` (``--faults`` / ``--fault-seed`` on the CLI).  Fault
 decisions are pure hashes of (seed, round, edge), so a faulty sweep is as
 deterministic -- and as pool-safe under ``jobs=N`` -- as a fail-free one,
-and identical across all three simulator modes.  A null model (all rates
+and identical across both simulator modes.  A null model (all rates
 zero) is normalised away and reproduces fail-free records byte-for-byte.
 """
 
@@ -40,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 from ..congest.faults import FaultModel, parse_fault_spec
 from ..congest.runtime import RuntimeSimulator
 from ..congest.simulator import CongestSimulator
-from ..core import core_enabled, networkx_reference_paths
 from .instances import InstanceCache, ScenarioInstance
 from .registry import (
     algorithm,
@@ -294,23 +293,12 @@ _WORKER_CACHE: InstanceCache | None = None
 
 
 def _run_scenario_job(
-    payload: tuple[Scenario, type, bool, FaultModel | None, int]
+    payload: tuple[Scenario, type, FaultModel | None, int]
 ) -> dict[str, object]:
     global _WORKER_CACHE
-    scenario, simulator_cls, use_core, faults, fault_seed = payload
+    scenario, simulator_cls, faults, fault_seed = payload
     if _WORKER_CACHE is None:
         _WORKER_CACHE = InstanceCache()
-    if not use_core:
-        # The parent sweep ran inside networkx_reference_paths(); mirror that
-        # in the worker (the flag is a module global, not inherited by spawn).
-        with networkx_reference_paths():
-            return run_scenario(
-                scenario,
-                cache=_WORKER_CACHE,
-                simulator_cls=simulator_cls,
-                faults=faults,
-                fault_seed=fault_seed,
-            ).as_dict()
     return run_scenario(
         scenario,
         cache=_WORKER_CACHE,
@@ -351,7 +339,7 @@ def run_matrix(
     scenarios = list(scenarios)
     if jobs is not None and jobs > 1 and len(scenarios) > 1:
         payloads = [
-            (scenario, simulator_cls, core_enabled(), model, fault_seed)
+            (scenario, simulator_cls, model, fault_seed)
             for scenario in scenarios
         ]
         with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:

@@ -21,87 +21,22 @@ This module implements that oblivious constructor:
 
 Both run on the array-native :class:`~repro.shortcuts.engine.ConstructionEngine`
 (Euler-tour benefits, Steiner edge ids computed once per sweep, incremental
-per-budget quality) unless the ``networkx`` reference paths are forced via
-:func:`repro.core.networkx_reference_paths`, in which case the preserved
-seed implementation runs -- the differential tests pin the two paths
-edge-set-for-edge-set equal on every graph family.
+per-budget quality).  The differential tests pin it edge-set-for-edge-set
+to the seed implementation in ``tests/oracles/shortcuts.py`` on every graph
+family.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import networkx as nx
 
-from ..core import core_enabled, view_of
+from ..core import view_of
 from ..structure.spanning import RootedTree, bfs_spanning_tree
-from ..utils import canonical_edge
 from .engine import ConstructionEngine
 from .parts import validate_parts
 from .shortcut import Shortcut
-
-
-def _spanning_tree(graph: nx.Graph) -> RootedTree:
-    """Default spanning tree; CSR BFS when the fast paths are active."""
-    if core_enabled():
-        return bfs_spanning_tree(view_of(graph))
-    return bfs_spanning_tree(graph)
-
-
-def _edge_benefit(
-    tree: RootedTree, part: frozenset, steiner_edges: frozenset
-) -> dict[tuple, int]:
-    """For every Steiner edge, count the part vertices in the subtree below it.
-
-    When an edge must be dropped from some parts, dropping it from the parts
-    with the smallest "behind the edge" population severs the fewest part
-    vertices from the rest of the Steiner tree, which keeps the number of
-    extra blocks small.
-
-    This is the preserved reference benefit (one O(n) subtree set per edge);
-    the fast engine computes the same numbers in one Euler-tour accumulation
-    pass per part.
-    """
-    benefit: dict[tuple, int] = {}
-    for u, v in steiner_edges:
-        child = u if tree.parent.get(u) == v else v
-        below = tree.subtree_nodes(child)
-        benefit[canonical_edge(u, v)] = len(below & part)
-    return benefit
-
-
-def _congestion_capped_reference(
-    graph: nx.Graph,
-    tree: RootedTree,
-    parts: Sequence[frozenset],
-    congestion_budget: int,
-) -> Shortcut:
-    """The preserved seed implementation (label-keyed networkx sets)."""
-    steiner: list[frozenset] = [frozenset(tree.steiner_tree_edges(part)) for part in parts]
-    requests: dict[tuple, list[int]] = {}
-    for index, edges in enumerate(steiner):
-        for edge in edges:
-            requests.setdefault(edge, []).append(index)
-
-    benefits: list[dict[tuple, int]] = [
-        _edge_benefit(tree, parts[index], steiner[index]) for index in range(len(parts))
-    ]
-
-    keep: list[set[tuple]] = [set(edges) for edges in steiner]
-    for edge, owners in requests.items():
-        if len(owners) <= congestion_budget:
-            continue
-        ranked = sorted(owners, key=lambda i: (-benefits[i].get(edge, 0), i))
-        for loser in ranked[congestion_budget:]:
-            keep[loser].discard(edge)
-
-    return Shortcut(
-        graph=graph,
-        tree=tree,
-        parts=parts,
-        edge_sets=[frozenset(edges) for edges in keep],
-        constructor=f"congestion_capped(c={congestion_budget})",
-    )
 
 
 def congestion_capped_shortcut(
@@ -109,7 +44,6 @@ def congestion_capped_shortcut(
     tree: RootedTree | None = None,
     parts: Sequence[frozenset] = (),
     congestion_budget: int = 8,
-    validate: bool = True,
 ) -> Shortcut:
     """Prune the Steiner-tree shortcut to respect a congestion budget.
 
@@ -119,19 +53,10 @@ def congestion_capped_shortcut(
     vertices behind the edge) keep it; the others lose the edge, which may
     split their shortcut into more blocks.  The result is always a valid
     T-restricted shortcut with congestion at most ``congestion_budget``.
-
-    ``validate=False`` skips the Definition 9 part validation; callers that
-    already validated the same parts (the :func:`oblivious_shortcut` sweep
-    validates once instead of once per budget) opt out.
     """
-    tree = tree if tree is not None else _spanning_tree(graph)
-    if validate:
-        validate_parts(graph, parts)
-    if congestion_budget < 0:
-        congestion_budget = 0
-    if core_enabled():
-        return ConstructionEngine(graph, tree, parts).build_shortcut(congestion_budget)
-    return _congestion_capped_reference(graph, tree, parts, congestion_budget)
+    tree = tree if tree is not None else bfs_spanning_tree(view_of(graph))
+    validate_parts(graph, parts)
+    return ConstructionEngine(graph, tree, parts).build_shortcut(max(0, congestion_budget))
 
 
 def default_budget_schedule(num_parts: int) -> list[int]:
@@ -196,34 +121,17 @@ def oblivious_shortcut(
     number of parts (beyond which the Steiner shortcut is returned
     unpruned).
 
-    Parts are validated once for the whole sweep, and on the fast path the
-    engine prices every budget incrementally from the previous one (keep
-    sets only grow with the budget) instead of building and measuring a
-    fresh candidate per budget.  The returned shortcut records the winning
+    Parts are validated once for the whole sweep, and the engine prices
+    every budget incrementally from the previous one (keep sets only grow
+    with the budget) instead of building and measuring a fresh candidate
+    per budget.  The returned shortcut records the winning
     budget in ``chosen_budget`` and its priced quality in
     ``chosen_quality``.
     """
-    tree = tree if tree is not None else _spanning_tree(graph)
+    tree = tree if tree is not None else bfs_spanning_tree(view_of(graph))
     validate_parts(graph, parts)
     if not parts:
         return Shortcut(graph=graph, tree=tree, parts=[], edge_sets=[], constructor="oblivious")
     if budgets is None:
         budgets = default_budget_schedule(len(parts))
-
-    if core_enabled():
-        return oblivious_sweep(ConstructionEngine(graph, tree, parts), budgets)
-    best = None
-    best_budget = None
-    best_quality = None
-    for budget in budgets:
-        candidate = congestion_capped_shortcut(
-            graph, tree, parts, congestion_budget=budget, validate=False
-        )
-        quality = candidate.quality()
-        if best_quality is None or quality < best_quality:
-            best, best_budget, best_quality = candidate, budget, quality
-    assert best is not None
-    best.constructor = "oblivious"
-    best.chosen_budget = best_budget
-    best.chosen_quality = best_quality
-    return best
+    return oblivious_sweep(ConstructionEngine(graph, tree, parts), budgets)

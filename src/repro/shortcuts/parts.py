@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 
 import networkx as nx
 
-from ..core import GraphView, core_enabled, part_connected, part_set_of, view_of
+from ..core import GraphView, part_connected, part_set_of, view_of
 from ..errors import InvalidPartitionError
 from ..graphs.weights import WEIGHT
 from ..structure.spanning import RootedTree, bfs_spanning_tree
@@ -29,19 +29,16 @@ def validate_parts(graph: nx.Graph | GraphView, parts: Sequence[frozenset]) -> N
 
     Connectivity runs on the memoised int-indexed
     :class:`~repro.core.PartSet` of the family (one flat-array BFS per part,
-    no per-part label sets) unless the networkx reference paths are forced,
-    in which case the original per-part ``subgraph`` + ``is_connected``
-    check is used.  Both modes report the same first violation: if the
-    family-wide part set cannot be built because a later part has
-    non-graph vertices, the core path falls back to per-part BFS so the
-    per-part check order is preserved.
+    no per-part label sets).  It reports the same first violation as the
+    seed per-part ``subgraph`` + ``is_connected`` check: if the family-wide
+    part set cannot be built because a later part has non-graph vertices,
+    it falls back to per-part BFS so the per-part check order is preserved.
 
-    Given a :class:`~repro.core.GraphView` the check runs entirely on the
-    CSR arrays (never materialising an ``nx.Graph``), regardless of the
-    reference-path flag -- native views are exactly the instances too large
-    to convert.
+    Given a :class:`~repro.core.GraphView` the check never materialises an
+    ``nx.Graph`` -- native views are exactly the instances too large to
+    convert.
     """
-    view = graph if isinstance(graph, GraphView) else None
+    view = graph if isinstance(graph, GraphView) else view_of(graph)
     part_set = None
     part_set_failed = False
     nodes = None
@@ -56,28 +53,21 @@ def validate_parts(graph: nx.Graph | GraphView, parts: Sequence[frozenset]) -> N
             )
         seen |= set(part)
         if nodes is None:
-            nodes = set(view.nodes) if view is not None else set(graph.nodes())
+            nodes = set(view.nodes)
         missing = set(part) - nodes
         if missing:
             raise InvalidPartitionError(
                 f"part {index} contains non-graph vertices {sorted(missing, key=repr)[:5]}"
             )
-        if view is not None or core_enabled():
-            if part_set is None and not part_set_failed:
-                try:
-                    part_set = part_set_of(
-                        view if view is not None else view_of(graph), parts
-                    )
-                except InvalidPartitionError:
-                    part_set_failed = True
-            if part_set is not None:
-                connected = part_set.connected(index)
-            else:
-                connected = part_connected(
-                    view if view is not None else view_of(graph), part
-                )
+        if part_set is None and not part_set_failed:
+            try:
+                part_set = part_set_of(view, parts)
+            except InvalidPartitionError:
+                part_set_failed = True
+        if part_set is not None:
+            connected = part_set.connected(index)
         else:
-            connected = nx.is_connected(graph.subgraph(part))
+            connected = part_connected(view, part)
         if not connected:
             raise InvalidPartitionError(f"part {index} is not connected (Definition 9)")
 

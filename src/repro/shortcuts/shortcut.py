@@ -20,10 +20,8 @@ The measurements run on flat arrays over the graph's shared
 :class:`~repro.core.GraphView`: congestion is a bulk counter update and the
 block parameter a union-find over vertex indices, instead of one
 ``nx.Graph``-plus-``connected_components`` construction per part.  The
-original per-part ``networkx`` recomputation is preserved as
-:meth:`Shortcut.measure_reference` (and :meth:`block_components`, which
-still returns the actual component sets); the differential tests pin the
-fast path against it on every graph family.
+differential tests pin them to the seed per-part ``networkx``
+recomputation in ``tests/oracles/quality.py`` on every graph family.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
 
-from ..core import core_enabled, part_set_of, view_of
+from ..core import part_set_of, view_of
 from ..errors import InvalidShortcutError
 from ..structure.spanning import RootedTree
 from ..utils import canonical_edge
@@ -289,12 +287,6 @@ class Shortcut:
 
     def congestion(self) -> int:
         """Return the congestion (Definition 11): max parts sharing one edge."""
-        if not core_enabled():
-            counts: dict[Edge, int] = {}
-            for edges in self.edge_sets:
-                for edge in edges:
-                    counts[edge] = counts.get(edge, 0) + 1
-            return max(counts.values(), default=0)
         congestion: Counter = Counter()
         for edges, multiplicity in self._edge_set_multiplicities():
             if multiplicity == 1:
@@ -320,25 +312,6 @@ class Shortcut:
                 entry[1] += 1
         return [(edges, count) for edges, count in grouped.values()]
 
-    def block_components(self, index: int) -> list[set[Hashable]]:
-        """Return the block components of part ``index`` (Definition 12).
-
-        These are the connected components of the spanning subgraph
-        ``(V, H_i)`` that contain at least one vertex of ``P_i``.  Vertices
-        of ``P_i`` untouched by any shortcut edge each form a singleton block
-        component, exactly as the definition prescribes.
-        """
-        part = self.parts[index]
-        subgraph = nx.Graph()
-        subgraph.add_nodes_from(part)
-        for u, v in self.edge_sets[index]:
-            subgraph.add_edge(u, v)
-        components = []
-        for component in nx.connected_components(subgraph):
-            if component & part:
-                components.append(set(component))
-        return components
-
     def block_parameter(self) -> int:
         """Return the block parameter (Definition 12): max blocks of any part.
 
@@ -349,8 +322,6 @@ class Shortcut:
         subgraph is ever materialised.  Parts with empty ``H_i`` short-circuit
         to ``|P_i|``.
         """
-        if not core_enabled():
-            return self.block_parameter_reference()
         worst = 0
         union_find: _EpochUnionFind | None = None
         part_set = None
@@ -388,12 +359,6 @@ class Shortcut:
                 worst = max(worst, len(roots))
         return worst
 
-    def block_parameter_reference(self) -> int:
-        """The pre-CoreGraph block parameter (per-part nx components)."""
-        return max(
-            (len(self.block_components(i)) for i in range(self.num_parts)), default=0
-        )
-
     def quality(self, tree_diameter: int | None = None) -> int:
         """Return the quality ``b * d + c`` (Definition 13)."""
         d = tree_diameter if tree_diameter is not None else self.tree_diameter()
@@ -404,34 +369,6 @@ class Shortcut:
         d = self.tree_diameter()
         block = self.block_parameter()
         congestion = self.congestion()
-        return ShortcutQuality(
-            congestion=congestion,
-            block=block,
-            tree_diameter=d,
-            quality=block * d + congestion,
-            num_parts=self.num_parts,
-            total_shortcut_edges=sum(len(edges) for edges in self.edge_sets),
-        )
-
-    def measure_reference(self) -> ShortcutQuality:
-        """The pre-CoreGraph measurement path, kept as a differential oracle.
-
-        Re-measures congestion with a per-edge dict walk, the block parameter
-        with one ``nx.Graph`` + ``connected_components`` per part, and the
-        tree diameter through an ``nx`` double BFS -- exactly the seed
-        implementation.  ``benchmarks/bench_core_speedup.py`` uses this as
-        the baseline for the >=2x gate, and the differential tests assert
-        ``measure() == measure_reference()`` on every family.
-        """
-        congestion_map: dict[Edge, int] = {}
-        for edges in self.edge_sets:
-            for edge in edges:
-                congestion_map[edge] = congestion_map.get(edge, 0) + 1
-        congestion = max(congestion_map.values(), default=0)
-        block = self.block_parameter_reference()
-        # Same memoised tree diameter as measure(): the pre-refactor code
-        # cached it too, so it is deliberately not part of the comparison.
-        d = self.tree_diameter()
         return ShortcutQuality(
             congestion=congestion,
             block=block,

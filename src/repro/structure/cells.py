@@ -15,7 +15,7 @@ from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
 
-from ..core import PartSet, core_enabled, part_connected, part_set_of, view_of
+from ..core import PartSet, part_connected, part_set_of, view_of
 from ..errors import InvalidPartitionError
 from .spanning import RootedTree
 
@@ -83,11 +83,11 @@ class CellPartition:
         this (the apices themselves are never in a cell).
 
         Connectivity runs on the cells' shared :class:`~repro.core.PartSet`
-        (one flat-array BFS per cell) unless the networkx reference paths
-        are forced.  Both modes report the same first violation: if the
+        (one flat-array BFS per cell).  It reports the same first violation
+        as the seed per-cell ``subgraph`` + ``is_connected`` check: if the
         family-wide part set cannot be built because a later cell has
-        non-graph vertices, the core path falls back to per-cell BFS so the
-        per-cell check order is preserved.
+        non-graph vertices, it falls back to per-cell BFS so the per-cell
+        check order is preserved.
         """
         part_set = None
         part_set_failed = False
@@ -106,18 +106,15 @@ class CellPartition:
                 raise InvalidPartitionError(
                     f"cell {index} contains non-graph vertices {sorted(missing, key=repr)[:5]}"
                 )
-            if core_enabled():
-                if part_set is None and not part_set_failed:
-                    try:
-                        part_set = self.part_set(graph)
-                    except InvalidPartitionError:
-                        part_set_failed = True
-                if part_set is not None:
-                    connected = part_set.connected(index)
-                else:
-                    connected = part_connected(view_of(graph), cell)
+            if part_set is None and not part_set_failed:
+                try:
+                    part_set = self.part_set(graph)
+                except InvalidPartitionError:
+                    part_set_failed = True
+            if part_set is not None:
+                connected = part_set.connected(index)
             else:
-                connected = nx.is_connected(graph.subgraph(cell))
+                connected = part_connected(view_of(graph), cell)
             if not connected:
                 raise InvalidPartitionError(f"cell {index} is not connected in the graph")
         if require_cover and seen != set(graph.nodes()):

@@ -1,4 +1,4 @@
-"""The seed full-scan simulator, kept as a differential-testing oracle.
+"""The seed full-scan CONGEST simulator.
 
 :class:`ReferenceSimulator` reproduces the original (pre-active-set)
 implementation faithfully in everything that costs time:
@@ -12,29 +12,23 @@ implementation faithfully in everything that costs time:
 Only the round *counting* follows the fixed, consistent rule of
 :mod:`repro.congest.simulator` (rounds = index of the last round with any
 send or delivery), so that a :class:`SimulationResult` produced here is
-bit-for-bit comparable with the active-set simulator's.  The differential
-tests in ``tests/test_congest_simulator.py`` assert exactly that equality,
-and ``benchmarks/bench_simulator_speedup.py`` uses this class as the
-baseline the active-set rewrite is measured against.
-
-In the three-mode taxonomy of ``docs/simulator.md`` this is the
-**reference** mode: the slowest engine, the simplest code, and therefore
-the anchor of the equality contract -- the active-set mode is pinned to
-it on arbitrary node programs, and the vectorized runtime is pinned to
-both on every compiled program family (``tests/test_runtime.py``).  It
-accepts a :class:`~repro.core.GraphView` like the active-set simulator
-(full-scan semantics, core-mode ids), so all three modes can be compared
-on one network object.
+bit-for-bit comparable with the production simulator's.  It is the anchor
+of the equality contract in ``docs/simulator.md``: the active-set loop is
+pinned to it on arbitrary node programs (``tests/test_congest_simulator.py``),
+and the vectorized runtime on every compiled program family
+(``tests/test_runtime.py``).  It accepts a :class:`~repro.core.GraphView`
+like the production simulator (full-scan semantics, core-mode ids), so all
+modes can be compared on one network object.
 """
 
 from __future__ import annotations
 
 from typing import Hashable
 
-from ..errors import RoundLimitError
-from .faults import FaultQueue
-from .node import message_size_in_words
-from .simulator import CongestSimulator, RoundTelemetry, SimulationResult
+from repro.congest.faults import FaultQueue
+from repro.congest.node import message_size_in_words
+from repro.congest.simulator import CongestSimulator, RoundTelemetry, SimulationResult
+from repro.errors import RoundLimitError
 
 
 class ReferenceSimulator(CongestSimulator):

@@ -2,10 +2,10 @@
 
 Three layers:
 
-* **differential** -- the array-native fast paths of
+* **differential** -- the array-native
   :func:`repro.algorithms.boruvka_mst` and
-  :func:`repro.algorithms.approximate_min_cut` must reproduce the preserved
-  seed implementations *exactly* (MST edges/weight/rounds/phases/qualities;
+  :func:`repro.algorithms.approximate_min_cut` must reproduce the seed
+  implementations in ``tests/oracles/`` *exactly* (MST edges/weight/rounds/phases/qualities;
   cut value/side/edges/rounds) across every registered graph family, for
   both engine-capable and witness-closure shortcut builders;
 * **substrate** -- the index-native :meth:`PartSet.from_member_lists`
@@ -30,13 +30,17 @@ from repro.algorithms.mst import boruvka_mst, oblivious_builder
 from repro.congest.aggregation import partwise_aggregate, partwise_aggregate_indexed
 from repro.congest.node import NodeProgram
 from repro.congest.simulator import CongestSimulator
-from repro.core import PartSet, networkx_reference_paths, view_of
+from repro.core import PartSet, view_of
 from repro.errors import InvalidGraphError
 from repro.graphs.planar import cycle_graph, grid_graph, random_delaunay_triangulation
 from repro.scenarios import build_instance, family_names
 from repro.scenarios.registry import constructor as scenario_constructor
 from repro.shortcuts.baseline import steiner_shortcut
 from repro.structure.spanning import bfs_spanning_tree, graph_diameter
+
+from oracles import aggregation as oracle_aggregation
+from oracles import mincut as oracle_mincut
+from oracles import mst as oracle_mst
 
 _INSTANCES: dict = {}
 
@@ -77,8 +81,7 @@ def test_boruvka_fast_path_matches_reference(family_name):
     weighted = instance.weighted_graph(3)
     tree = instance.tree
     fast = boruvka_mst(weighted, tree=tree)
-    with networkx_reference_paths():
-        reference = boruvka_mst(weighted, tree=tree)
+    reference = oracle_mst.boruvka_mst(weighted, tree=tree)
     _assert_mst_equal(fast, reference)
 
 
@@ -89,8 +92,7 @@ def test_mincut_fast_path_matches_reference(family_name):
     weighted = instance.weighted_graph(3, low=1, high=10)
     tree = instance.tree
     fast = approximate_min_cut(weighted, epsilon=1.0, tree=tree)
-    with networkx_reference_paths():
-        reference = approximate_min_cut(weighted, epsilon=1.0, tree=tree)
+    reference = oracle_mincut.approximate_min_cut(weighted, epsilon=1.0, tree=tree)
     _assert_mincut_equal(fast, reference)
 
 
@@ -118,8 +120,7 @@ def test_boruvka_fast_path_with_witness_builder_matches_reference():
     builder = scenario_constructor("apex").builder_for(instance)
     assert not getattr(builder, "uses_engine", False)
     fast = boruvka_mst(weighted, shortcut_builder=builder, tree=tree)
-    with networkx_reference_paths():
-        reference = boruvka_mst(weighted, shortcut_builder=builder, tree=tree)
+    reference = oracle_mst.boruvka_mst(weighted, shortcut_builder=builder, tree=tree)
     _assert_mst_equal(fast, reference)
 
 
@@ -133,23 +134,9 @@ def test_boruvka_reads_weights_assigned_after_viewing():
     first = boruvka_mst(graph)
     assign_random_weights(graph, seed=12, integer=True)
     second = boruvka_mst(graph)
-    with networkx_reference_paths():
-        reference = boruvka_mst(graph)
+    reference = oracle_mst.boruvka_mst(graph)
     _assert_mst_equal(second, reference)
     assert first.weight != second.weight  # the reassignment was visible
-
-
-def test_mincut_compute_exact_false_skips_the_oracle():
-    instance = _family_instance("planar")
-    weighted = instance.weighted_graph(3, low=1, high=10)
-    tree = instance.tree
-    full = approximate_min_cut(weighted, epsilon=1.0, tree=tree)
-    bare = approximate_min_cut(weighted, epsilon=1.0, tree=tree, compute_exact=False)
-    assert bare.value == full.value
-    assert bare.side == full.side
-    assert bare.rounds == full.rounds
-    assert bare.exact_value != bare.exact_value  # nan
-    assert bare.approximation_ratio != bare.approximation_ratio  # nan
 
 
 # ----------------------------------------------------------------- substrate
@@ -186,8 +173,9 @@ def test_partwise_aggregate_indexed_matches_label_entry_point():
     assert by_label.rounds == by_index.rounds
     assert by_label.messages == by_index.messages
     assert by_label.per_part_rounds == by_index.per_part_rounds
-    with networkx_reference_paths():
-        reference = partwise_aggregate_indexed(shortcut, indexed_values, combine=min)
+    reference = oracle_aggregation.partwise_aggregate_indexed(
+        shortcut, indexed_values, combine=min
+    )
     assert reference.values == by_index.values
     assert reference.rounds == by_index.rounds
 

@@ -13,11 +13,12 @@ import pytest
 
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.primitives import broadcast_value, distributed_bfs_tree, flood_max_id
-from repro.congest.reference import ReferenceSimulator
 from repro.congest.simulator import CongestSimulator
 from repro.errors import SimulationError
 from repro.graphs.lower_bound import lower_bound_graph
 from repro.graphs.planar import grid_graph, wheel_graph
+
+from oracles.simulator import ReferenceSimulator
 
 
 class _PulseProgram(NodeProgram):

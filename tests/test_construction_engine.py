@@ -4,7 +4,8 @@ Three layers:
 
 * **differential** -- the :class:`~repro.shortcuts.ConstructionEngine` fast
   path of ``oblivious_shortcut`` / ``congestion_capped_shortcut`` must
-  reproduce the preserved ``networkx`` reference implementation *exactly*
+  reproduce the seed ``networkx`` implementation in ``tests/oracles/``
+  *exactly*
   (edge sets, congestion, blocks, chosen budget) across every registered
   graph family and every part generator kind;
 * **property** -- the incremental budget sweep's per-budget quality must
@@ -20,7 +21,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.core import networkx_reference_paths, part_set_of, view_of
+from repro.core import part_set_of, view_of
 from repro.graphs.planar import grid_graph, wheel_graph
 from repro.scenarios import build_instance, family_names
 from repro.shortcuts.congestion_capped import (
@@ -31,6 +32,10 @@ from repro.shortcuts.congestion_capped import (
 from repro.shortcuts.engine import ConstructionEngine
 from repro.shortcuts.parts import path_parts, singleton_parts, tree_fragment_parts
 from repro.structure.spanning import bfs_spanning_tree
+
+from oracles import quality as oracle_quality
+from oracles import shortcuts as oracle_shortcuts
+from oracles import structure as oracle_structure
 
 PART_KINDS = ("tree_fragments", "path", "singleton")
 
@@ -60,14 +65,14 @@ def test_oblivious_engine_matches_reference(family_name, kind):
     graph, tree = instance.graph, instance.tree
     parts = _family_parts(instance, kind)
     fast = oblivious_shortcut(graph, tree, parts)
-    with networkx_reference_paths():
-        reference = oblivious_shortcut(graph, tree, parts)
+    reference = oracle_shortcuts.oblivious_shortcut(graph, tree, parts)
     assert fast.edge_sets == reference.edge_sets
     assert fast.chosen_budget == reference.chosen_budget
+    assert fast.chosen_quality == reference.chosen_quality
     assert fast.constructor == reference.constructor == "oblivious"
-    assert fast.congestion() == reference.congestion()
-    assert fast.block_parameter() == reference.block_parameter()
-    assert fast.measure() == reference.measure() == reference.measure_reference()
+    assert fast.congestion() == oracle_quality.congestion(reference)
+    assert fast.block_parameter() == oracle_quality.block_parameter(reference)
+    assert fast.measure() == reference.measure() == oracle_quality.measure(reference)
 
 
 @pytest.mark.parametrize("family_name", family_names())
@@ -77,10 +82,9 @@ def test_congestion_capped_engine_matches_reference_per_budget(family_name):
     parts = _family_parts(instance, "tree_fragments")
     for budget in (0, 1, 2, 3, len(parts)):
         fast = congestion_capped_shortcut(graph, tree, parts, congestion_budget=budget)
-        with networkx_reference_paths():
-            reference = congestion_capped_shortcut(
-                graph, tree, parts, congestion_budget=budget
-            )
+        reference = oracle_shortcuts.congestion_capped_shortcut(
+            graph, tree, parts, congestion_budget=budget
+        )
         assert fast.edge_sets == reference.edge_sets, budget
         assert fast.constructor == reference.constructor, budget
         fast.validate()
@@ -115,8 +119,7 @@ def test_sweep_handles_unsorted_duplicate_and_negative_budgets():
     parts = tree_fragment_parts(graph, tree, num_parts=7, seed=5)
     budgets = [4, 1, 4, -3, 2, 1, 9]
     fast = oblivious_shortcut(graph, tree, parts, budgets=budgets)
-    with networkx_reference_paths():
-        reference = oblivious_shortcut(graph, tree, parts, budgets=budgets)
+    reference = oracle_shortcuts.oblivious_shortcut(graph, tree, parts, budgets=budgets)
     assert fast.edge_sets == reference.edge_sets
     assert fast.chosen_budget == reference.chosen_budget
     assert fast.measure() == reference.measure()
@@ -135,23 +138,20 @@ def test_default_budget_schedule_is_strictly_increasing_to_num_parts():
 def test_oblivious_validates_parts_once_per_sweep(monkeypatch):
     import repro.shortcuts.congestion_capped as module
 
-    calls = {"count": 0}
-    real = module.validate_parts
-
-    def counting(graph, parts):
-        calls["count"] += 1
-        return real(graph, parts)
-
-    monkeypatch.setattr(module, "validate_parts", counting)
     graph = grid_graph(5, 5)
     tree = bfs_spanning_tree(graph)
     parts = tree_fragment_parts(graph, tree, num_parts=5, seed=1)
-    oblivious_shortcut(graph, tree, parts)
-    assert calls["count"] == 1
-    calls["count"] = 0
-    with networkx_reference_paths():
-        oblivious_shortcut(graph, tree, parts)
-    assert calls["count"] == 1
+    for owner in (module, oracle_shortcuts):
+        calls = {"count": 0}
+        real = owner.validate_parts
+
+        def counting(graph, parts, real=real, calls=calls):
+            calls["count"] += 1
+            return real(graph, parts)
+
+        monkeypatch.setattr(owner, "validate_parts", counting)
+        owner.oblivious_shortcut(graph, tree, parts)
+        assert calls["count"] == 1, owner.__name__
 
 
 def test_chosen_budget_is_none_for_direct_constructions():
@@ -254,8 +254,7 @@ def test_validate_parts_reports_same_violation_in_both_modes():
     ]
     for parts in cases:
         fast = _first_violation(lambda: validate_parts(graph, parts))
-        with networkx_reference_paths():
-            reference = _first_violation(lambda: validate_parts(graph, parts))
+        reference = _first_violation(lambda: oracle_shortcuts.validate_parts(graph, parts))
         assert fast == reference is not None, parts
 
 
@@ -265,8 +264,7 @@ def test_cell_validate_reports_same_violation_in_both_modes():
     graph = nx.path_graph(4)
     partition = CellPartition(cells=[frozenset({0, 3}), frozenset({99})])
     fast = _first_violation(lambda: partition.validate(graph))
-    with networkx_reference_paths():
-        reference = _first_violation(lambda: partition.validate(graph))
+    reference = _first_violation(lambda: oracle_structure.validate_cells(partition, graph))
     assert fast == reference is not None
 
 
@@ -282,8 +280,7 @@ def test_validate_gates_tolerates_stale_cells_like_reference():
         gates=[CombinatorialGate(fence=gate, gate=gate)], partition=partition
     )
     fast = validate_gates(graph, collection)
-    with networkx_reference_paths():
-        reference = validate_gates(graph, collection)
+    reference = oracle_structure.validate_gates(graph, collection)
     assert fast == reference
 
 

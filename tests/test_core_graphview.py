@@ -10,10 +10,10 @@ Three layers:
   diameter, shortcut quality measurement, heavy-light chains, core-mode
   simulator) must reproduce the ``networkx`` reference implementations
   *exactly* on every family;
-* **end to end** -- a full tiny scenario matrix run inside
-  ``networkx_reference_paths()`` (every dual-path function forced down its
-  pre-CoreGraph branch) is record-for-record identical to the default
-  CSR-backed run.
+* **end to end** -- a full tiny scenario matrix run on the seed oracles
+  (``oracles.seed_paths()`` routes the scenario layer through
+  ``tests/oracles/``) is record-for-record identical to the production
+  run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import networkx as nx
 import pytest
 
 from repro.congest.primitives import broadcast_value, distributed_bfs_tree, flood_max_id
-from repro.core import CoreGraph, GraphView, networkx_reference_paths, view_of
+from repro.core import CoreGraph, GraphView, view_of
 from repro.errors import InvalidGraphError
 from repro.graphs.planar import grid_graph
 from repro.graphs.weights import WEIGHT, assign_random_weights
@@ -37,6 +37,9 @@ from repro.scenarios import (
 )
 from repro.structure.heavy_light import heavy_light_chains
 from repro.structure.spanning import bfs_spanning_tree, graph_diameter
+
+from oracles import quality as oracle_quality
+from oracles import seed_paths
 
 
 # ----------------------------------------------------------------- CoreGraph
@@ -155,12 +158,12 @@ def test_core_diameter_matches_networkx(family_name):
 
 @pytest.mark.parametrize("family_name", family_names())
 def test_quality_measurement_matches_reference(family_name):
-    """measure() (flat arrays) == measure_reference() (per-part nx graphs)."""
+    """measure() (flat arrays) == the oracle measure (per-part nx graphs)."""
     instance = _family_instance(family_name)
     parts = instance.parts("tree_fragments", num_parts=6, seed=3)
     for name in applicable_constructors(instance):
         shortcut = constructor(name).build(instance, instance.tree, parts)
-        assert shortcut.measure() == shortcut.measure_reference(), name
+        assert shortcut.measure() == oracle_quality.measure(shortcut), name
 
 
 def _reference_heavy_light_chains(tree, root):
@@ -241,7 +244,7 @@ def test_tiny_matrix_identical_with_and_without_core_paths():
     cache = InstanceCache()
     scenarios = scenario_matrix(size="tiny", cache=cache)
     fast = run_matrix(scenarios, cache=cache)
-    with networkx_reference_paths():
+    with seed_paths():
         reference = run_matrix(scenarios)
     assert fast == reference
 
@@ -258,7 +261,7 @@ def test_mst_scenario_identical_with_and_without_core_paths():
         seed=2,
     )
     fast = run_scenario(scenario).as_dict()
-    with networkx_reference_paths():
+    with seed_paths():
         reference = run_scenario(scenario).as_dict()
     for key in ("mst_rounds", "mst_phases", "mst_weight", "sim_rounds", "sim_messages", "sim_words"):
         assert fast["result"][key] == reference["result"][key], key

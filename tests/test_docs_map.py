@@ -9,10 +9,16 @@ that each one still imports (modules) or resolves by attribute access
 link* in ``docs/*.md`` and the README: each must point at a file that
 exists.  CI runs this file as its own ``docs`` job, so a docs regression
 is visible as a docs failure rather than a generic test failure.
+
+A third layer guards the oracle contract of ``docs/architecture.md``:
+``src/`` has one implementation per layer, so no module under
+``src/repro`` may name the retired dual-path switch or a seed oracle, or
+import from the test suite.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pathlib
 import re
@@ -24,6 +30,20 @@ DOCS_DIR = REPO_ROOT / "docs"
 PAPER_MAP = DOCS_DIR / "paper_map.md"
 SIMULATOR_DOC = DOCS_DIR / "simulator.md"
 SYMBOL_CHECKED_DOCS = [PAPER_MAP, SIMULATOR_DOC]
+SOURCE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+# The retired switch and the seed implementations that moved to tests/oracles/.
+RETIRED_NAMES = (
+    "core_enabled",
+    "networkx_reference_paths",
+    "ReferenceSimulator",
+    "FaultRuntime",
+    "_partwise_aggregate_reference",
+    "_boruvka_mst_reference",
+    "_approximate_min_cut_reference",
+    "_congestion_capped_reference",
+    "measure_reference",
+    "block_parameter_reference",
+)
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -107,3 +127,24 @@ def test_relative_links_in_docs_resolve():
             if not (base / target).exists():
                 broken.append(f"{document.relative_to(REPO_ROOT)} -> {target}")
     assert not broken, "broken relative links:\n" + "\n".join(broken)
+
+
+def test_source_names_no_switch_and_no_oracle():
+    failures = []
+    for source in SOURCE_FILES:
+        text = source.read_text(encoding="utf-8")
+        where = source.relative_to(REPO_ROOT)
+        named = [name for name in RETIRED_NAMES if re.search(rf"\b{name}\b", text)]
+        if named:
+            failures.append(f"{where} names retired symbols {named}")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] in ("tests", "oracles"):
+                    failures.append(f"{where} imports {module} from the test suite")
+    assert not failures, "src/ must hold one implementation per layer:\n" + "\n".join(failures)

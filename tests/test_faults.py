@@ -1,8 +1,8 @@
 """Differential tests for the seeded fault-injection layer.
 
 The fault layer's contract (docs/simulator.md, "Fault model") extends the
-three-mode equality contract: for a fixed :class:`FaultSchedule` (model +
-seed), the full-scan :class:`ReferenceSimulator`, the active-set
+mode equality contract: for a fixed :class:`FaultSchedule` (model +
+seed), the full-scan oracle :class:`ReferenceSimulator`, the active-set
 :class:`CongestSimulator` and the vectorized :class:`RuntimeSimulator`
 must produce **identical** :class:`SimulationResult`\\ s -- rounds,
 messages, words, outputs and per-round telemetry including the fault
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import pytest
 
 from repro.congest import (
@@ -25,7 +26,6 @@ from repro.congest import (
     CongestSimulator,
     FaultModel,
     FaultSchedule,
-    ReferenceSimulator,
     RuntimeSimulator,
     broadcast_value,
     convergecast_aggregate,
@@ -41,6 +41,8 @@ from repro.graphs.planar import grid_graph
 from repro.scenarios import run_matrix, scenario_matrix
 from repro.scenarios.engine import build_instance
 from repro.scenarios.registry import family, family_names
+
+from oracles.simulator import ReferenceSimulator
 
 ALL_SIMULATORS = [CongestSimulator, ReferenceSimulator, RuntimeSimulator]
 
@@ -214,12 +216,52 @@ def test_totals_match_telemetry_columns(model):
     assert result.delayed == sum(row.delayed for row in result.telemetry)
     assert result.duplicated == sum(row.duplicated for row in result.telemetry)
     assert result.crashed_nodes == sum(row.crashed for row in result.telemetry)
-    # delivered = sent - dropped + duplicated, and nothing is negative.
+    # Deliveries are bounded by sent - dropped + duplicated (copies landing
+    # in an occupied mailbox slot merge), and nothing is negative.
     assert result.messages - result.dropped + result.duplicated >= 0
     assert all(
         row.dropped >= 0 and row.delayed >= 0 and row.duplicated >= 0 and row.crashed >= 0
         for row in result.telemetry
     )
+
+
+class _TwoSendsProgram(NodeProgram):
+    """Node 0 sends in rounds 1 and 2; node 1 counts what it receives."""
+
+    def __init__(self, context):
+        super().__init__(context)
+        self.received = 0
+        self.halted = context.node != 0
+
+    def on_start(self):
+        return {1: ("x",)} if self.context.node == 0 else {}
+
+    def on_round(self, round_number, inbox):
+        self.received += len(inbox)
+        if self.context.node == 0 and round_number == 2:
+            return {1: ("x",)}
+        self.halted = True
+        return {}
+
+    def result(self):
+        return self.received
+
+
+@pytest.mark.parametrize("simulator_cls", ALL_SIMULATORS)
+def test_duplicate_landing_in_an_occupied_slot_merges(simulator_cls):
+    """Deliveries < messages - dropped + duplicated once two copies merge.
+
+    With ``duplicate=1.0`` the round-1 send's copy arrives in round 3, the
+    same (round, recipient, sender) slot as the round-2 send: the later send
+    replaces the copy, so node 1 receives 3 messages, not 4.
+    """
+    view = view_of(nx.path_graph(2))
+    schedule = FaultSchedule(FaultModel(duplicate=1.0), seed=0)
+    result = simulator_cls(view, _TwoSendsProgram, fault_schedule=schedule).run()
+    assert (result.messages, result.dropped, result.duplicated) == (2, 0, 2)
+    delivered = result.outputs[1]
+    assert delivered == 3
+    assert delivered < result.messages - result.dropped + result.duplicated
 
 
 # ------------------------------------------------------------ RoundLimitError

@@ -6,11 +6,12 @@ documented in docs/simulator.md:
 
 * telemetry has one row per round, 1-based and contiguous;
 * no counter is ever negative, and the result totals equal the column sums
-  of the telemetry (the accounting identity
-  ``delivered = messages - dropped + duplicated`` stays non-negative);
+  of the telemetry (the delivery bound ``messages - dropped + duplicated``
+  stays non-negative; it is an upper bound, since a copy landing in an
+  occupied mailbox slot merges with the message there);
 * outputs come only from live (never-crashed) nodes;
-* the same (model, seed) pair reproduces the identical result, and all
-  three simulator modes agree on it;
+* the same (model, seed) pair reproduces the identical result, and both
+  simulator modes and the full-scan oracle agree on it;
 * a fail-free (null) model is normalised away and reproduces today's
   results bit-for-bit, whatever the fault seed.
 """
@@ -24,13 +25,14 @@ from repro.congest import (
     CongestSimulator,
     FaultModel,
     FaultSchedule,
-    ReferenceSimulator,
     RuntimeSimulator,
     flood_max_id,
     robust_bfs_tree,
 )
 from repro.core import view_of
 from repro.graphs.planar import grid_graph
+
+from oracles.simulator import ReferenceSimulator
 
 SETTINGS = settings(
     max_examples=25,

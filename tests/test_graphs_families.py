@@ -12,7 +12,7 @@ from repro.graphs.clique_sum import (
 from repro.graphs.genus import genus_grid, genus_upper_bound_from_euler, toroidal_grid
 from repro.graphs.lower_bound import lower_bound_graph
 from repro.graphs.minor_free import perturbed_planar_graph, planar_plus_apex, sample_lk_graph
-from repro.graphs.planar import boundary_cycle, grid_graph, is_planar
+from repro.graphs.planar import boundary_cycle, grid_graph, grid_labels, is_planar
 from repro.graphs.treewidth import random_caterpillar_tree, random_ktree, random_partial_ktree
 from repro.graphs.weights import (
     assign_adversarial_weights,
@@ -39,6 +39,23 @@ def test_genus_grid_adds_the_requested_number_of_handles():
     assert len(result.handles) == 3
     base_edges = grid_graph(8, 8).number_of_edges()
     assert result.graph.number_of_edges() == base_edges + 3
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("side", [11, 12])
+def test_genus_family_builds_on_sides_past_ten(side, seed):
+    """From side 11 on, grid labels are not tuple order; coordinates must map
+    through the grid's own labelling (the boundary cycle and the handles)."""
+    from repro.scenarios import build_instance
+
+    instance = build_instance("genus", {"side": side}, seed)
+    assert boundary_cycle(side, side, grid_graph(side, side))
+    handles = genus_grid(side, side, genus=1, seed=seed).handles
+    labels = {label: coord for coord, label in grid_labels(side, side).items()}
+    for (u, v), in handles:
+        (r1, c1), (r2, c2) = labels[u], labels[v]
+        assert abs(r1 - r2) + abs(c1 - c2) >= side  # as far apart as promised
+    assert instance.graph.number_of_nodes() > side * side
 
 
 def test_genus_grid_rejects_impossible_requests():

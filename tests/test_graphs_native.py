@@ -1,14 +1,13 @@
 """Differential wall: every CSR-native generator equals its ``nx`` twin.
 
-The dual-path contract of :mod:`repro.graphs.native` (the same pattern as
-:func:`repro.core.networkx_reference_paths`): for every family in
+The twin contract of :mod:`repro.graphs.native`: for every family in
 ``NATIVE_GENERATORS`` and every registered parameter case, the native
 generator's canonical node ordering, CSR structure arrays, and hashed edge
 weights are *exactly* equal -- not isomorphic, not approximately equal --
 to the preserved ``nx`` generator's output converted through
 :class:`~repro.core.GraphView`.  The lazy adapter must round-trip back to
-the twin graph, and the equality must hold inside the reference-paths
-context too, so either path can serve as the oracle for the other.
+the twin graph, and label-space (``nx``) code must see the two as the same
+graph, so either generator can serve as the oracle for the other.
 """
 
 from __future__ import annotations
@@ -17,9 +16,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import networkx_reference_paths, nx_materializations, view_of
+from repro.core import nx_materializations, view_of
 from repro.graphs.native import NATIVE_GENERATORS, with_hashed_weights
 from repro.graphs.weights import WEIGHT, assign_hashed_weights
+from repro.structure.spanning import bfs_spanning_tree
 
 CASES = [
     pytest.param(family, dict(kwargs), id=f"{family}-{i}")
@@ -117,9 +117,11 @@ def test_lazy_adapter_round_trips_to_twin(family, kwargs):
 
 @pytest.mark.parametrize("family, kwargs", CASES)
 def test_equality_holds_under_reference_paths(family, kwargs):
-    with networkx_reference_paths():
-        native, twin = _pair(family, kwargs)
-        _assert_same_structure(native, view_of(twin))
+    """The label-space (nx) paths see the adapter and the twin as one graph."""
+    native, twin = _pair(family, kwargs)
+    adapter = native.graph
+    root = min(twin.nodes(), key=repr)
+    assert bfs_spanning_tree(adapter, root).parent == bfs_spanning_tree(twin, root).parent
 
 
 def test_unweighted_views_report_no_weights():

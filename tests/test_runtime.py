@@ -20,7 +20,6 @@ import pytest
 
 from repro.congest import (
     CongestSimulator,
-    ReferenceSimulator,
     RuntimeSimulator,
     broadcast_value,
     convergecast_aggregate,
@@ -33,6 +32,8 @@ from repro.errors import InvalidGraphError, SimulationError
 from repro.graphs.planar import grid_graph
 from repro.scenarios import Scenario, build_instance, run_scenario
 from repro.scenarios.registry import family, family_names
+
+from oracles.simulator import ReferenceSimulator
 
 ALL_SIMULATORS = [CongestSimulator, ReferenceSimulator, RuntimeSimulator]
 

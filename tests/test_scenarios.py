@@ -24,7 +24,8 @@ from repro.scenarios import (
     scenario_matrix,
 )
 from repro.scenarios.__main__ import main as scenarios_main
-from repro.congest.reference import ReferenceSimulator
+
+from oracles.simulator import ReferenceSimulator
 
 
 # ---------------------------------------------------------------- registries

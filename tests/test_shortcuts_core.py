@@ -17,6 +17,8 @@ from repro.shortcuts.parts import (
 from repro.shortcuts.shortcut import Shortcut
 from repro.structure.spanning import bfs_spanning_tree
 
+from oracles.quality import block_components
+
 
 # ------------------------------------------------------------------ parts
 
@@ -88,9 +90,9 @@ def test_shortcut_measures_on_a_hand_checked_instance():
     shortcut.validate()
     assert shortcut.congestion() == 2  # edge (2, 3) is used by both parts
     # Part 0: component {1,2,3} contains part vertex 1, vertex 0 is isolated -> 2 blocks.
-    assert len(shortcut.block_components(0)) == 2
+    assert len(block_components(shortcut, 0)) == 2
     # Part 1: component {2,3} contains 3, vertex 4 isolated -> 2 blocks.
-    assert len(shortcut.block_components(1)) == 2
+    assert len(block_components(shortcut, 1)) == 2
     assert shortcut.block_parameter() == 2
     assert shortcut.quality() == 2 * tree.diameter() + 2
     assert shortcut.is_tree_restricted()
