@@ -1,8 +1,7 @@
 """A1 -- ablation: the congestion/block trade-off of the oblivious constructor.
 
-DESIGN.md calls out the congestion budget of the structure-oblivious
-constructor (the knob the HIZ16a doubling search tunes) as the design choice
-worth ablating: too small a budget fragments every part into many blocks, too
+The congestion budget of the structure-oblivious constructor (the knob the
+HIZ16a doubling search tunes) is the design choice worth ablating: too small a budget fragments every part into many blocks, too
 large a budget lets hot tree edges serialise many parts.  This benchmark
 sweeps the budget on a planar+apex instance and prints the measured
 block / congestion / quality curve, confirming that the doubling search's

@@ -1,4 +1,4 @@
-"""E1 -- Theorem 4: planar shortcut quality versus diameter (see DESIGN.md)."""
+"""E1 -- Theorem 4: planar shortcut quality versus diameter."""
 
 from conftest import run_experiment
 

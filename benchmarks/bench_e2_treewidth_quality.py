@@ -1,4 +1,4 @@
-"""E2 -- Theorem 5: treewidth-k shortcut quality versus k (see DESIGN.md)."""
+"""E2 -- Theorem 5: treewidth-k shortcut quality versus k."""
 
 from conftest import run_experiment
 

@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark file regenerates one experiment of DESIGN.md Section 3 (one
-per "table/figure", i.e. per quantitative claim of the paper), runs it once
-under pytest-benchmark for timing, and prints the measured record so that the
-numbers quoted in EXPERIMENTS.md can be regenerated with::
+Every benchmark file regenerates one experiment of the "Experiments" section
+of ``docs/paper_map.md`` (one per "table/figure", i.e. per quantitative claim
+of the paper), runs it once under pytest-benchmark for timing, and prints the
+measured record; all of them run with::
 
     PYTHONPATH=src pytest benchmarks/ --benchmark-only -s
 

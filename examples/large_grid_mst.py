@@ -9,9 +9,9 @@ array-native fast path end to end on a 63x63 grid (n = 3969):
 1. one shared :class:`~repro.core.GraphView` conversion (CSR arrays);
 2. the distributed Boruvka MST (Corollary 1) with per-phase oblivious
    shortcuts built by the construction engine on flat fragment part sets --
-   MWOE search is one scan over the CSR adjacency with precomputed
-   canonical tie-break keys, and the per-phase CONGEST aggregation runs on
-   indexed value arrays;
+   MWOE search is one scan over the CSR adjacency that breaks weight ties
+   in canonical index-pair edge order, and the per-phase CONGEST
+   aggregation runs on indexed value arrays;
 3. the same result cross-checked against the centralised networkx MST.
 
 Run it with ``PYTHONPATH=src python examples/large_grid_mst.py``.

@@ -16,7 +16,8 @@ constant number of subtree aggregations (charged at the measured aggregation
 cost).  The 1-/2-respecting minimisation itself is evaluated centrally with a
 vectorised all-pairs formula -- the distributed versions of this step in the
 cited works are intricate but add only polylogarithmic factors, so the round
-accounting charges them as aggregations (see DESIGN.md, substitutions).
+accounting charges them as aggregations (see "Deviations from the paper" in
+``docs/paper_map.md``).
 
 Implementation
 --------------

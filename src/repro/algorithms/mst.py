@@ -21,8 +21,9 @@ Round accounting per phase:
 
 The *construction* of the shortcut itself is not charged rounds: the
 distributed construction of HIZ16a takes ``O~(q)`` rounds, the same order as
-one aggregation, so charging it would only change constants; DESIGN.md
-records this simplification.
+one aggregation, so charging it would only change constants; the
+"Deviations from the paper" section of ``docs/paper_map.md`` records this
+simplification.
 
 The per-phase aggregations are simulated at the message-schedule level
 (they never instantiate node programs), so they are identical under every
@@ -42,8 +43,10 @@ Fragments live in a flat union-find owner array over the graph's
 the shortcut machinery as an incremental
 :meth:`~repro.core.PartSet.from_member_lists` part set (no per-phase
 label-frozenset materialisation).  The MWOE search is one scan over the CSR
-adjacency slices with per-edge canonical tie-break keys precomputed once
-per run.  Shortcuts for the default oblivious builder are built by driving
+adjacency slices; a candidate is ``(weight, lo * n + hi)``, so equal
+weights break ties in the canonical index-pair edge order that
+:class:`~repro.core.GraphView` defines, and the part-wise aggregation
+folds the candidates with plain ``min``.  Shortcuts for the default oblivious builder are built by driving
 :class:`~repro.shortcuts.engine.ConstructionEngine` directly (reusing the
 tree's cached Euler-tour index and one
 :class:`~repro.shortcuts.engine.EngineScratch` across all phases), and the
@@ -168,7 +171,7 @@ def boruvka_mst(
 
     Args:
         graph: connected weighted network graph (``weight`` edge attribute;
-            missing weights default to 1; ties are broken by edge identity so
+            missing weights default to 1; ties are broken in canonical edge order so
             the algorithm is deterministic).  Accepts a weighted
             :class:`~repro.core.GraphView` directly (the native generators'
             output): the loop then reads weights straight from the CSR
@@ -199,34 +202,20 @@ def boruvka_mst(
     indptr, indices = core._indptr_list, core._indices_list
     node_of = view.nodes
 
-    # Canonical per-slot tie-break keys, computed once per run: the string for
-    # slot (u -> v) is byte-identical to repr(canonical_edge(u, v)).
     # Weights are re-read from the nx graph per run rather than taken from
     # the CSR cache: the frozen-once-viewed convention covers topology, but
     # callers legitimately reassign *weights* between runs over one graph
     # (the README quickstart does), and each run must see the live weights.
-    node_repr = [repr(label) for label in node_of]
-    slot_key = [""] * len(indices)
+    # Native instances carry their weights in the CSR arrays themselves.
     if isinstance(graph, GraphView):
-        # Native instances carry their weights in the CSR arrays themselves
-        # (the view is the primary representation -- there is no nx graph to
-        # re-read, and weights are baked in at generation time).
         edge_weights = core._weights_list
-        for u in range(n):
-            ru = node_repr[u]
-            for offset in range(indptr[u], indptr[u + 1]):
-                rv = node_repr[indices[offset]]
-                slot_key[offset] = f"({ru}, {rv})" if ru <= rv else f"({rv}, {ru})"
     else:
-        edge_weights = [1.0] * len(indices)
+        edge_weights = []
         for u in range(n):
-            ru = node_repr[u]
             adjacency = graph.adj[node_of[u]]
-            for offset in range(indptr[u], indptr[u + 1]):
-                v = indices[offset]
-                rv = node_repr[v]
-                slot_key[offset] = f"({ru}, {rv})" if ru <= rv else f"({rv}, {ru})"
-                edge_weights[offset] = adjacency[node_of[v]].get(WEIGHT, 1.0)
+            edge_weights += [
+                adjacency[node_of[v]].get(WEIGHT, 1.0) for v in indices[indptr[u] : indptr[u + 1]]
+            ]
 
     # Fragment state: a flat owner array (vertex index -> fragment root) and
     # incrementally merged member lists.  Roots are the minimum vertex index
@@ -246,7 +235,7 @@ def boruvka_mst(
     phase_qualities: list[int] = []
     sync_cost = max(1, tree.height)
     scratch = EngineScratch(n) if use_engine else None
-    infinity = (float("inf"), "", -1, -1)
+    infinity = (float("inf"), -1)
 
     for _phase in range(max_phases):
         if len(roots) <= 1:
@@ -264,31 +253,25 @@ def boruvka_mst(
 
         # Every vertex's best outgoing edge (1 round of neighbour exchange
         # lets every node learn its neighbours' fragment ids): one scan over
-        # the CSR slices against the owner array.
-        candidate: list[tuple] = [infinity] * n
+        # the CSR slices against the owner array.  A candidate is
+        # ``(weight, lo * n + hi)``, so ties break in canonical edge order.
+        candidate: list[tuple[float, int]] = [infinity] * n
         for u in range(n):
             fragment_u = frag[u]
-            best_w = float("inf")
-            best_k = ""
-            best_v = -1
+            best = infinity
             for offset in range(indptr[u], indptr[u + 1]):
                 v = indices[offset]
                 if frag[v] == fragment_u:
                     continue
                 w = edge_weights[offset]
-                if w > best_w:
+                if w > best[0]:
                     continue
-                k = slot_key[offset]
-                if w < best_w or k < best_k:
-                    best_w, best_k, best_v = w, k, v
-            if best_v >= 0:
-                candidate[u] = (best_w, best_k, u, best_v)
+                option = (w, u * n + v if u < v else v * n + u)
+                if option < best:
+                    best = option
+            candidate[u] = best
 
-        aggregation = partwise_aggregate_indexed(
-            shortcut,
-            values=candidate,
-            combine=lambda a, b: a if a[:2] <= b[:2] else b,
-        )
+        aggregation = partwise_aggregate_indexed(shortcut, values=candidate, combine=min)
         # Fragment leaders now know the MWOE; a second aggregation round trip
         # (merge coordination: agreeing on the merged fragment identifier) is
         # charged at the same measured cost.
@@ -308,13 +291,10 @@ def boruvka_mst(
             return root
 
         merged_any = False
-        for part_index, _root in enumerate(roots):
-            mwoe = aggregation.values[part_index]
-            if mwoe is None or mwoe[2] < 0:
+        for weight, key in aggregation.values:
+            if key < 0:
                 continue
-            weight, _key, u, v = mwoe
-            if weight == float("inf"):
-                continue
+            u, v = divmod(key, n)
             ru, rv = find(frag[u]), find(frag[v])
             if ru == rv:
                 continue

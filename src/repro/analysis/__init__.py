@@ -1,8 +1,9 @@
 """Experiment harness: quality sweeps, growth-rate fits and experiment records.
 
 Because the paper is a theory paper, its "tables and figures" are asymptotic
-claims; each experiment (E1-E10, F1-F2 in DESIGN.md) measures the claimed
-quantity over a parameter sweep and reports it next to the paper's bound.
+claims; each experiment (E1-E10 and F1, listed in the "Experiments"
+section of ``docs/paper_map.md``) measures the claimed quantity over a
+parameter sweep and reports it next to the paper's bound.
 The benchmark files under ``benchmarks/`` are thin wrappers that call the
 functions here and print the resulting rows.
 """

@@ -1,8 +1,10 @@
-"""One function per experiment of the reproduction (see DESIGN.md, Section 3).
+"""One function per experiment of the reproduction.
+
+The "Experiments" section of ``docs/paper_map.md`` lists them.
 
 Every function returns a plain dict (JSON-friendly) containing the measured
 quantities and the paper's corresponding target, so that the benchmark
-drivers can simply print them and EXPERIMENTS.md can quote them.  The
+drivers can simply print them and the golden records can pin them.  The
 instance sizes default to values that run in a couple of seconds on a laptop;
 the benchmark files pass larger sizes where useful.
 

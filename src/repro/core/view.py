@@ -21,6 +21,14 @@ with the ``sorted(..., key=repr)`` tie-breaking used throughout the
 ``networkx`` code paths, which is what lets the CSR fast paths reproduce
 their results *exactly* (the differential tests in
 ``tests/test_core_graphview.py`` pin this).
+
+The canonical *edge* order is index-pair order: an undirected edge is
+``(lo, hi)`` with ``lo < hi``, edges compare as ``(lo, hi)`` tuples (as an
+int key, ``lo * n + hi``), and directed edges as ``(u, v)``.  For int,
+str and int-tuple labels this is the order of the repr strings
+``"(repr(u), repr(v))"`` the label code paths sort by: no such label
+repr is a proper prefix of another one that continues with a character
+below ``,``.  The aggregation scheduler and Boruvka's MWOE tie-break use it.
 """
 
 from __future__ import annotations
@@ -51,7 +59,8 @@ class GraphView:
         core: the :class:`CoreGraph` over indices ``0 .. n-1``.
         nodes: the label of every index, i.e. ``nodes[i]`` is the node whose
             index is ``i``; sorted by ``repr`` so that index order equals
-            the package's canonical node order.
+            the package's canonical node order, and index-pair order the
+            canonical edge order.
     """
 
     __slots__ = (

@@ -343,7 +343,8 @@ def decomposition_from_tree_decomposition(
     same object as Definition 8 with partial cliques of size at most
     ``k + 1``.  The treewidth-based shortcut constructor (Theorem 5) reuses
     the clique-sum machinery of Theorem 7 through this adapter, with each
-    tiny bag shortcut being trivial (see DESIGN.md).
+    tiny bag shortcut being trivial (see "Deviations from the paper" in
+    ``docs/paper_map.md``).
 
     The adapter prunes redundant bags (bags fully contained in a neighbour)
     to keep intersections strictly smaller than either endpoint where

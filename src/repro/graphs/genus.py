@@ -6,7 +6,7 @@ embeddable graphs of Definition 5 and form the "surface part" of the Graph
 Structure Theorem.
 
 We do not implement general 2-cell embeddings on arbitrary surfaces (see
-DESIGN.md, Section 4): instead every generator here builds its graph
+"Deviations from the paper" in ``docs/paper_map.md``): instead every generator here builds its graph
 *constructively* so that an upper bound on the genus is known by
 construction, and returns a :class:`GenusGraph` wrapper recording that bound.
 The downstream constructions only ever consume the genus as a number -- the

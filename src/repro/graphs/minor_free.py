@@ -6,7 +6,7 @@ excluding a fixed minor ``H`` is contained in ``L_k`` for ``k = k(H)``.
 Because no practical algorithm exists to *decompose* an arbitrary H-free
 graph, we sample L_k members constructively: draw almost-embeddable bags,
 glue them by k-clique-sums, and return the graph together with its witness
-(see DESIGN.md Section 4).  This is exactly the class of inputs on which
+(see "Deviations from the paper" in ``docs/paper_map.md``).  This is exactly the class of inputs on which
 Theorem 6 promises shortcuts of quality ``~ d^2``.
 """
 

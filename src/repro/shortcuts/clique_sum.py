@@ -134,7 +134,8 @@ def clique_sum_shortcut(
         parts: the parts to serve.
         decomposition: the clique-sum decomposition witness recorded by the
             generator; required (the paper's existence proof also consumes
-            it, see DESIGN.md).
+            it, see "Deviations from the paper" in
+            ``docs/paper_map.md``).
         local_shortcutter: per-bag family shortcutter (defaults to the
             oblivious constructor).
         fold: whether to heavy-light-fold the decomposition tree to depth

@@ -206,27 +206,25 @@ class Shortcut:
         return self._edge_sets
 
     def _canonical_edge_sets(self) -> list[frozenset[Edge]]:
-        # Canonicalisation is hoisted out of the per-edge loop: endpoint reprs
-        # are memoised across all parts (shortcut edge sets overlap heavily on
-        # tree edges), and empty edge sets skip the loop entirely.
-        reprs: dict[Hashable, str] = {}
-        _get = reprs.get
         _EMPTY: frozenset[Edge] = frozenset()
         if self._raw_edge_sets is None:
+            # Index order is repr order (GraphView construction), so index
+            # pairs orient exactly like ``canonical_edge`` on their labels.
             node_of = self._part_set.view.nodes
             return [
                 frozenset(
-                    (
-                        (node_of[a], node_of[b])
-                        if repr(node_of[a]) <= repr(node_of[b])
-                        else (node_of[b], node_of[a])
-                    )
+                    (node_of[a], node_of[b]) if a <= b else (node_of[b], node_of[a])
                     for a, b in pairs
                 )
                 if pairs
                 else _EMPTY
                 for pairs in self._core_edges
             ]
+        # Canonicalisation is hoisted out of the per-edge loop: endpoint reprs
+        # are memoised across all parts (shortcut edge sets overlap heavily on
+        # tree edges), and empty edge sets skip the loop entirely.
+        reprs: dict[Hashable, str] = {}
+        _get = reprs.get
         # Identity memo: constructors that give several parts the same edge-set
         # object (whole-tree, shared per-cell sets) keep that sharing through
         # canonicalisation, which the measurement dedup exploits.  The inputs

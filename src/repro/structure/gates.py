@@ -23,7 +23,8 @@ This module provides:
   and region bookkeeping) is what guarantees ``s = O(d)`` in the paper; here
   the refinement is constructive and properties (1)-(5) are validated
   exactly, while property (6) is measured and compared against the ``O(d)``
-  target (see DESIGN.md section 4).
+  target (see "Deviations from the paper" in
+  ``docs/paper_map.md``).
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def planar_gates(graph: nx.Graph, partition: CellPartition) -> GateCollection:
     vertices alone while keeping all endpoints inside the gate's interior;
     that refinement is what guarantees ``s = O(d)``.  Here property (6) is
     *measured* and reported by experiment E10 against that target (see
-    DESIGN.md section 4 for the substitution note).
+    "Deviations from the paper" in ``docs/paper_map.md``).
     """
     cell_of = partition.cell_of()
     trees = {}
@@ -245,12 +246,12 @@ def planar_gates(graph: nx.Graph, partition: CellPartition) -> GateCollection:
             continue
         # Extremal edges: the two inter-cell edges whose endpoints are
         # furthest apart inside the two cell trees.
-        def edge_key(edge: tuple[Hashable, Hashable]) -> tuple[int, int]:
+        def depth_key(edge: tuple[Hashable, Hashable]) -> tuple[int, int]:
             u, v = edge
             ui, vj = (u, v) if cell_of[u] == i else (v, u)
             return (trees[i].depth[ui], trees[j].depth[vj])
 
-        ordered = sorted(edges, key=edge_key)
+        ordered = sorted(edges, key=depth_key)
         e_left, e_right = ordered[0], ordered[-1]
         left_i, left_j = (e_left if cell_of[e_left[0]] == i else (e_left[1], e_left[0]))
         right_i, right_j = (e_right if cell_of[e_right[0]] == i else (e_right[1], e_right[0]))

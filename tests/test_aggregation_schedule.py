@@ -1,0 +1,120 @@
+"""Part-wise aggregation pinned to the seed scheduler, with its invariants.
+
+Two layers:
+
+* **every family** -- on every registered family, every applicable
+  constructor and seeds 0-2, :func:`repro.congest.aggregation.partwise_aggregate`
+  must equal the seed scheduler in ``tests/oracles/aggregation.py`` in
+  values, rounds, messages and ``per_part_rounds``, and the schedule must
+  satisfy the invariants of Theorem 1's convergecast/broadcast: one up and
+  one down message per aggregation-tree edge, at least two tree depths of
+  rounds, at most one round per message, and a last part finishing in the
+  last round;
+* **non-int labels** -- the production code orders edges by index pair,
+  the oracles by the repr string of the label pair.  The two can only
+  disagree on non-int labels, which no registered family uses, so tuple-
+  and string-labelled grids pin aggregation and Boruvka to the oracles.
+"""
+
+from __future__ import annotations
+
+import networkx as nx
+import pytest
+
+from repro.algorithms.mst import boruvka_mst
+from repro.congest.aggregation import partwise_aggregate
+from repro.graphs.weights import WEIGHT
+from repro.scenarios import applicable_constructors, build_instance, constructor, family_names
+from repro.shortcuts.congestion_capped import oblivious_shortcut
+from repro.shortcuts.parts import tree_fragment_parts
+from repro.structure.spanning import bfs_spanning_tree
+
+from oracles import aggregation as oracle_aggregation
+from oracles import mst as oracle_mst
+
+
+def _values(graph: nx.Graph, seed: int) -> dict:
+    return {
+        node: (index * 31 + seed) % 17
+        for index, node in enumerate(sorted(graph.nodes(), key=repr))
+    }
+
+
+def _assert_same_as_oracle(shortcut, values, combine) -> None:
+    fast = partwise_aggregate(shortcut, values, combine=combine)
+    reference = oracle_aggregation.partwise_aggregate(shortcut, values, combine=combine)
+    assert fast.values == reference.values
+    assert fast.rounds == reference.rounds
+    assert fast.messages == reference.messages
+    assert fast.per_part_rounds == reference.per_part_rounds
+
+
+def _assert_schedule_invariants(shortcut, result) -> None:
+    tree_edges = 0
+    deepest = 0
+    for index, part in enumerate(shortcut.parts):
+        anchor = min(part, key=repr)
+        depth = nx.single_source_shortest_path_length(
+            shortcut.augmented_subgraph(index), anchor
+        )
+        tree_edges += len(depth) - 1
+        deepest = max(deepest, max(depth.values()))
+    assert result.messages == 2 * tree_edges
+    assert result.rounds >= 2 * deepest
+    assert result.rounds <= result.messages
+    assert max(result.per_part_rounds) == result.rounds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family_name", family_names())
+def test_aggregation_matches_oracle_on_every_constructor(family_name, seed):
+    instance = build_instance(family_name, seed=seed)
+    parts = instance.parts("tree_fragments", num_parts=6, seed=seed)
+    values = _values(instance.graph, seed)
+    for name in applicable_constructors(instance):
+        shortcut = constructor(name).build(instance, instance.tree, parts)
+        _assert_same_as_oracle(shortcut, values, min)
+        _assert_schedule_invariants(shortcut, partwise_aggregate(shortcut, values))
+
+
+def _tuple_grid() -> nx.Graph:
+    # Labels (1, 2) and (1, 10) share the repr prefix "(1, ".
+    return nx.grid_2d_graph(12, 12)
+
+
+def _string_grid() -> nx.Graph:
+    grid = nx.grid_2d_graph(11, 11)
+    return nx.relabel_nodes(grid, {node: f"{node[0]}-{node[1]}" for node in grid})
+
+
+NON_INT_GRIDS = [_tuple_grid, _string_grid]
+
+
+@pytest.mark.parametrize("make_graph", NON_INT_GRIDS, ids=["tuple", "string"])
+def test_aggregation_on_non_int_labels_matches_oracle(make_graph):
+    graph = make_graph()
+    tree = bfs_spanning_tree(graph)
+    parts = tree_fragment_parts(graph, tree, num_parts=14, seed=5)
+    shortcut = oblivious_shortcut(graph, tree, parts)
+    values = _values(graph, 3)
+    _assert_same_as_oracle(shortcut, values, min)
+    _assert_same_as_oracle(shortcut, values, lambda a, b: a + b)
+    _assert_schedule_invariants(shortcut, partwise_aggregate(shortcut, values))
+
+
+@pytest.mark.parametrize("make_graph", NON_INT_GRIDS, ids=["tuple", "string"])
+@pytest.mark.parametrize("weights", ["unit", "three-valued"])
+def test_boruvka_on_non_int_labels_matches_oracle(make_graph, weights):
+    """Equal weights make every MWOE a canonical-edge-order tie-break."""
+    graph = make_graph()
+    if weights == "three-valued":
+        for index, (u, v) in enumerate(sorted(graph.edges(), key=repr)):
+            graph[u][v][WEIGHT] = float(1 + (index * 7) % 3)
+    tree = bfs_spanning_tree(graph)
+    fast = boruvka_mst(graph, tree=tree)
+    reference = oracle_mst.boruvka_mst(graph, tree=tree)
+    assert fast.edges == reference.edges
+    assert fast.weight == reference.weight
+    assert fast.rounds == reference.rounds
+    assert fast.phase_rounds == reference.phase_rounds
+    assert fast.phase_qualities == reference.phase_qualities

@@ -10,10 +10,11 @@ link* in ``docs/*.md`` and the README: each must point at a file that
 exists.  CI runs this file as its own ``docs`` job, so a docs regression
 is visible as a docs failure rather than a generic test failure.
 
-A third layer guards the oracle contract of ``docs/architecture.md``:
-``src/`` has one implementation per layer, so no module under
-``src/repro`` may name the retired dual-path switch or a seed oracle, or
-import from the test suite.
+A third layer scans ``src/repro``: every ``*.md`` path a module names
+must exist (relative to the repository root), and, guarding the oracle
+contract of ``docs/architecture.md`` -- ``src/`` has one implementation
+per layer -- no module may name the retired dual-path switch or a seed
+oracle, or import from the test suite.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ RETIRED_NAMES = (
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+# Markdown paths named in source text, e.g. ``docs/simulator.md``.
+MARKDOWN_PATH_PATTERN = re.compile(r"[\w./-]+\.md\b")
 
 
 def _resolve(dotted: str):
@@ -148,3 +151,12 @@ def test_source_names_no_switch_and_no_oracle():
                 if module.split(".")[0] in ("tests", "oracles"):
                     failures.append(f"{where} imports {module} from the test suite")
     assert not failures, "src/ must hold one implementation per layer:\n" + "\n".join(failures)
+
+
+def test_markdown_paths_named_in_source_exist():
+    missing = []
+    for source in SOURCE_FILES:
+        for path in sorted(set(MARKDOWN_PATH_PATTERN.findall(source.read_text(encoding="utf-8")))):
+            if not (REPO_ROOT / path).exists():
+                missing.append(f"{source.relative_to(REPO_ROOT)} names {path}")
+    assert not missing, "src/ names missing documents:\n" + "\n".join(missing)

@@ -1,8 +1,7 @@
 """Golden-record regression tests for the experiment layer.
 
-Every experiment that the benchmarks print (and that EXPERIMENTS.md quotes)
-is pinned here on small fixed-seed instances: the records are computed
-fresh and compared field by field against ``tests/golden/records.json``.
+Every experiment that the benchmarks print is pinned here on small
+fixed-seed instances: the records are computed fresh and compared field by field against ``tests/golden/records.json``.
 This is what stops ports of the experiment layer -- like the move onto the
 scenario engine -- from silently drifting: any change to MST round counts,
 min-cut approximation ratios or self-reported shortcut qualities fails the

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the core invariants.
 
 These tests generate random instances -- random grid sizes, random parts,
-random clique-sum compositions -- and assert the invariants listed in
-DESIGN.md Section 6: every constructor's output is a valid T-restricted
+random clique-sum compositions -- and assert the reproduction's structural
+invariants: every constructor's output is a valid T-restricted
 shortcut whose self-reported numbers match an independent recount, the
 congestion cap is always respected, decompositions satisfy their axioms, and
 the simulated aggregation always agrees with a centralised computation.
