@@ -30,10 +30,10 @@ The per-phase aggregations are simulated at the message-schedule level
 simulator mode.  The *node-program* phases of the ``mst`` scenario
 workload -- the BFS-tree construction before the Boruvka loop and the
 result broadcast after it -- are what the simulator's execution modes
-accelerate: under ``run_scenario(..., runtime=True)`` they run on the
-vectorized batch programs of :mod:`repro.congest.runtime` with exactly
-the same rounds, messages and telemetry (``docs/simulator.md``; the S6
-benchmark gates the speedup).
+accelerate: :func:`~repro.scenarios.run_scenario` runs them by default on
+the vectorized batch programs of :mod:`repro.congest.runtime`, with
+exactly the same rounds, messages and telemetry as the per-node modes
+(``docs/simulator.md``; the S6 benchmark gates the speedup).
 
 Implementation
 --------------

@@ -100,7 +100,10 @@ def partwise_aggregate(
             default).  Each part's members are folded in ascending index
             order, so a float sum may differ in the last ulp from a fold in
             aggregation-tree order.
-        max_rounds: safety bound on the schedule length.
+        max_rounds: safety bound on the schedule length.  As in
+            :meth:`~repro.congest.simulator.CongestSimulator.run`, the
+            schedule may use ``max_rounds + 1`` rounds; a longer one raises
+            :class:`~repro.errors.SimulationError`.
 
     Returns:
         An :class:`AggregationResult` with per-part aggregates and the exact

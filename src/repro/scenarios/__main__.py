@@ -6,9 +6,9 @@ with ``--jobs N``; records are always emitted in the same deterministic
 (family x constructor x algorithm) order regardless of ``--jobs``.
 
 ``--simulator`` selects the execution mode for the simulated phases of the
-``mst`` workload (``active`` per-node active-set, ``runtime`` vectorized
-batch programs); records are identical across modes, only the wall-clock
-differs.
+``mst`` workload: ``runtime`` (the default) runs the vectorized batch
+programs, ``active`` the per-node active-set loop; records are identical
+across modes, only the wall-clock differs.
 
 ``--faults`` injects seeded faults into those simulated phases -- a spec
 string such as ``drop=0.05,delay=0.02:3,dup=0.01,crash=0.01:8,shuffle``
@@ -20,9 +20,10 @@ Examples::
 
     python -m repro.scenarios --list
     python -m repro.scenarios --size tiny
-    python -m repro.scenarios --families planar --algorithms mst --simulator runtime
+    python -m repro.scenarios --families planar --algorithms mst
+    python -m repro.scenarios --families planar --algorithms mst --simulator active
     python -m repro.scenarios --families planar --algorithms mst --native \
-        --constructors oblivious --params side=400 --simulator runtime
+        --constructors oblivious --params side=400
     python -m repro.scenarios --families planar --algorithms mst \
         --faults drop=0.05,crash=0.01:8 --fault-seed 7
     python -m repro.scenarios --families planar apex --constructors oblivious steiner \
@@ -108,9 +109,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--simulator",
-        default="active",
+        default="runtime",
         choices=("active", "runtime"),
-        help="CONGEST execution mode for simulated phases (identical records)",
+        help="CONGEST execution mode for simulated phases (identical records; "
+        "default: runtime)",
     )
     parser.add_argument(
         "--faults",

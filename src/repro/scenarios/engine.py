@@ -13,11 +13,11 @@ deterministic order as the serial sweep).  ``python -m repro.scenarios`` is
 the command-line entry point over these functions.
 
 Scenarios whose workload drives the CONGEST simulator (the ``mst``
-algorithm's BFS build and result broadcast) accept a simulator mode:
-``simulator_cls`` selects between the active-set default and the
-vectorized :class:`~repro.congest.runtime.RuntimeSimulator`;
-``runtime=True`` on :func:`run_scenario` / :func:`run_matrix` (and
-``--simulator runtime`` on the CLI) is shorthand for the latter.  Both
+algorithm's BFS build and result broadcast) run those phases under
+``simulator_cls``, by default the vectorized
+:class:`~repro.congest.runtime.RuntimeSimulator`.  Passing
+:class:`~repro.congest.simulator.CongestSimulator` (``--simulator active``
+on the CLI) runs the per-node active-set loop, the semantic oracle.  Both
 modes produce identical records -- only the wall-clock differs (see
 ``docs/simulator.md``).
 
@@ -163,8 +163,7 @@ def _resolve_faults(faults: FaultModel | str | None) -> FaultModel | None:
 def run_scenario(
     scenario: Scenario,
     cache: InstanceCache | None = None,
-    simulator_cls: type[CongestSimulator] = CongestSimulator,
-    runtime: bool = False,
+    simulator_cls: type[CongestSimulator] = RuntimeSimulator,
     faults: FaultModel | str | None = None,
     fault_seed: int = 0,
 ) -> ScenarioRecord:
@@ -174,18 +173,17 @@ def run_scenario(
     construction on a torus) yields a record with ``applicable=False``
     rather than an exception, so matrix sweeps stay total.
 
-    ``runtime=True`` runs the simulated phases under the vectorized
-    :class:`~repro.congest.runtime.RuntimeSimulator` (shorthand for
-    ``simulator_cls=RuntimeSimulator``); the record is identical to the
-    per-node modes, only faster.
+    The simulated phases run under ``simulator_cls``: the vectorized
+    :class:`~repro.congest.runtime.RuntimeSimulator` by default, or the
+    per-node :class:`~repro.congest.simulator.CongestSimulator`.  The record
+    is identical in both modes, only the wall-clock differs.  Under an
+    active fault schedule the runtime mode runs the per-node loop itself.
 
     An active ``faults`` model (or spec string) is handed to the workload
     runner together with ``fault_seed``; a null/absent model is not passed
     at all, so fail-free records are unchanged.  Fault settings already in
     ``scenario.algorithm_params`` win over the call-level arguments.
     """
-    if runtime:
-        simulator_cls = RuntimeSimulator
     instance = build_instance(
         scenario.family, scenario.params, scenario.seed, cache, native=scenario.native
     )
@@ -311,9 +309,8 @@ def _run_scenario_job(
 def run_matrix(
     scenarios: Iterable[Scenario],
     cache: InstanceCache | None = None,
-    simulator_cls: type[CongestSimulator] = CongestSimulator,
+    simulator_cls: type[CongestSimulator] = RuntimeSimulator,
     jobs: int = 1,
-    runtime: bool = False,
     faults: FaultModel | str | None = None,
     fault_seed: int = 0,
 ) -> list[dict[str, object]]:
@@ -323,9 +320,9 @@ def run_matrix(
     worker keeps its own :class:`InstanceCache` for the sweep, and the
     records come back in the same order as ``scenarios`` (scenario execution
     is deterministic, so the parallel sweep is record-for-record identical
-    to the serial one).  ``runtime=True`` is shorthand for
-    ``simulator_cls=RuntimeSimulator`` (simulator classes pickle by
-    reference, so the runtime mode fans out over the pool like the others).
+    to the serial one).  ``simulator_cls`` is as in :func:`run_scenario`;
+    simulator classes pickle by reference, so either mode fans out over the
+    pool.
 
     ``faults``/``fault_seed`` apply one seeded fault model to every cell's
     simulated phases.  Fault decisions are stateless hashes, and the resolved
@@ -333,8 +330,6 @@ def run_matrix(
     into the workers, so a faulty parallel sweep remains record-for-record
     identical to the serial one.
     """
-    if runtime:
-        simulator_cls = RuntimeSimulator
     model = _resolve_faults(faults)
     scenarios = list(scenarios)
     if jobs is not None and jobs > 1 and len(scenarios) > 1:

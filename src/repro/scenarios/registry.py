@@ -393,6 +393,10 @@ class AlgorithmSpec:
     ``uses_parts`` tells the engine whether the runner consumes the scenario's
     part family; workloads that generate their own parts per phase (MST,
     min-cut) set it to False so the engine never derives an unused partition.
+
+    The engine calls ``run(instance, tree, parts, builder, seed=...,
+    simulator_cls=..., **algorithm_params)``; the built-in runners give
+    ``simulator_cls`` no default, so its default lives in the engine alone.
     """
 
     name: str
@@ -454,7 +458,8 @@ def _run_quality(
     parts: Parts,
     builder: ShortcutBuilder,
     seed: int = 0,
-    simulator_cls: type[CongestSimulator] = CongestSimulator,
+    *,
+    simulator_cls: type[CongestSimulator],
     validate: bool = True,
     faults: FaultModel | None = None,
     fault_seed: int = 0,
@@ -474,7 +479,8 @@ def _run_aggregate(
     parts: Parts,
     builder: ShortcutBuilder,
     seed: int = 0,
-    simulator_cls: type[CongestSimulator] = CongestSimulator,
+    *,
+    simulator_cls: type[CongestSimulator],
     faults: FaultModel | None = None,
     fault_seed: int = 0,
 ) -> dict:
@@ -499,7 +505,8 @@ def _run_mst(
     parts: Parts,
     builder: ShortcutBuilder,
     seed: int = 0,
-    simulator_cls: type[CongestSimulator] = CongestSimulator,
+    *,
+    simulator_cls: type[CongestSimulator],
     faults: FaultModel | None = None,
     fault_seed: int = 0,
 ) -> dict:
@@ -509,8 +516,9 @@ def _run_mst(
     programs under ``simulator_cls``; their wall-clock time is reported as
     ``sim_seconds`` (the quantity the speedup benchmark compares across
     simulator implementations) alongside the simulators' round telemetry.
-    The simulated phases run in core mode (the weighted graph's
-    :class:`~repro.core.GraphView`).
+    Both phases run on the weighted graph's :class:`~repro.core.GraphView`,
+    which is what :class:`~repro.congest.runtime.RuntimeSimulator` (the
+    scenario engine's default) needs to run its compiled programs.
 
     An active ``faults`` model runs both simulated phases under one seeded
     :class:`~repro.congest.faults.FaultSchedule`: the BFS build switches to
@@ -585,7 +593,8 @@ def _run_mincut(
     parts: Parts,
     builder: ShortcutBuilder,
     seed: int = 0,
-    simulator_cls: type[CongestSimulator] = CongestSimulator,
+    *,
+    simulator_cls: type[CongestSimulator],
     epsilon: float = 1.0,
     low: float = 1.0,
     high: float = 100.0,

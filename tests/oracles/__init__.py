@@ -31,7 +31,10 @@ from unittest import mock
 def seed_paths():
     """Run scenarios on the oracles: Boruvka, min-cut, aggregation, the
     oblivious construction and shortcut measurement, with the simulated MST
-    phases in label mode (node programs see labels, not view indices)."""
+    phases in label mode (node programs see labels, not view indices).
+
+    Only the per-node loop runs label mode, so an ``mst`` scenario under
+    these patches needs ``simulator_cls=CongestSimulator``."""
     import repro.scenarios.registry as registry
     from repro.shortcuts.shortcut import Shortcut
 

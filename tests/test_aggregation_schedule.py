@@ -8,8 +8,10 @@ Two layers:
   values, rounds, messages and ``per_part_rounds``, and the schedule must
   satisfy the invariants of Theorem 1's convergecast/broadcast: one up and
   one down message per aggregation-tree edge, at least two tree depths of
-  rounds, at most one round per message, and a last part finishing in the
-  last round;
+  rounds, at least as many rounds as the busiest directed edge carries
+  messages, at most one round per message, and a last part finishing in
+  the last round; the ``max_rounds`` budget cuts both schedulers off at
+  the same round;
 * **non-int labels** -- the production code orders edges by index pair,
   the oracles by the repr string of the label pair.  The two can only
   disagree on non-int labels, which no registered family uses, so tuple-
@@ -18,11 +20,14 @@ Two layers:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 
 from repro.algorithms.mst import boruvka_mst
 from repro.congest.aggregation import partwise_aggregate
+from repro.errors import SimulationError
 from repro.graphs.weights import WEIGHT
 from repro.scenarios import applicable_constructors, build_instance, constructor, family_names
 from repro.shortcuts.congestion_capped import oblivious_shortcut
@@ -49,18 +54,30 @@ def _assert_same_as_oracle(shortcut, values, combine) -> None:
     assert fast.per_part_rounds == reference.per_part_rounds
 
 
+def _by_repr(nodes):
+    return sorted(nodes, key=repr)
+
+
 def _assert_schedule_invariants(shortcut, result) -> None:
+    # Directed-edge load: each aggregation-tree edge carries one message
+    # each way, and a directed edge delivers at most one message a round.
+    load: Counter = Counter()
     tree_edges = 0
     deepest = 0
     for index, part in enumerate(shortcut.parts):
         anchor = min(part, key=repr)
-        depth = nx.single_source_shortest_path_length(
-            shortcut.augmented_subgraph(index), anchor
-        )
+        depth = {anchor: 0}
+        for u, v in nx.bfs_edges(
+            shortcut.augmented_subgraph(index), anchor, sort_neighbors=_by_repr
+        ):
+            depth[v] = depth[u] + 1
+            load[u, v] += 1
+            load[v, u] += 1
         tree_edges += len(depth) - 1
         deepest = max(deepest, max(depth.values()))
     assert result.messages == 2 * tree_edges
     assert result.rounds >= 2 * deepest
+    assert result.rounds >= max(load.values(), default=0)
     assert result.rounds <= result.messages
     assert max(result.per_part_rounds) == result.rounds
 
@@ -75,6 +92,26 @@ def test_aggregation_matches_oracle_on_every_constructor(family_name, seed):
         shortcut = constructor(name).build(instance, instance.tree, parts)
         _assert_same_as_oracle(shortcut, values, min)
         _assert_schedule_invariants(shortcut, partwise_aggregate(shortcut, values))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family_name", family_names())
+def test_round_budget_matches_oracle_on_every_constructor(family_name, seed):
+    """A schedule of R rounds raises under ``max_rounds=R-2`` and passes under
+    ``R-1`` and ``R``, in production and oracle alike: like
+    ``CongestSimulator.run``, the schedule may use ``max_rounds + 1`` rounds."""
+    instance = build_instance(family_name, seed=seed)
+    parts = instance.parts("tree_fragments", num_parts=6, seed=seed)
+    values = _values(instance.graph, seed)
+    for name in applicable_constructors(instance):
+        shortcut = constructor(name).build(instance, instance.tree, parts)
+        rounds = partwise_aggregate(shortcut, values).rounds
+        assert rounds >= 2
+        for aggregate in (partwise_aggregate, oracle_aggregation.partwise_aggregate):
+            with pytest.raises(SimulationError):
+                aggregate(shortcut, values, max_rounds=rounds - 2)
+            for budget in (rounds - 1, rounds):
+                assert aggregate(shortcut, values, max_rounds=budget).rounds == rounds
 
 
 def _tuple_grid() -> nx.Graph:

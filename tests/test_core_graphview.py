@@ -22,6 +22,7 @@ import networkx as nx
 import pytest
 
 from repro.congest.primitives import broadcast_value, distributed_bfs_tree, flood_max_id
+from repro.congest.simulator import CongestSimulator
 from repro.core import CoreGraph, GraphView, view_of
 from repro.errors import InvalidGraphError
 from repro.graphs.planar import grid_graph
@@ -262,6 +263,7 @@ def test_mst_scenario_identical_with_and_without_core_paths():
     )
     fast = run_scenario(scenario).as_dict()
     with seed_paths():
-        reference = run_scenario(scenario).as_dict()
+        # Label mode: only the per-node loop runs node programs on labels.
+        reference = run_scenario(scenario, simulator_cls=CongestSimulator).as_dict()
     for key in ("mst_rounds", "mst_phases", "mst_weight", "sim_rounds", "sim_messages", "sim_words"):
         assert fast["result"][key] == reference["result"][key], key

@@ -30,7 +30,14 @@ from repro.congest.node import NodeProgram
 from repro.core import view_of
 from repro.errors import InvalidGraphError, SimulationError
 from repro.graphs.planar import grid_graph
-from repro.scenarios import Scenario, build_instance, run_scenario
+from repro.scenarios import (
+    InstanceCache,
+    Scenario,
+    build_instance,
+    run_matrix,
+    run_scenario,
+    scenario_matrix,
+)
 from repro.scenarios.registry import family, family_names
 
 from oracles.simulator import ReferenceSimulator
@@ -153,8 +160,8 @@ def test_mst_scenario_record_identical_under_runtime_mode():
         params={"side": 6},
         seed=2,
     )
-    core = run_scenario(scenario).as_dict()["result"]
-    fast = run_scenario(scenario, runtime=True).as_dict()["result"]
+    core = run_scenario(scenario, simulator_cls=CongestSimulator).as_dict()["result"]
+    fast = run_scenario(scenario).as_dict()["result"]
     for key in (
         "mst_rounds",
         "mst_phases",
@@ -167,6 +174,28 @@ def test_mst_scenario_record_identical_under_runtime_mode():
         "sim_active_node_rounds",
     ):
         assert fast[key] == core[key], key
+
+
+@pytest.mark.parametrize(
+    "faults", [None, "drop=0.05,crash=0.01:8"], ids=["fail-free", "faulty"]
+)
+def test_mst_matrix_records_identical_under_default_and_active_mode(faults):
+    """The engine's default (runtime) mode reproduces the per-node loop's
+    records on every tiny MST cell, fail-free and under faults."""
+    cache = InstanceCache()
+    scenarios = scenario_matrix(algorithm_name="mst", size="tiny", cache=cache)
+
+    def records(**mode) -> list[dict]:
+        rows = run_matrix(scenarios, cache=cache, faults=faults, fault_seed=7, **mode)
+        for row in rows:
+            row["result"].pop("sim_seconds")
+        return rows
+
+    default = records()
+    active = records(simulator_cls=CongestSimulator)
+    assert len(default) == len(scenarios)
+    assert all(row["applicable"] for row in default)
+    assert default == active
 
 
 # ------------------------------------------------------- exception contract
