@@ -10,14 +10,24 @@ the vectorized-runtime BFS + broadcast simulation -- without ever
 materialising an ``nx.Graph`` (the adapter's materialisation counter must
 stay at zero) and within the wall-clock / peak-RSS budgets below.
 
-Budgets (measured on the reference box, 1 core / 125 GB):
-the non-MST legs together take well under a minute at n=10^6 (build ~6 s,
-shortcut ~14 s, runtime BFS ~10 s, broadcast ~6 s); the simulated Boruvka
-convergecasts dominate at ~2.5 h (the message schedule grows with
-congestion x n per phase over ~10 phases), and peak RSS lands around
-90-100 GiB.  The default budgets leave headroom above that; CI shrinks
-the instance with ``S7_BENCH_SIDE`` and passes matching budget overrides
-instead of skipping the gate.
+Measured on a shared 2-core box (wall clock, single runs):
+
+=========  ===========  ==========  =============
+side       n            MST         peak RSS
+=========  ===========  ==========  =============
+100        10^4         1.9-2.9 s   163 MiB
+200        4 * 10^4     24 s        622 MiB
+316        ~10^5        146 s       1.9 GiB
+=========  ===========  ==========  =============
+
+The Boruvka MST takes nearly all of it; at side 200 that is 3.1 s of
+construction engine, 2.6 s of aggregation-tree builds and 17.5 s of the
+aggregation delivery loop.  Every other leg together takes about 2 s at
+side 316.  The million-node default
+has not been measured since the construction engine and the aggregation
+trees moved to array passes; its budgets below are generous upper bounds,
+not measurements.  CI shrinks the instance with ``S7_BENCH_SIDE`` and
+passes matching budget overrides instead of skipping the gate.
 
 Each run appends its record to ``benchmarks/BENCH_S7.json`` through the
 shared trajectory helper.  Records carry ``schema = "s7-native-scale/1"``

@@ -46,13 +46,13 @@ label-frozenset materialisation).  The MWOE search is one scan over the CSR
 adjacency slices; a candidate is ``(weight, lo * n + hi)``, so equal
 weights break ties in the canonical index-pair edge order that
 :class:`~repro.core.GraphView` defines, and the part-wise aggregation
-folds the candidates with plain ``min``.  Shortcuts for the default oblivious builder are built by driving
-:class:`~repro.shortcuts.engine.ConstructionEngine` directly (reusing the
-tree's cached Euler-tour index and one
-:class:`~repro.shortcuts.engine.EngineScratch` across all phases), and the
-aggregation runs through
+folds the candidates with plain ``min``.  Shortcuts for the default
+oblivious builder are built by driving
+:class:`~repro.shortcuts.engine.ConstructionEngine` directly: each phase is
+a few whole-family array passes over the tree's cached Euler-tour index and
+binary-lifting table.  The aggregation runs through
 :func:`~repro.congest.aggregation.partwise_aggregate_indexed` on flat value
-arrays.
+arrays; its per-part trees come from one slot-graph BFS per phase.
 
 ``tests/test_algorithms_core.py`` pins the result -- MST edge set, weight,
 total rounds, phases, per-phase rounds and qualities -- to the seed
@@ -75,7 +75,7 @@ from ..errors import ConvergenceError
 from ..graphs.weights import WEIGHT
 from ..congest.aggregation import partwise_aggregate_indexed
 from ..shortcuts.congestion_capped import oblivious_shortcut, oblivious_sweep
-from ..shortcuts.engine import ConstructionEngine, EngineScratch
+from ..shortcuts.engine import ConstructionEngine
 from ..shortcuts.shortcut import Shortcut
 from ..structure.spanning import RootedTree, bfs_spanning_tree
 from ..utils import canonical_edge
@@ -234,7 +234,6 @@ def boruvka_mst(
     phase_rounds: list[int] = []
     phase_qualities: list[int] = []
     sync_cost = max(1, tree.height)
-    scratch = EngineScratch(n) if use_engine else None
     infinity = (float("inf"), -1)
 
     for _phase in range(max_phases):
@@ -242,7 +241,7 @@ def boruvka_mst(
             break
         part_set = PartSet.from_member_lists(view, [members[root] for root in roots])
         if use_engine:
-            engine = ConstructionEngine(graph, tree, part_set=part_set, scratch=scratch)
+            engine = ConstructionEngine(graph, tree, part_set=part_set)
             shortcut = oblivious_sweep(engine)
         else:
             shortcut = builder(graph, tree, part_set.label_parts())

@@ -26,35 +26,51 @@ convergecast that does run as node programs is
 the many-parts, shared-edges generalisation whose round counts realise the
 quality -> rounds argument of Theorem 1.
 
-The schedule is value-free: a message is ``(part, receiver, is_up)``, and
-its timing depends only on the aggregation trees and on edge contention,
-never on what the message carries.  Every round, the directed edges with a
-queued message deliver in the canonical edge order -- index-pair order,
-keyed by the int ``u * n + v`` over :class:`~repro.core.GraphView`
-indices.  A part's aggregate is then one fold of ``combine`` over its
-members in ascending index order, which equals the value the convergecast
-would deliver for any exact, associative and commutative ``combine``.
-Rounds, messages, ``per_part_rounds`` and values are identical to the seed
-label scheduler in ``tests/oracles/aggregation.py``; the differential
-tests pin the two equal on every family.
+**The trees.**  A *slot* is a (part, vertex) pair of a part's augmented
+subgraph.  All parts' subgraphs are laid out as one block-diagonal slot
+graph with sorted CSR rows, and a virtual root links to every part's
+anchor (its minimum member index) in part order.  One
+``scipy.sparse.csgraph.breadth_first_order`` call from that root yields
+every part's BFS tree over ascending neighbours, with children in
+discovery order, as flat per-slot ``parent`` / child-count / children-CSR
+arrays.  A part member the BFS does not reach, or an empty part, raises
+:class:`~repro.errors.SimulationError` naming the part: its aggregate
+could not be gathered.
+
+**The schedule** is value-free: a message is the child slot of its tree
+edge plus a direction, and its timing depends only on the trees and on
+edge contention, never on what the message carries.  The leaves report
+first, in part order and then BFS discovery order within a part.  Every
+round, the directed edges with a queued message deliver in the canonical
+edge order -- index-pair order, keyed by the int ``u * n + v`` over
+:class:`~repro.core.GraphView` indices.  A part's aggregate is then one
+fold of ``combine`` over its members in ascending index order, which
+equals the value the convergecast would deliver for any exact,
+associative and commutative ``combine``.  Rounds, messages,
+``per_part_rounds`` and values are identical to the seed label scheduler
+in ``tests/oracles/aggregation.py``; the differential tests pin the two
+equal on every family and on hypothesis-drawn shortcuts.
 
 Two entry points share the scheduler: :func:`partwise_aggregate` takes
 label-keyed values, :func:`partwise_aggregate_indexed` a flat sequence
 indexed by vertex index (the Boruvka loop of :mod:`repro.algorithms.mst`).
-
-Shortcuts built by the array-native construction engine carry their part
-family and shortcut edges as vertex-index arrays
-(:meth:`repro.shortcuts.engine.ConstructionEngine.build_shortcut`); the
-scheduler consumes those directly and only falls back to the label
-``edge_sets`` for shortcuts built in label space.
+Both read the shortcut's edges as
+:class:`~repro.shortcuts.shortcut.IndexEdges`: engine-built shortcuts
+carry them from construction, and label-built ones convert their
+``edge_sets`` once (:meth:`~repro.shortcuts.shortcut.Shortcut.index_edges`).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from ..errors import SimulationError
 from ..shortcuts.shortcut import Shortcut
@@ -109,6 +125,10 @@ def partwise_aggregate(
         An :class:`AggregationResult` with per-part aggregates and the exact
         number of rounds used by the greedy schedule.
 
+    Raises:
+        SimulationError: a part is empty, or one of its members is not
+            connected to the part's anchor in ``G[P_i] + H_i``, so the
+            trees could never gather its value.
     """
     for index, part in enumerate(shortcut.parts):
         for vertex in part:
@@ -140,78 +160,173 @@ def partwise_aggregate_indexed(
     return AggregationResult(aggregates, rounds, messages, per_part_rounds)
 
 
-def _schedule(shortcut: Shortcut, max_rounds: int) -> tuple[int, int, list[int]]:
-    """Run the greedy schedule; return ``(rounds, messages, per_part_rounds)``."""
+class _Trees(NamedTuple):
+    """Every part's aggregation tree as flat per-slot tables.
+
+    ``parent`` is a slot (``-1`` at anchors and unreached slots),
+    ``pending`` the child count, ``children[child_start[s] :
+    child_start[s + 1]]`` the children of ``s`` in discovery order and
+    ``part`` the slot's part.  The message keys of a tree edge, by its
+    child slot ``c``: ``up_key[c]`` for ``c -> parent(c)``,
+    ``down_key[c]`` for ``parent(c) -> c``.  ``leaves`` are in part order,
+    then discovery order; ``awaiting[p]`` counts part ``p``'s non-anchor
+    tree slots.
+    """
+
+    parent: array
+    pending: list[int]
+    children: array
+    child_start: array
+    part: array
+    up_key: array
+    down_key: array
+    leaves: list[int]
+    awaiting: list[int]
+
+
+def _aggregation_trees(shortcut: Shortcut) -> _Trees:
+    """Build every part's BFS aggregation tree in one ``breadth_first_order`` call.
+
+    A *slot* is a (part, vertex) pair of a part's augmented subgraph
+    ``G[P_i] + H_i``; slots are numbered in (part, vertex) order.  All
+    parts' subgraphs form one block-diagonal slot graph with sorted CSR
+    rows, and a virtual root links to every part's anchor (its minimum
+    member) in part order.  The global FIFO of one BFS from that root,
+    restricted to one part, is that part's own BFS from its anchor over
+    ascending neighbours, so parents and children orders are exactly the
+    per-part ones.
+
+    The result holds ``array('q')`` tables and lists for the delivery loop;
+    every numpy array of the build is freed when this function returns.
+    """
     part_set = shortcut.part_set()
     view = part_set.view
     n = len(view)
     num_parts = part_set.num_parts
-    indptr, indices = view.core._indptr_list, view.core._indices_list
-    if shortcut._core_edges is not None:
-        edge_lists = shortcut._core_edges
-    else:
-        index_of = view.index_of
-        edge_lists = [
-            [(index_of(u), index_of(v)) for u, v in edges] for edges in shortcut.edge_sets
-        ]
+    offsets = np.asarray(part_set.offsets, dtype=np.int64)
+    sizes = np.diff(offsets)
+    if num_parts and not sizes.all():
+        empty = int(np.flatnonzero(sizes == 0)[0])
+        raise SimulationError(f"part {empty} is empty")
+    members = np.asarray(part_set.members, dtype=np.int64)
+    member_part = np.repeat(np.arange(num_parts, dtype=np.int64), sizes)
 
-    # Per-part aggregation trees: BFS over the augmented subgraph from the
-    # part's minimum index, children recorded in discovery order.
-    parents: list[dict[int, int | None]] = []
-    children: list[dict[int, list[int]]] = []
-    pending_children: list[dict[int, int]] = []
-    awaiting_down: list[int] = []  # tree vertices still to hear the broadcast
-    for index in range(num_parts):
-        members = part_set.members_of(index)
-        member_set = set(members)
-        adjacency: dict[int, list[int]] = {
-            u: [v for v in indices[indptr[u] : indptr[u + 1]] if v in member_set]
-            for u in members
-        }
-        for a, b in edge_lists[index]:
-            row = adjacency.setdefault(a, [])
-            if b not in row:
-                row.append(b)
-            row = adjacency.setdefault(b, [])
-            if a not in row:
-                row.append(a)
-        anchor = members[0]
-        parent: dict[int, int | None] = {anchor: None}
-        kids: dict[int, list[int]] = {}
-        queue: deque[int] = deque([anchor])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(adjacency[u]):
-                if v not in parent:
-                    parent[v] = u
-                    kids.setdefault(u, []).append(v)
-                    queue.append(v)
-        parents.append(parent)
-        children.append(kids)
-        pending_children.append({node: len(kids.get(node, ())) for node in parent})
-        awaiting_down.append(len(parent) - 1)
+    # Directed edges of G[P_i] (both endpoints in the part) and of H_i, as
+    # (part * n + vertex) keys.
+    core = view.core
+    indptr, indices = core.indptr, core.indices
+    owner = np.full(n, -1, dtype=np.int64)
+    owner[members] = member_part
+    starts, degrees = indptr[members], indptr[members + 1] - indptr[members]
+    row = np.repeat(np.arange(len(members)), degrees)
+    neighbours = indices[
+        np.arange(len(row)) - np.repeat(np.cumsum(degrees) - degrees, degrees) + starts[row]
+    ]
+    inside = owner[neighbours] == member_part[row]
+    row_base = member_part[row[inside]] * n
+    edge_offsets, heads, tails = shortcut.index_edges()
+    edge_base = np.repeat(np.arange(num_parts, dtype=np.int64) * n, np.diff(edge_offsets))
+    source = np.concatenate(
+        [row_base + members[row[inside]], edge_base + heads, edge_base + tails]
+    )
+    target = np.concatenate(
+        [row_base + neighbours[inside], edge_base + tails, edge_base + heads]
+    )
+    member_keys = member_part * n + members
+    keys = np.sort(np.concatenate([member_keys, source]))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    num_slots = len(keys)
+
+    # Arcs sorted by (source slot, target slot) give sorted CSR rows; a
+    # shortcut edge inside its part repeats an arc, which the BFS ignores.
+    arcs = np.searchsorted(keys, source)
+    arcs *= num_slots
+    arcs += np.searchsorted(keys, target)
+    del source, target
+    arcs.sort()
+    anchors = np.searchsorted(keys, member_keys[offsets[:-1]])
+    row_ptr = np.searchsorted(arcs, np.arange(num_slots + 1) * num_slots)
+    graph = csr_matrix(
+        (
+            np.ones(len(arcs) + num_parts),
+            np.concatenate([arcs % num_slots, anchors]).astype(np.int32),
+            np.append(row_ptr, len(arcs) + num_parts).astype(np.int32),
+        ),
+        shape=(num_slots + 1, num_slots + 1),
+    )
+    del arcs
+    order, predecessors = breadth_first_order(
+        graph, num_slots, directed=True, return_predecessors=True
+    )
+    del graph
+
+    parent = predecessors[:num_slots].astype(np.int64)
+    member_slots = np.searchsorted(keys, member_keys)
+    unreached = parent[member_slots] < 0
+    if unreached.any():
+        first = int(np.flatnonzero(unreached)[0])
+        raise SimulationError(
+            f"member {view.nodes[members[first]]!r} of part {int(member_part[first])} "
+            "is not connected to the part's anchor in its augmented subgraph"
+        )
+    parent[(parent < 0) | (parent == num_slots)] = -1
+    discovered = order[1:]
+    tree_slots = discovered[parent[discovered] >= 0]
+    pending = np.bincount(parent[tree_slots], minlength=num_slots)
+    slot_part = keys // n
+    ranked = discovered[np.argsort(slot_part[discovered], kind="stable")]
+    vertex = keys % n
+    parent_vertex = vertex[np.maximum(parent, 0)]
+    return _Trees(
+        parent=_int_array(parent),
+        pending=pending.tolist(),
+        children=_int_array(tree_slots[np.argsort(parent[tree_slots], kind="stable")]),
+        child_start=_int_array(np.concatenate(([0], np.cumsum(pending)))),
+        part=_int_array(slot_part),
+        up_key=_int_array(vertex * n + parent_vertex),
+        down_key=_int_array(parent_vertex * n + vertex),
+        leaves=ranked[(pending[ranked] == 0) & (parent[ranked] >= 0)].tolist(),
+        awaiting=np.bincount(slot_part[tree_slots], minlength=num_parts).tolist(),
+    )
+
+
+def _int_array(values: np.ndarray) -> array:
+    """A read-only per-slot table for the delivery loop.
+
+    An ``array('q')`` holds 8 bytes per entry where a list of large ints
+    holds an int object each, and indexes as fast in the loop.
+    """
+    return array("q", values.astype(np.int64, copy=False).tobytes())
+
+
+def _schedule(shortcut: Shortcut, max_rounds: int) -> tuple[int, int, list[int]]:
+    """Run the greedy schedule; return ``(rounds, messages, per_part_rounds)``."""
+    num_parts = shortcut.part_set().num_parts
+    if not num_parts:
+        return 0, 0, []
+    (
+        parent, pending, children, child_start, slot_part, up_key, down_key, leaves,
+        awaiting_down,
+    ) = _aggregation_trees(shortcut)
 
     # One FIFO queue per directed edge ``u * n + v``; ``active`` holds the
     # keys of non-empty queues in ascending order, ``fresh`` the keys that
-    # became non-empty since the last round started.
+    # became non-empty since the last round started.  A task is the child
+    # slot ``c`` of its tree edge for an up message and ``~c`` for a down one.
     edge_queues: defaultdict[int, deque] = defaultdict(deque)
     fresh: list[int] = []
     outstanding = 0
 
-    def enqueue(index: int, sender: int, receiver: int, is_up: bool) -> None:
+    def enqueue(key: int, task: int) -> None:
         nonlocal outstanding
-        key = sender * n + receiver
         queue = edge_queues[key]
         if not queue:
             fresh.append(key)
-        queue.append((index, receiver, is_up))
+        queue.append(task)
         outstanding += 1
 
-    for index, parent in enumerate(parents):
-        pending = pending_children[index]
-        for node, par in parent.items():
-            if par is not None and pending[node] == 0:
-                enqueue(index, node, par, True)
+    for leaf in leaves:
+        enqueue(up_key[leaf], leaf)
 
     per_part_done = [0] * num_parts
     rounds = 0
@@ -236,22 +351,23 @@ def _schedule(shortcut: Shortcut, max_rounds: int) -> tuple[int, int, list[int]]
         active = still_active
         outstanding -= len(delivered)
         messages += len(delivered)
-        for index, receiver, is_up in delivered:
-            if is_up:
-                pending = pending_children[index]
+        for task in delivered:
+            if task >= 0:
+                receiver = parent[task]
                 pending[receiver] -= 1
                 if pending[receiver]:
                     continue
-                grand = parents[index][receiver]
-                if grand is not None:
-                    enqueue(index, receiver, grand, True)
+                if parent[receiver] >= 0:
+                    enqueue(up_key[receiver], receiver)
                     continue
                 # The root has heard from every child: start the broadcast.
             else:
-                awaiting_down[index] -= 1
-                if not awaiting_down[index]:
-                    per_part_done[index] = rounds
-            for node in children[index].get(receiver, ()):
-                enqueue(index, receiver, node, False)
+                receiver = ~task
+                part = slot_part[receiver]
+                awaiting_down[part] -= 1
+                if not awaiting_down[part]:
+                    per_part_done[part] = rounds
+            for child in children[child_start[receiver] : child_start[receiver + 1]]:
+                enqueue(down_key[child], ~child)
 
     return rounds, messages, per_part_done

@@ -10,9 +10,8 @@ per pass.
 A :class:`PartSet` performs that mapping **once**: the member indices of all
 parts live in one flat ``members`` array sliced by ``offsets`` (the same CSR
 idiom as :class:`~repro.core.graph.CoreGraph`), with derived structures --
-an owner array (vertex index -> part index), per-part CSR connectivity
-checks, and per-part member views sorted by Euler-tour ``tin`` -- computed
-on demand and cached.  :func:`part_set_of` memoises part sets per
+an owner array (vertex index -> part index) and per-part CSR connectivity
+checks -- computed on demand and cached.  :func:`part_set_of` memoises part sets per
 ``(GraphView, parts)`` pair (weakly in the view, by value in the parts), so
 a budget sweep, a quality measurement and a validation pass over the same
 part family all share one conversion.
@@ -43,8 +42,6 @@ class PartSet:
         "offsets",
         "members",
         "_owner",
-        "_tin_key",
-        "_tin_views",
         "_member_stamp",
         "_seen_stamp",
         "_epoch",
@@ -70,8 +67,6 @@ class PartSet:
         self.offsets = offsets
         self.members = members
         self._owner: list[int] | None = None
-        self._tin_key: object | None = None
-        self._tin_views: list[list[int]] | None = None
         # Epoch-stamped scratch arrays for the per-part connectivity BFS,
         # allocated on first use: part sets are cached per view for its whole
         # lifetime, and many families (e.g. the per-phase Boruvka fragments)
@@ -106,8 +101,6 @@ class PartSet:
         part_set.offsets = offsets
         part_set.members = members
         part_set._owner = None
-        part_set._tin_key = None
-        part_set._tin_views = None
         part_set._member_stamp = None
         part_set._seen_stamp = None
         part_set._epoch = 0
@@ -171,23 +164,6 @@ class PartSet:
                     owner[member] = part_index
             self._owner = owner
         return self._owner
-
-    def members_by_tin(self, euler) -> list[list[int]]:
-        """Return per-part member index lists sorted by Euler-tour ``tin``.
-
-        ``euler`` is an Euler-tour index of a spanning tree over the same
-        view (see :meth:`repro.structure.spanning.RootedTree.euler_index`);
-        only its ``tin`` array is read, so any object with a compatible
-        ``tin`` attribute works.  Cached per euler-index identity: a budget
-        sweep asking repeatedly gets the sorted views for free.
-        """
-        if self._tin_views is None or self._tin_key is not euler:
-            tin = euler.tin
-            self._tin_views = [
-                sorted(members, key=tin.__getitem__) for _, members in self.iter_members()
-            ]
-            self._tin_key = euler
-        return self._tin_views
 
     def connected(self, part_index: int) -> bool:
         """Return True iff the part induces a connected subgraph (CSR BFS).

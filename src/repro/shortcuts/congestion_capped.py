@@ -20,8 +20,8 @@ This module implements that oblivious constructor:
   algorithms in :mod:`repro.algorithms` use by default.
 
 Both run on the array-native :class:`~repro.shortcuts.engine.ConstructionEngine`
-(Euler-tour benefits, Steiner edge ids computed once per sweep, incremental
-per-budget quality).  The differential tests pin it edge-set-for-edge-set
+(Steiner pairs, benefits and owner ranks computed once per sweep, each
+budget priced by one component count).  The differential tests pin it edge-set-for-edge-set
 to the seed implementation in ``tests/oracles/shortcuts.py`` on every graph
 family.
 """
@@ -83,8 +83,7 @@ def oblivious_sweep(
 
     This is the engine core of :func:`oblivious_shortcut`, split out so the
     array-native Boruvka loop (:mod:`repro.algorithms.mst`) can drive it
-    with a per-phase :class:`~repro.core.PartSet` and a shared
-    :class:`~repro.shortcuts.engine.EngineScratch` without re-validating
+    with a per-phase :class:`~repro.core.PartSet` without re-validating
     parts it constructed itself.  The winner records both ``chosen_budget``
     and ``chosen_quality`` (the sweep already priced it; re-measuring would
     repeat the work).

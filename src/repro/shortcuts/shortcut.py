@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import networkx as nx
+import numpy as np
 
 from ..core import part_set_of, view_of
 from ..errors import InvalidShortcutError
@@ -71,6 +72,20 @@ class ShortcutQuality:
             "num_parts": self.num_parts,
             "total_shortcut_edges": self.total_shortcut_edges,
         }
+
+
+class IndexEdges(NamedTuple):
+    """A shortcut's edges in index space, grouped by part.
+
+    Part ``i`` owns the edges ``(u[k], v[k])`` for
+    ``offsets[i] <= k < offsets[i + 1]``; endpoints are
+    :class:`~repro.core.GraphView` indices.  The construction engine emits
+    tree edges as ``(child, parent)``.
+    """
+
+    offsets: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
 
 class _EpochUnionFind:
@@ -128,7 +143,7 @@ class Shortcut:
             May be ``None`` when ``part_set`` is given.
         edge_sets: for every part, the set of shortcut edges ``H_i`` in
             canonical form.  ``H_i`` may be empty.  May be ``None`` when
-            ``core_edge_lists`` is given.
+            ``index_edges`` is given.
         constructor: free-form name of the construction that produced the
             shortcut (recorded in experiment outputs).
         part_set: optional int-indexed :class:`~repro.core.PartSet` of the
@@ -136,11 +151,10 @@ class Shortcut:
             frozensets are derived lazily -- the array-native algorithm
             layer hands per-phase Boruvka fragments through here without
             ever materialising label sets on its hot path.
-        core_edge_lists: optional per-part lists of ``(u_index, v_index)``
-            shortcut edges over ``part_set.view``.  When given,
-            ``edge_sets`` may be ``None``; the canonical label edge sets are
-            derived lazily, and the CONGEST aggregation primitive consumes
-            the index pairs directly.
+        index_edges: optional :class:`IndexEdges` over ``part_set.view``.
+            When given, ``edge_sets`` may be ``None``; the canonical label
+            edge sets are derived lazily, and the CONGEST aggregation
+            primitive consumes the index arrays directly.
 
     Label access (``shortcut.parts`` / ``shortcut.edge_sets``) always works
     regardless of which representation the constructor supplied; the other
@@ -156,7 +170,7 @@ class Shortcut:
         edge_sets: Sequence[Iterable[Edge]] | None,
         constructor: str = "unknown",
         part_set=None,
-        core_edge_lists: Sequence[Sequence[tuple[int, int]]] | None = None,
+        index_edges: IndexEdges | None = None,
     ) -> None:
         self.graph = graph
         self.tree = tree
@@ -169,15 +183,15 @@ class Shortcut:
                 raise InvalidShortcutError("need either parts or a part_set")
             self._parts = [frozenset(part) for part in parts]
             num_parts = len(self._parts)
-        self._core_edges = list(core_edge_lists) if core_edge_lists is not None else None
+        self._index_edges = index_edges
         if edge_sets is not None:
             self._raw_edge_sets: list[Iterable[Edge]] | None = list(edge_sets)
             num_edge_sets = len(self._raw_edge_sets)
-        elif self._core_edges is not None:
+        elif index_edges is not None:
             self._raw_edge_sets = None
-            num_edge_sets = len(self._core_edges)
+            num_edge_sets = len(index_edges.offsets) - 1
         else:
-            raise InvalidShortcutError("need either edge_sets or core_edge_lists")
+            raise InvalidShortcutError("need either edge_sets or index_edges")
         if num_parts != num_edge_sets:
             raise InvalidShortcutError("need exactly one edge set per part")
         self._edge_sets: list[frozenset[Edge]] | None = None
@@ -211,14 +225,15 @@ class Shortcut:
             # Index order is repr order (GraphView construction), so index
             # pairs orient exactly like ``canonical_edge`` on their labels.
             node_of = self._part_set.view.nodes
+            offsets, u, v = self._index_edges
+            offsets = offsets.tolist()
+            pairs = [
+                (node_of[a], node_of[b])
+                for a, b in zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())
+            ]
             return [
-                frozenset(
-                    (node_of[a], node_of[b]) if a <= b else (node_of[b], node_of[a])
-                    for a, b in pairs
-                )
-                if pairs
-                else _EMPTY
-                for pairs in self._core_edges
+                frozenset(pairs[start:end]) if start < end else _EMPTY
+                for start, end in zip(offsets[:-1], offsets[1:])
             ]
         # Canonicalisation is hoisted out of the per-edge loop: endpoint reprs
         # are memoised across all parts (shortcut edge sets overlap heavily on
@@ -251,6 +266,28 @@ class Shortcut:
             return result
 
         return [canonicalise(edges) for edges in self._raw_edge_sets]
+
+    def index_edges(self) -> IndexEdges:
+        """Return (and cache) the shortcut edges as :class:`IndexEdges`.
+
+        Engine-built shortcuts carry theirs from construction; label-built
+        shortcuts convert their ``edge_sets`` on first use, once per
+        distinct edge-set object.
+        """
+        if self._index_edges is None:
+            index_of = self.part_set().view.index_of
+            converted: dict[int, list[tuple[int, int]]] = {}
+            pairs: list[tuple[int, int]] = []
+            counts = [0]
+            for edges in self.edge_sets:
+                indexed = converted.get(id(edges))
+                if indexed is None:
+                    indexed = converted[id(edges)] = [(index_of(a), index_of(b)) for a, b in edges]
+                pairs += indexed
+                counts.append(len(indexed))
+            ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            self._index_edges = IndexEdges(np.cumsum(counts), ends[:, 0], ends[:, 1])
+        return self._index_edges
 
     def part_set(self):
         """Return (and cache) the int-indexed :class:`~repro.core.PartSet`.

@@ -21,6 +21,7 @@ from collections import deque
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from ..core import GraphView
 from ..errors import InvalidGraphError
@@ -199,9 +200,9 @@ class RootedTree:
         ``parent`` / ``depth``, the DFS pre-order ``order``, and the
         ``tin`` / ``tout`` interval of every subtree, so that "is ``v`` in
         the subtree below ``u``" is two integer comparisons and a part's
-        benefit at every tree edge is one accumulation pass (see
-        :mod:`repro.shortcuts.engine`).  Cached per view identity -- a
-        budget sweep builds it once.
+        benefit at a tree edge is a count of its members' ``tin`` inside
+        the edge's interval (see :mod:`repro.shortcuts.engine`).  Cached
+        per view identity -- a budget sweep builds it once.
         """
         cached = self._euler
         if cached is None or cached.view is not view:
@@ -385,9 +386,15 @@ class EulerTourIndex:
     * ``tout[i]`` -- the largest ``tin`` in the subtree below ``i``
       (inclusive), so ``v`` lies in the subtree of ``u`` iff
       ``tin[u] <= tin[v] <= tout[u]``.
+
+    The vectorised queries (:meth:`arrays`, :meth:`ancestors_at`,
+    :meth:`lcas`) run on ``int64`` copies of these arrays and a
+    binary-lifting ancestor table, both built on first use and cached.
     """
 
-    __slots__ = ("view", "root", "parent", "depth", "order", "tin", "tout")
+    __slots__ = (
+        "view", "root", "parent", "depth", "order", "tin", "tout", "_arrays", "_lifting"
+    )
 
     def __init__(self, tree: RootedTree, view: GraphView) -> None:
         n = len(view)
@@ -430,22 +437,60 @@ class EulerTourIndex:
         self.order = order
         self.tin = tin
         self.tout = tout
+        self._arrays: tuple[np.ndarray, ...] | None = None
+        self._lifting: np.ndarray | None = None
 
-    def in_subtree(self, ancestor: int, node: int) -> bool:
-        """Return True iff ``node`` lies in the subtree below ``ancestor``."""
-        return self.tin[ancestor] <= self.tin[node] <= self.tout[ancestor]
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(parent, depth, tin, tout)`` as ``int64`` arrays."""
+        if self._arrays is None:
+            self._arrays = tuple(
+                np.asarray(values, dtype=np.int64)
+                for values in (self.parent, self.depth, self.tin, self.tout)
+            )
+        return self._arrays
 
-    def lca(self, u: int, v: int) -> int:
-        """Return the LCA of two indices (depth-walk, linear in the depth gap)."""
-        parent, depth = self.parent, self.depth
-        while depth[u] > depth[v]:
-            u = parent[u]
-        while depth[v] > depth[u]:
-            v = parent[v]
-        while u != v:
-            u = parent[u]
-            v = parent[v]
-        return u
+    def _lifting_table(self) -> np.ndarray:
+        """Row ``j`` holds every vertex's ``2**j``-th ancestor (the root's is itself)."""
+        if self._lifting is None:
+            parent, depth, _tin, _tout = self.arrays()
+            levels = max(1, int(depth.max(initial=0)).bit_length())
+            table = np.empty((levels, len(parent)), dtype=np.int64)
+            table[0] = np.where(parent >= 0, parent, np.arange(len(parent)))
+            for level in range(1, levels):
+                table[level] = table[level - 1][table[level - 1]]
+            self._lifting = table
+        return self._lifting
+
+    def ancestors_at(self, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Return the ``steps[i]``-th ancestor of every ``nodes[i]``.
+
+        ``steps`` must not exceed the node's depth.
+        """
+        table = self._lifting_table()
+        nodes = np.asarray(nodes, dtype=np.int64)
+        steps = np.asarray(steps, dtype=np.int64)
+        for level in range(len(table)):
+            jump = ((steps >> level) & 1).astype(bool)
+            if jump.any():
+                nodes = np.where(jump, table[level][nodes], nodes)
+        return nodes
+
+    def lcas(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Return the LCA of every pair ``(u[i], v[i])`` (binary lifting)."""
+        table = self._lifting_table()
+        depth = self.arrays()[1]
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        gap = depth[u] - depth[v]
+        deeper = gap > 0
+        u, v = np.where(deeper, u, v), np.where(deeper, v, u)
+        u = self.ancestors_at(u, np.abs(gap))
+        for level in range(len(table) - 1, -1, -1):
+            up_u, up_v = table[level][u], table[level][v]
+            differ = up_u != up_v
+            u = np.where(differ, up_u, u)
+            v = np.where(differ, up_v, v)
+        return np.where(u == v, u, table[0][u])
 
 
 def bfs_spanning_tree(graph: nx.Graph | GraphView, root: Hashable | None = None) -> RootedTree:

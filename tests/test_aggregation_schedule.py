@@ -1,6 +1,6 @@
 """Part-wise aggregation pinned to the seed scheduler, with its invariants.
 
-Two layers:
+Four layers:
 
 * **every family** -- on every registered family, every applicable
   constructor and seeds 0-2, :func:`repro.congest.aggregation.partwise_aggregate`
@@ -12,6 +12,13 @@ Two layers:
   messages, at most one round per message, and a last part finishing in
   the last round; the ``max_rounds`` budget cuts both schedulers off at
   the same round;
+* **drawn shortcuts** -- hypothesis draws a random connected graph, its
+  BFS tree, disjoint connected parts (some vertices left as relays) and a
+  random subset of tree edges per part; the scheduler must equal the seed
+  one on the label shortcut and on the engine's;
+* **malformed input** -- an empty part, or a member its part's augmented
+  subgraph cannot reach, raises :class:`SimulationError` naming the part
+  instead of returning a value the trees never gathered;
 * **non-int labels** -- the production code orders edges by index pair,
   the oracles by the repr string of the label pair.  The two can only
   disagree on non-int labels, which no registered family uses, so tuple-
@@ -24,6 +31,8 @@ from collections import Counter
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.mst import boruvka_mst
 from repro.congest.aggregation import partwise_aggregate
@@ -32,6 +41,7 @@ from repro.graphs.weights import WEIGHT
 from repro.scenarios import applicable_constructors, build_instance, constructor, family_names
 from repro.shortcuts.congestion_capped import oblivious_shortcut
 from repro.shortcuts.parts import tree_fragment_parts
+from repro.shortcuts.shortcut import Shortcut
 from repro.structure.spanning import bfs_spanning_tree
 
 from oracles import aggregation as oracle_aggregation
@@ -112,6 +122,80 @@ def test_round_budget_matches_oracle_on_every_constructor(family_name, seed):
                 aggregate(shortcut, values, max_rounds=rounds - 2)
             for budget in (rounds - 1, rounds):
                 assert aggregate(shortcut, values, max_rounds=budget).rounds == rounds
+
+
+@st.composite
+def drawn_shortcuts(draw):
+    """A random connected graph, its BFS tree, disjoint connected parts and
+    a random subset of the tree's edges for every part."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_value=1, max_value=24))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from((node, rng.randrange(node)) for node in range(1, n))
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            graph.add_edge(u, v)
+    tree = bfs_spanning_tree(graph, root=rng.randrange(n))
+    free = set(graph.nodes)
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if not free:
+            break
+        part = {rng.choice(sorted(free))}
+        frontier = set(graph[next(iter(part))]) & free
+        for _ in range(rng.randrange(6)):
+            frontier -= part
+            if not frontier:
+                break
+            node = rng.choice(sorted(frontier))
+            part.add(node)
+            frontier |= set(graph[node]) & free
+        free -= part
+        parts.append(frozenset(part))
+    tree_edges = sorted(tree.edge_set())
+    share = draw(st.floats(min_value=0.0, max_value=1.0))
+    edge_sets = [
+        frozenset(edge for edge in tree_edges if rng.random() < share) for _ in parts
+    ]
+    return Shortcut(graph, tree, parts, edge_sets, constructor="drawn")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn_shortcuts(), st.integers(min_value=0, max_value=100))
+def test_drawn_shortcuts_schedule_like_the_oracle(shortcut, seed):
+    values = _values(shortcut.graph, seed)
+    engine_built = oblivious_shortcut(shortcut.graph, shortcut.tree, shortcut.parts)
+    for candidate in (shortcut, engine_built):
+        _assert_same_as_oracle(candidate, values, min)
+        _assert_same_as_oracle(candidate, values, lambda a, b: a + b)
+
+
+def test_unreachable_member_raises_instead_of_a_silent_value():
+    """Part {0, 3} of a 4-path with no shortcut edges cannot gather vertex 3."""
+    graph = nx.path_graph(4)
+    tree = bfs_spanning_tree(graph)
+    shortcut = Shortcut(graph, tree, [frozenset({1}), frozenset({0, 3})], [(), ()])
+    with pytest.raises(SimulationError, match="part 1"):
+        partwise_aggregate(shortcut, {node: node for node in graph})
+    # A shortcut edge set that reconnects the part makes it aggregate again.
+    bridged = Shortcut(
+        graph, tree, [frozenset({1}), frozenset({0, 3})], [(), [(0, 1), (1, 2), (2, 3)]]
+    )
+    result = partwise_aggregate(bridged, {node: node for node in graph})
+    assert result.values == [1, 0]
+    assert result == oracle_aggregation.partwise_aggregate(
+        bridged, {node: node for node in graph}
+    )
+
+
+def test_empty_part_raises_a_simulation_error():
+    graph = nx.path_graph(4)
+    tree = bfs_spanning_tree(graph)
+    shortcut = Shortcut(graph, tree, [frozenset({0, 1}), frozenset()], [(), ()])
+    with pytest.raises(SimulationError, match="part 1 is empty"):
+        partwise_aggregate(shortcut, {node: node for node in graph})
 
 
 def _tuple_grid() -> nx.Graph:

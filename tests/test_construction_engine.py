@@ -1,6 +1,6 @@
 """Differential and property tests for the array-native construction engine.
 
-Three layers:
+Four layers:
 
 * **differential** -- the :class:`~repro.shortcuts.ConstructionEngine` fast
   path of ``oblivious_shortcut`` / ``congestion_capped_shortcut`` must
@@ -8,9 +8,14 @@ Three layers:
   *exactly*
   (edge sets, congestion, blocks, chosen budget) across every registered
   graph family and every part generator kind;
-* **property** -- the incremental budget sweep's per-budget quality must
-  equal a from-scratch ``congestion_capped_shortcut`` at each budget,
-  including unsorted, duplicated and negative budget schedules;
+* **property** -- the budget sweep's per-budget quality must equal a
+  from-scratch ``congestion_capped_shortcut`` at each budget, including
+  unsorted, duplicated and negative budget schedules;
+* **shapes** -- the array passes pinned to the seed ``_congestion_capped``
+  on the trees and families that stress them: a path (the deepest
+  binary-lifting table) and a star (depth 1), parts whose members are
+  ancestors of one another, a part holding the root, all-singleton
+  families, and budgets of 0, below 0 and above ``max_owner_count``;
 * **substrate** -- the Euler-tour index and the int-indexed
   :class:`~repro.core.PartSet` agree with the label-keyed
   :class:`RootedTree` / ``frozenset`` structures they replace.
@@ -31,7 +36,7 @@ from repro.shortcuts.congestion_capped import (
 )
 from repro.shortcuts.engine import ConstructionEngine
 from repro.shortcuts.parts import path_parts, singleton_parts, tree_fragment_parts
-from repro.structure.spanning import bfs_spanning_tree
+from repro.structure.spanning import RootedTree, bfs_spanning_tree
 
 from oracles import quality as oracle_quality
 from oracles import shortcuts as oracle_shortcuts
@@ -163,6 +168,130 @@ def test_chosen_budget_is_none_for_direct_constructions():
     assert oblivious_shortcut(graph, tree, []).chosen_budget is None
 
 
+# -------------------------------------------------------------------- shapes
+
+
+def _assert_engine_matches_seed(graph, tree, parts, budgets):
+    """Edge sets, congestion, blocks, priced quality and chosen budget."""
+    engine = ConstructionEngine(graph, tree, parts)
+    qualities = engine.quality_sweep(budgets)
+    for budget in budgets:
+        fast = engine.build_shortcut(budget)
+        seed = oracle_shortcuts._congestion_capped(graph, tree, parts, max(0, budget))
+        assert fast.edge_sets == seed.edge_sets, budget
+        assert fast.congestion() == oracle_quality.congestion(seed), budget
+        assert fast.block_parameter() == oracle_quality.block_parameter(seed), budget
+        assert qualities[max(0, budget)] == oracle_quality.quality(seed), budget
+    fast = oblivious_shortcut(graph, tree, parts, budgets=budgets)
+    seed = oracle_shortcuts.oblivious_shortcut(graph, tree, parts, budgets=budgets)
+    assert fast.edge_sets == seed.edge_sets
+    assert fast.chosen_budget == seed.chosen_budget
+    assert fast.chosen_quality == seed.chosen_quality
+
+
+def _snake_tree(rows: int, cols: int) -> RootedTree:
+    """The boustrophedon Hamiltonian path of a grid, rooted at one end."""
+    order = [
+        (row, col if row % 2 == 0 else cols - 1 - col)
+        for row in range(rows)
+        for col in range(cols)
+    ]
+    parent = {order[0]: None}
+    parent.update({node: previous for previous, node in zip(order, order[1:])})
+    return RootedTree(parent, order[0])
+
+
+def _budgets(num_parts: int) -> list[int]:
+    """Negative, zero, small and past-``max_owner_count`` budgets."""
+    return [-2, 0, 1, 2, 3, 5, num_parts, num_parts + 7]
+
+
+def test_engine_matches_seed_on_a_path_rooted_inside():
+    graph = nx.path_graph(40)
+    tree = bfs_spanning_tree(graph, root=13)
+    parts = [frozenset(range(start, start + 5)) for start in range(0, 40, 5)]
+    _assert_engine_matches_seed(graph, tree, parts, _budgets(len(parts)))
+
+
+def test_engine_matches_seed_on_a_grid_with_a_hamiltonian_path_tree():
+    """Depth n - 1, and grid-connected parts whose Steiner paths overlap."""
+    graph = nx.grid_2d_graph(6, 7)
+    tree = _snake_tree(6, 7)
+    parts = [frozenset((row, col) for row in range(6)) for col in range(7)]
+    engine = ConstructionEngine(graph, tree, parts)
+    assert engine.max_owner_count > 3
+    assert len(engine.euler._lifting_table()) == (6 * 7 - 1).bit_length()
+    _assert_engine_matches_seed(graph, tree, parts, _budgets(len(parts)))
+
+
+def test_engine_matches_seed_on_a_star_tree():
+    graph = wheel_graph(16)
+    tree = bfs_spanning_tree(graph, root=0)
+    assert tree.height == 1
+    rim = [frozenset({1, 2, 3}), frozenset({4}), frozenset({5, 6, 7, 8, 9})]
+    with_hub = [frozenset({0, 10, 11})] + rim
+    for parts in (rim, with_hub):
+        _assert_engine_matches_seed(graph, tree, parts, _budgets(len(parts)))
+
+
+def test_engine_matches_seed_on_ancestor_chains_and_the_root():
+    """Heavy paths are root-ward chains: every member is an ancestor of the
+    next, so each part's first segment has length zero; one part holds the
+    root."""
+    graph = grid_graph(7, 7)
+    tree = bfs_spanning_tree(graph)
+    parts = path_parts(graph, tree)
+    assert any(tree.root in part for part in parts)
+    _assert_engine_matches_seed(graph, tree, parts, _budgets(len(parts)))
+    fragments = tree_fragment_parts(graph, tree, num_parts=9, seed=4)
+    assert any(tree.root in part for part in fragments)
+    _assert_engine_matches_seed(graph, tree, fragments, _budgets(len(fragments)))
+
+
+def test_engine_matches_seed_on_all_singletons():
+    """Boruvka's first phase: no Steiner pair at all."""
+    graph = grid_graph(5, 6)
+    tree = bfs_spanning_tree(graph)
+    parts = singleton_parts(graph)
+    engine = ConstructionEngine(graph, tree, parts)
+    assert engine.max_owner_count == 0
+    assert len(engine.pair_edge) == 0
+    assert [len(edges) for edges in engine.steiner_edges] == [0] * len(parts)
+    _assert_engine_matches_seed(graph, tree, parts, [0])
+    _assert_engine_matches_seed(graph, tree, parts, _budgets(len(parts)))
+
+
+def test_engine_budget_zero_and_negative_keep_no_edge():
+    graph = grid_graph(6, 6)
+    tree = bfs_spanning_tree(graph)
+    parts = tree_fragment_parts(graph, tree, num_parts=6, seed=2)
+    engine = ConstructionEngine(graph, tree, parts)
+    for budget in (0, -1, -50):
+        assert all(not edges for edges in engine.build_shortcut(budget).edge_sets)
+    qualities = engine.quality_sweep([0, -4])
+    assert set(qualities) == {0}
+    _assert_engine_matches_seed(graph, tree, parts, [0])
+    _assert_engine_matches_seed(graph, tree, parts, [-3])
+
+
+def test_engine_steiner_pairs_count_matches_seed_steiner_trees():
+    graph = grid_graph(6, 6)
+    tree = bfs_spanning_tree(graph)
+    parts = tree_fragment_parts(graph, tree, num_parts=5, seed=8)
+    engine = ConstructionEngine(graph, tree, parts)
+    for part, edges in zip(parts, engine.steiner_edges):
+        assert len(edges) == len(tree.steiner_tree_edges(part))
+
+
+def test_engine_rejects_an_empty_part():
+    from repro.errors import InvalidPartitionError
+
+    graph = grid_graph(3, 3)
+    tree = bfs_spanning_tree(graph)
+    with pytest.raises(InvalidPartitionError, match="part 1 is empty"):
+        ConstructionEngine(graph, tree, [frozenset({0}), frozenset()])
+
+
 # ----------------------------------------------------------------- substrate
 
 
@@ -177,13 +306,25 @@ def test_euler_index_intervals_match_subtree_nodes():
         subtree = tree.subtree_nodes(node)
         ancestor = index_of(node)
         interval = {
-            node_of[v] for v in range(len(view)) if euler.in_subtree(ancestor, v)
+            node_of[v]
+            for v in range(len(view))
+            if euler.tin[ancestor] <= euler.tin[v] <= euler.tout[ancestor]
         }
         assert interval == subtree, node
-    for u in list(tree.nodes)[:6]:
-        for v in list(tree.nodes)[-6:]:
-            lca = euler.lca(index_of(u), index_of(v))
-            assert node_of[lca] == tree.lowest_common_ancestor(u, v)
+    pairs = [(u, v) for u in tree.nodes for v in tree.nodes]
+    lcas = euler.lcas([index_of(u) for u, _ in pairs], [index_of(v) for _, v in pairs])
+    for (u, v), lca in zip(pairs, lcas.tolist()):
+        assert node_of[lca] == tree.lowest_common_ancestor(u, v), (u, v)
+    depth = euler.arrays()[1]
+    nodes = list(range(len(view)))
+    for steps in range(int(depth.max()) + 1):
+        reachable = [node for node in nodes if depth[node] >= steps]
+        ancestors = euler.ancestors_at(reachable, [steps] * len(reachable))
+        for node, ancestor in zip(reachable, ancestors.tolist()):
+            walked = node_of[node]
+            for _ in range(steps):
+                walked = tree.parent[walked]
+            assert node_of[ancestor] == walked
 
 
 def test_part_set_arrays_and_memoisation():
@@ -202,12 +343,6 @@ def test_part_set_arrays_and_memoisation():
         assert {view.nodes[m] for m in members} == set(part)
         assert all(owner[m] == index for m in members)
         assert part_set.connected(index) == nx.is_connected(graph.subgraph(part))
-    euler = tree.euler_index(view)
-    by_tin = part_set.members_by_tin(euler)
-    for index, members in enumerate(by_tin):
-        tins = [euler.tin[m] for m in members]
-        assert tins == sorted(tins)
-        assert set(members) == set(part_set.members_of(index))
 
 
 def test_part_set_connectivity_detects_disconnection():
