@@ -189,6 +189,12 @@ def boruvka_mst(
     Returns:
         An :class:`MstResult`; ``result.weight`` always equals the reference
         MST weight (the tests assert this on every workload).
+
+    Raises:
+        ConvergenceError: a phase merged nothing, or ``max_phases`` phases
+            left more than one fragment.  Its ``partial`` is the
+            :class:`MstResult` so far: every phase run, the rounds charged
+            and the MST edges accepted.
     """
     builder = shortcut_builder if shortcut_builder is not None else oblivious_builder
     use_engine = bool(getattr(builder, "uses_engine", False))
@@ -235,6 +241,16 @@ def boruvka_mst(
     phase_qualities: list[int] = []
     sync_cost = max(1, tree.height)
     infinity = (float("inf"), -1)
+
+    def result_so_far() -> MstResult:
+        return MstResult(
+            edges=frozenset(mst_edges),
+            weight=sum(merge_weight[edge] for edge in mst_edges),
+            rounds=total_rounds,
+            phases=len(phase_rounds),
+            phase_rounds=phase_rounds,
+            phase_qualities=phase_qualities,
+        )
 
     for _phase in range(max_phases):
         if len(roots) <= 1:
@@ -303,7 +319,10 @@ def boruvka_mst(
             merge_weight[edge] = weight
             merged_any = True
         if not merged_any:
-            raise ConvergenceError("Boruvka phase made no progress; graph may be disconnected")
+            raise ConvergenceError(
+                "Boruvka phase made no progress; graph may be disconnected",
+                partial=result_so_far(),
+            )
         surviving: list[int] = []
         for root in roots:
             winner = find(root)
@@ -318,14 +337,7 @@ def boruvka_mst(
         roots = surviving
     else:
         if len(roots) > 1:
-            raise ConvergenceError("Boruvka did not converge within the phase budget")
-
-    weight = sum(merge_weight[edge] for edge in mst_edges)
-    return MstResult(
-        edges=frozenset(mst_edges),
-        weight=weight,
-        rounds=total_rounds,
-        phases=len(phase_rounds),
-        phase_rounds=phase_rounds,
-        phase_qualities=phase_qualities,
-    )
+            raise ConvergenceError(
+                "Boruvka did not converge within the phase budget", partial=result_so_far()
+            )
+    return result_so_far()

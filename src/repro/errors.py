@@ -71,4 +71,15 @@ class RoundLimitError(SimulationError):
 
 
 class ConvergenceError(ReproError):
-    """An iterative algorithm failed to converge within its round/step budget."""
+    """An iterative algorithm failed to converge within its round/step budget.
+
+    Like :class:`RoundLimitError`, it carries the state reached so far in
+    :attr:`partial`.  From :func:`repro.algorithms.mst.boruvka_mst` that is
+    an :class:`~repro.algorithms.mst.MstResult` of the phases run (the
+    stalled one included), the rounds charged so far and the MST edges
+    accepted so far, with their total weight.
+    """
+
+    def __init__(self, message: str, partial=None) -> None:
+        super().__init__(message)
+        self.partial = partial

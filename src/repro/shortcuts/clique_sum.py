@@ -17,10 +17,19 @@ tree depth (Lemma 1); folding the tree with the heavy-light scheme of
 :mod:`repro.structure.heavy_light` reduces the depth to ``O(log^2 n)``, which
 is the difference between Lemma 1 and Theorem 7 and is exposed here through
 the ``fold`` flag so experiment E3 can measure both arms.
+
+Corollary 1 calls the construction once per Boruvka phase with new parts
+but the same graph, tree and witness.  Everything part-independent --
+the folded tree, the group vertex and edge sets, and per bag ``B^0_h``,
+``T^2_h`` and the host graph -- is therefore a :class:`CliqueSumPlan`,
+built once and memoised on the tree; :func:`clique_sum_shortcut` is
+``clique_sum_plan(...).shortcut(parts)``.  The treewidth, genus+vortex and
+minor-free constructions run on the same plan.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Hashable, Sequence
 
 import networkx as nx
@@ -33,7 +42,6 @@ from ..structure.heavy_light import (
     identity_folding,
 )
 from ..structure.spanning import RootedTree, bfs_spanning_tree
-from ..utils import canonical_edge
 from .congestion_capped import oblivious_shortcut
 from .parts import validate_parts
 from .shortcut import Shortcut
@@ -118,6 +126,195 @@ def _parent_clique_vertices(
     return vertices
 
 
+class CliqueSumPlan:
+    """The part-independent half of Theorem 7 for one (graph, tree, witness, fold).
+
+    Built once by :func:`clique_sum_plan` and memoised on the tree; every
+    Boruvka phase then runs :meth:`shortcut` with its own parts.  The plan
+    holds the folded decomposition tree, its group parent/children/depth
+    maps, the group and descendant vertex sets, each child group's global
+    grant (the tree edges below it minus those inside its parent group),
+    and the discard vertices of every group.  Per bag it builds lazily, on
+    first use: the vertex set, ``B^0_h``, the repaired tree
+    ``T^2_h = contract_to(bag)`` and the host graph the local shortcutter
+    runs on.  The graphs are frozen (``nx.freeze``), so a shortcutter that
+    mutates one fails instead of corrupting later phases; the cached host
+    graphs and bag trees also let a shortcutter keep its own state on them
+    (a view, an Euler index, a nested plan) across phases.
+    """
+
+    def __init__(
+        self,
+        graph: nx.Graph,
+        tree: RootedTree,
+        decomposition: CliqueSumDecomposition,
+        fold: bool,
+    ) -> None:
+        self.graph = graph
+        # The tree owns the plan (in its memo).  A weak back-reference keeps
+        # the two out of a reference cycle, so the plan dies with the tree
+        # by reference counting instead of waiting for the cycle collector.
+        self._tree = weakref.ref(tree)
+        self.decomposition = decomposition
+        self.fold = fold
+        folded = fold_decomposition_tree(decomposition) if fold else identity_folding(decomposition)
+        self.folded = folded
+        parent, group_vertices, descendant_vertices = _descendant_vertex_sets(folded)
+        self.parent = parent
+        self.descendant_vertices = descendant_vertices
+        self.tree_edges = tree.edge_set()
+        self.groups_of: dict[Hashable, list[int]] = {}
+        for group, vertices in group_vertices.items():
+            for vertex in vertices:
+                self.groups_of.setdefault(vertex, []).append(group)
+        self.children: dict[int, list[int]] = {g: [] for g in folded.tree.nodes()}
+        for node, par in parent.items():
+            if par is not None:
+                self.children[par].append(node)
+        self.depth: dict[int, int] = {folded.root: 0}
+        order = [folded.root]
+        for node in order:
+            for child in self.children[node]:
+                self.depth[child] = self.depth[node] + 1
+                order.append(child)
+        edges_in_group = {
+            g: _tree_edges_within(self.tree_edges, vs) for g, vs in group_vertices.items()
+        }
+        # Global shortcut of a part homed at h, per child of h it reaches.
+        self.global_edges = {
+            child: _tree_edges_within(self.tree_edges, descendant_vertices[child])
+            - edges_in_group[par]
+            for child, par in parent.items()
+            if par is not None
+        }
+        self.discard_vertices = {
+            group: _parent_clique_vertices(decomposition, folded, parent, group)
+            for group in folded.tree.nodes()
+        }
+        self._bag_graphs: dict[int, tuple[set, nx.Graph]] = {}
+        self._bag_hosts: dict[int, tuple[RootedTree, nx.Graph]] = {}
+
+    @property
+    def tree(self) -> RootedTree:
+        """The spanning tree that owns this plan (``None`` once it is gone)."""
+        return self._tree()
+
+    def _group_lca(self, groups: set[int]) -> int:
+        current = set(groups)
+        if not current:
+            return self.folded.root
+        while len(current) > 1:
+            deepest = max(current, key=self.depth.__getitem__)
+            current.discard(deepest)
+            par = self.parent[deepest]
+            if par is not None:
+                current.add(par)
+            else:
+                return self.folded.root
+        return next(iter(current))
+
+    def bag_graph(self, bag_index: int) -> tuple[set, nx.Graph]:
+        """Return the bag's vertex set and its completed graph ``B^0_h`` (frozen)."""
+        cached = self._bag_graphs.get(bag_index)
+        if cached is None:
+            completed = nx.freeze(self.decomposition.completed_bag_graph(bag_index))
+            vertices = set(self.decomposition.bags[bag_index].nodes)
+            cached = self._bag_graphs[bag_index] = (vertices, completed)
+        return cached
+
+    def bag_host(self, bag_index: int) -> tuple[RootedTree, nx.Graph]:
+        """Return the repaired tree ``T^2_h`` and the local shortcutter's host graph.
+
+        The host holds the completed bag edges and the repaired tree's
+        (possibly virtual) edges; virtual edges are pruned after the local
+        construction anyway.
+        """
+        cached = self._bag_hosts.get(bag_index)
+        if cached is None:
+            vertices, completed = self.bag_graph(bag_index)
+            bag_tree = self.tree.contract_to(vertices)
+            host = completed.copy()
+            host.add_edges_from(bag_tree.edges())
+            cached = self._bag_hosts[bag_index] = (bag_tree, nx.freeze(host))
+        return cached
+
+    def shortcut(
+        self, parts: Sequence[frozenset], local_shortcutter: LocalShortcutter | None = None
+    ) -> Shortcut:
+        """Serve ``parts``: home groups, global grants, local shortcuts, pruning.
+
+        Returns an unvalidated T-restricted :class:`Shortcut`; call
+        :meth:`Shortcut.validate` to check it.
+        """
+        validate_parts(self.graph, parts)
+        shortcutter = local_shortcutter if local_shortcutter is not None else default_local_shortcutter
+        tree_edges = self.tree_edges
+
+        edge_sets: list[set[Edge]] = [set() for _ in parts]
+        parts_by_group: dict[int, list[int]] = {}
+        groups_of = self.groups_of
+        for part_index, part in enumerate(parts):
+            touched = {g for vertex in part for g in groups_of.get(vertex, ())}
+            h = self._group_lca(touched)
+            parts_by_group.setdefault(h, []).append(part_index)
+            # Global shortcut: descendants of h's children that the part reaches.
+            for child in self.children[h]:
+                if not self.descendant_vertices[child].isdisjoint(part):
+                    edge_sets[part_index] |= self.global_edges[child]
+
+        # Local shortcuts, one pass per group over the parts homed there.
+        for group, part_indices in parts_by_group.items():
+            discard_vertices = self.discard_vertices[group]
+            for bag_index in self.folded.member_bags(group):
+                bag_vertices, completed = self.bag_graph(bag_index)
+                # Sub-parts: connected components (in the completed bag graph) of
+                # each homed part restricted to the bag.
+                subparts: list[frozenset] = []
+                owner_of_subpart: list[int] = []
+                for part_index in part_indices:
+                    restricted = set(parts[part_index]) & bag_vertices
+                    if not restricted:
+                        continue
+                    for component in nx.connected_components(completed.subgraph(restricted)):
+                        subparts.append(frozenset(component))
+                        owner_of_subpart.append(part_index)
+                if not subparts:
+                    continue
+                bag_tree, host = self.bag_host(bag_index)
+                bag = self.decomposition.bags[bag_index]
+                local = shortcutter(host, bag_tree, subparts, bag)
+                for sub_index, owner in enumerate(owner_of_subpart):
+                    kept = {
+                        edge
+                        for edge in local.edge_sets[sub_index]
+                        if edge in tree_edges
+                        and not (edge[0] in discard_vertices and edge[1] in discard_vertices)
+                    }
+                    edge_sets[owner] |= kept
+
+        return Shortcut(
+            graph=self.graph,
+            tree=self.tree,
+            parts=parts,
+            edge_sets=[frozenset(edges) for edges in edge_sets],
+            constructor=f"clique_sum(fold={self.fold})",
+        )
+
+
+def clique_sum_plan(
+    graph: nx.Graph,
+    tree: RootedTree,
+    decomposition: CliqueSumDecomposition,
+    fold: bool = True,
+) -> CliqueSumPlan:
+    """Return the :class:`CliqueSumPlan` of ``decomposition``, memoised on ``tree``."""
+    return tree.memo(
+        ("clique_sum", fold),
+        (graph, decomposition),
+        lambda: CliqueSumPlan(graph, tree, decomposition, fold),
+    )
+
+
 def clique_sum_shortcut(
     graph: nx.Graph,
     tree: RootedTree | None = None,
@@ -143,114 +340,15 @@ def clique_sum_shortcut(
             ablation experiment E3 runs both.
 
     Returns:
-        A validated T-restricted :class:`Shortcut`.
+        A T-restricted :class:`Shortcut`.  It is not validated; call
+        :meth:`Shortcut.validate` to check it.
+
+    The part-independent work is the tree's memoised
+    :func:`clique_sum_plan`; this call runs only its per-parts step.
     """
     if decomposition is None:
         raise InvalidShortcutError(
             "clique_sum_shortcut needs the CliqueSumDecomposition witness"
         )
     tree = tree if tree is not None else bfs_spanning_tree(graph)
-    validate_parts(graph, parts)
-    shortcutter = local_shortcutter if local_shortcutter is not None else default_local_shortcutter
-
-    folded = fold_decomposition_tree(decomposition) if fold else identity_folding(decomposition)
-    parent, group_vertices, descendant_vertices = _descendant_vertex_sets(folded)
-    tree_edges = set(tree.edge_set())
-
-    # Precompute per-group tree edge sets.
-    edges_in_group = {g: _tree_edges_within(tree_edges, vs) for g, vs in group_vertices.items()}
-    edges_in_descendants = {
-        g: _tree_edges_within(tree_edges, vs) for g, vs in descendant_vertices.items()
-    }
-    children: dict[int, list[int]] = {g: [] for g in folded.tree.nodes()}
-    for node, par in parent.items():
-        if par is not None:
-            children[par].append(node)
-
-    # Group assignments of parts: which groups a part touches, and its LCA group.
-    depth: dict[int, int] = {folded.root: 0}
-    order = [folded.root]
-    index = 0
-    while index < len(order):
-        node = order[index]
-        index += 1
-        for child in children[node]:
-            depth[child] = depth[node] + 1
-            order.append(child)
-
-    def group_lca(groups: set[int]) -> int:
-        current = set(groups)
-        if not current:
-            return folded.root
-        while len(current) > 1:
-            deepest = max(current, key=lambda g: depth[g])
-            current.discard(deepest)
-            par = parent[deepest]
-            if par is not None:
-                current.add(par)
-            else:
-                return folded.root
-        return next(iter(current))
-
-    edge_sets: list[set[Edge]] = [set() for _ in parts]
-    home_group: list[int] = []
-    for part_index, part in enumerate(parts):
-        part_set = set(part)
-        touched = {g for g, vs in group_vertices.items() if vs & part_set}
-        h = group_lca(touched)
-        home_group.append(h)
-        # Global shortcut: descendants of h's children that the part reaches.
-        for child in children[h]:
-            if descendant_vertices[child] & part_set:
-                edge_sets[part_index] |= edges_in_descendants[child] - edges_in_group[h]
-
-    # Local shortcuts, one pass per group over the parts homed there.
-    parts_by_group: dict[int, list[int]] = {}
-    for part_index, h in enumerate(home_group):
-        parts_by_group.setdefault(h, []).append(part_index)
-
-    for group, part_indices in parts_by_group.items():
-        discard_vertices = _parent_clique_vertices(decomposition, folded, parent, group)
-        for bag_index in folded.member_bags(group):
-            bag = decomposition.bags[bag_index]
-            bag_vertices = set(bag.nodes)
-            # Sub-parts: connected components (in the completed bag graph) of
-            # each homed part restricted to the bag.
-            completed = decomposition.completed_bag_graph(bag_index)
-            subparts: list[frozenset] = []
-            owner_of_subpart: list[int] = []
-            for part_index in part_indices:
-                restricted = set(parts[part_index]) & bag_vertices
-                if not restricted:
-                    continue
-                for component in nx.connected_components(completed.subgraph(restricted)):
-                    subparts.append(frozenset(component))
-                    owner_of_subpart.append(part_index)
-            if not subparts:
-                continue
-            # Repaired tree T^2_h: the minor of T contracted onto the bag.
-            bag_tree = tree.contract_to(bag_vertices)
-            # The local shortcutter needs a host graph containing both the
-            # completed bag edges and the repaired tree's (possibly virtual)
-            # edges; virtual edges are discarded after construction anyway.
-            local_graph = completed.copy()
-            for u, v in bag_tree.edges():
-                local_graph.add_edge(u, v)
-            local = shortcutter(local_graph, bag_tree, subparts, bag)
-            for sub_index, owner in enumerate(owner_of_subpart):
-                kept = {
-                    edge
-                    for edge in local.edge_sets[sub_index]
-                    if edge in tree_edges
-                    and not (edge[0] in discard_vertices and edge[1] in discard_vertices)
-                }
-                edge_sets[owner] |= kept
-
-    shortcut = Shortcut(
-        graph=graph,
-        tree=tree,
-        parts=parts,
-        edge_sets=[frozenset(edges) for edges in edge_sets],
-        constructor=f"clique_sum(fold={fold})",
-    )
-    return shortcut
+    return clique_sum_plan(graph, tree, decomposition, fold).shortcut(parts, local_shortcutter)

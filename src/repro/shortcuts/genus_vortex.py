@@ -6,21 +6,46 @@ treewidth ``O((g + 1) k l D)`` (Lemma 3) and then invoking the
 treewidth-based shortcut construction (Theorem 5).  The constructor here
 replays that chain: build the Lemma 2/3 tree decomposition (star-replace the
 vortices, decompose, re-insert the vortex nodes) and hand it to
-:func:`repro.shortcuts.treewidth.treewidth_shortcut`.
+:func:`repro.shortcuts.treewidth.treewidth_shortcut`.  The decomposition is
+built once per spanning tree and witness (:func:`genus_vortex_plan`), not
+once per Boruvka phase.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
-
 from ..errors import InvalidGraphError
 from ..graphs.apex_vortex import AlmostEmbeddableGraph
 from ..structure.spanning import RootedTree, bfs_spanning_tree
-from ..structure.tree_decomposition import genus_vortex_decomposition, greedy_tree_decomposition
+from ..structure.tree_decomposition import (
+    TreeDecomposition,
+    genus_vortex_decomposition,
+    greedy_tree_decomposition,
+)
+from .clique_sum import CliqueSumPlan
 from .shortcut import Shortcut
-from .treewidth import treewidth_shortcut
+from .treewidth import treewidth_plan, treewidth_shortcut
+
+
+def genus_vortex_plan(
+    almost_embeddable: AlmostEmbeddableGraph, tree: RootedTree, fold: bool = True
+) -> CliqueSumPlan:
+    """Return the Theorem 7 plan over the Lemma 2/3 decomposition, memoised on ``tree``.
+
+    The decomposition (greedy when the witness has no vortices) is built
+    once per (tree, witness); :func:`treewidth_plan` adds its clique-sum
+    view and plan.
+    """
+    graph = almost_embeddable.graph
+
+    def build_decomposition() -> TreeDecomposition:
+        if almost_embeddable.vortices:
+            return genus_vortex_decomposition(almost_embeddable)
+        return greedy_tree_decomposition(graph)
+
+    decomposition = tree.memo("genus_vortex", (almost_embeddable,), build_decomposition)
+    return treewidth_plan(graph, tree, decomposition, fold=fold)
 
 
 def genus_vortex_shortcut(
@@ -47,13 +72,8 @@ def genus_vortex_shortcut(
         )
     graph = almost_embeddable.graph
     tree = tree if tree is not None else bfs_spanning_tree(graph)
-    if almost_embeddable.vortices:
-        decomposition = genus_vortex_decomposition(almost_embeddable)
-    else:
-        decomposition = greedy_tree_decomposition(graph)
-    shortcut = treewidth_shortcut(
-        graph, tree, parts, decomposition=decomposition, fold=fold
-    )
+    view = genus_vortex_plan(almost_embeddable, tree, fold).decomposition
+    shortcut = treewidth_shortcut(graph, tree, parts, clique_sum_view=view, fold=fold)
     shortcut.constructor = "genus_vortex(theorem9)"
     return shortcut
 

@@ -15,6 +15,10 @@ replays exactly that composition on the construction witness recorded by
 * the per-bag shortcuts are stitched together by the clique-sum construction
   with heavy-light folding.
 
+The clique-sum plan is memoised on the spanning tree, and so are the apex
+plans of the almost-embeddable bags, on the plan's cached bag trees: a
+Boruvka phase pays only for its parts.
+
 The expected measured shape, which experiment E5 reports, is block
 ``O(d_T)`` and congestion ``O(d_T log n + log^2 n)``, i.e. quality
 ``~ d_T^2`` up to logarithmic factors.
@@ -32,7 +36,7 @@ from ..graphs.clique_sum import Bag
 from ..graphs.minor_free import MinorFreeGraph
 from ..structure.spanning import RootedTree, bfs_spanning_tree
 from .apex import apex_shortcut
-from .clique_sum import clique_sum_shortcut
+from .clique_sum import clique_sum_plan
 from .congestion_capped import oblivious_shortcut
 from .shortcut import Shortcut
 
@@ -82,14 +86,8 @@ def minor_free_shortcut(
     """
     graph = minor_free.graph
     tree = tree if tree is not None else bfs_spanning_tree(graph)
-    shortcut = clique_sum_shortcut(
-        graph,
-        tree,
-        parts,
-        decomposition=minor_free.decomposition,
-        local_shortcutter=_bag_shortcutter,
-        fold=fold,
-    )
+    plan = clique_sum_plan(graph, tree, minor_free.decomposition, fold)
+    shortcut = plan.shortcut(parts, _bag_shortcutter)
     shortcut.constructor = "minor_free(theorem6)"
     return shortcut
 

@@ -44,15 +44,18 @@ def planar_shortcut(
     The searched congestion budgets are geared to the Theorem 4 shape: the
     construction first tries ``Theta(log d)`` and ``Theta(d log d)`` and the
     powers of two in between, then keeps the best measured quality.
+
+    The planarity check is the construction's only part-independent work;
+    it runs once per (tree, graph) and is memoised on the tree.
     """
-    if require_planar:
-        planar, _ = nx.check_planarity(graph)
-        if not planar:
-            raise InvalidGraphError(
-                "planar_shortcut called on a non-planar graph; use apex_shortcut or "
-                "minor_free_shortcut for perturbed/augmented planar networks"
-            )
     tree = tree if tree is not None else bfs_spanning_tree(graph)
+    if require_planar and not tree.memo(
+        "planar", (graph,), lambda: nx.check_planarity(graph)[0]
+    ):
+        raise InvalidGraphError(
+            "planar_shortcut called on a non-planar graph; use apex_shortcut or "
+            "minor_free_shortcut for perturbed/augmented planar networks"
+        )
     d = max(1, tree.diameter())
     log_d = max(1, math.ceil(math.log2(d + 1)))
     budgets = sorted(

@@ -7,6 +7,8 @@ provides the :class:`RootedTree` wrapper that every shortcut constructor
 works with: parent/child/depth maps, ancestor queries, tree paths, Steiner
 subtrees of a terminal set, and the "contract-to-a-vertex-subset" minor used
 by the clique-sum local shortcuts (the repaired tree ``T^2_h`` of Theorem 7).
+A tree also carries the memo (:meth:`RootedTree.memo`) in which the shortcut
+constructions keep their part-independent plans for the tree's lifetime.
 
 The traversal entry points (:func:`bfs_spanning_tree`,
 :func:`graph_diameter`) accept either an ``nx.Graph`` or a
@@ -18,7 +20,7 @@ tie-breaking on the ``networkx`` path) several times faster.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import networkx as nx
 import numpy as np
@@ -28,6 +30,7 @@ from ..errors import InvalidGraphError
 from ..utils import canonical_edge, require_connected
 
 Edge = tuple[Hashable, Hashable]
+T = TypeVar("T")
 
 
 class RootedTree:
@@ -56,6 +59,9 @@ class RootedTree:
         # construction; the Boruvka fast path re-reads both every phase.
         self._edge_set: frozenset[Edge] | None = None
         self._diameter: int | None = None
+        # Structures derived from the tree and another input (the
+        # constructions' plans); see memo().
+        self._memo: dict[tuple, tuple[tuple, object]] = {}
 
     def _compute_depths(self) -> None:
         self.depth[self.root] = 0
@@ -270,58 +276,77 @@ class RootedTree:
         into one arbitrary neighbouring kept vertex, which is exactly the
         construction of Theorem 7's local-shortcut step: the result is a tree
         on ``keep`` whose hop-diameter is at most the diameter of ``T``.
+
+        The quotient is built over the parent/children maps: kept tree edges
+        stay, and each discarded component joins its kept border vertices to
+        the repr-smallest of them.  The result is the BFS tree of that
+        quotient from the repr-smallest kept vertex, over repr-sorted
+        neighbours, exactly as :func:`bfs_spanning_tree` roots it.
         """
         keep_set = set(keep)
         if not keep_set:
             raise InvalidGraphError("cannot contract a tree onto an empty vertex set")
-        missing = keep_set - self.nodes
+        parent, children = self.parent, self.children
+        missing = {node for node in keep_set if node not in parent}
         if missing:
             raise InvalidGraphError(f"vertices {sorted(missing, key=repr)[:5]} are not tree nodes")
-        tree_graph = self.as_graph()
-        outside = self.nodes - keep_set
-        # Map each outside component to a representative kept neighbour.
-        component_of: dict[Hashable, int] = {}
-        components: list[set[Hashable]] = []
-        for node in outside:
-            if node in component_of:
+        adjacency: dict[Hashable, set[Hashable]] = {node: set() for node in keep_set}
+        for node in keep_set:
+            par = parent[node]
+            if par is not None and par in keep_set:
+                adjacency[node].add(par)
+                adjacency[par].add(node)
+        seen: set[Hashable] = set()
+        for start in parent:
+            if start in keep_set or start in seen:
                 continue
-            component: set[Hashable] = set()
-            stack = [node]
+            seen.add(start)
+            border: set[Hashable] = set()
+            stack = [start]
             while stack:
-                current = stack.pop()
-                if current in component or current not in outside:
-                    continue
-                component.add(current)
-                component_of[current] = len(components)
-                stack.extend(n for n in tree_graph.neighbors(current) if n in outside)
-            components.append(component)
-
-        quotient = nx.Graph()
-        quotient.add_nodes_from(keep_set)
-        component_anchor: dict[int, Hashable] = {}
-        component_border: dict[int, set[Hashable]] = {i: set() for i in range(len(components))}
-        for u, v in tree_graph.edges():
-            u_in, v_in = u in keep_set, v in keep_set
-            if u_in and v_in:
-                quotient.add_edge(u, v)
-            elif u_in and not v_in:
-                component_border[component_of[v]].add(u)
-            elif v_in and not u_in:
-                component_border[component_of[u]].add(v)
-        for index, border in component_border.items():
-            if not border:
-                continue
-            anchor = min(border, key=repr)
-            component_anchor[index] = anchor
-            for other in border:
-                if other != anchor:
-                    quotient.add_edge(anchor, other)
-        if not nx.is_connected(quotient):
-            # This can only happen if T itself was not spanning/connected on
-            # the kept vertices' closure, which validate() rules out.
-            raise InvalidGraphError("contraction produced a disconnected quotient tree")
+                node = stack.pop()
+                par = parent[node]
+                neighbours = children[node] if par is None else (par, *children[node])
+                for neighbour in neighbours:
+                    if neighbour in keep_set:
+                        border.add(neighbour)
+                    elif neighbour not in seen:
+                        seen.add(neighbour)
+                        stack.append(neighbour)
+            if border:
+                anchor = min(border, key=repr)
+                for other in border - {anchor}:
+                    adjacency[anchor].add(other)
+                    adjacency[other].add(anchor)
         root = min(keep_set, key=repr)
-        return bfs_spanning_tree(quotient, root=root)
+        quotient_parent: dict[Hashable, Hashable | None] = {root: None}
+        queue: deque[Hashable] = deque([root])
+        while queue:
+            node = queue.popleft()
+            for neighbour in sorted(adjacency[node], key=repr):
+                if neighbour not in quotient_parent:
+                    quotient_parent[neighbour] = node
+                    queue.append(neighbour)
+        if len(quotient_parent) != len(keep_set):
+            # Unreachable for a valid tree: its quotient is connected.
+            raise InvalidGraphError("contraction produced a disconnected quotient tree")
+        return RootedTree(quotient_parent, root)
+
+    def memo(self, key: Hashable, sources: tuple, build: Callable[[], T]) -> T:
+        """Return the structure ``build()`` derives from this tree and ``sources``.
+
+        Built on the first call and memoised for the tree's lifetime under
+        ``key`` and the ids of ``sources``; a later call is served only if
+        the entry holds the very same source objects (``is``).  The
+        shortcut constructions keep their part-independent *plans* here:
+        Corollary 1 calls a construction once per Boruvka phase with new
+        parts but the same tree and witness.
+        """
+        slot = (key, *map(id, sources))
+        entry = self._memo.get(slot)
+        if entry is None or any(held is not given for held, given in zip(entry[0], sources)):
+            entry = self._memo[slot] = (sources, build())
+        return entry[1]
 
     def validate(self, graph: nx.Graph | GraphView | None = None) -> None:
         """Check that this is a spanning tree of ``graph`` (if provided).

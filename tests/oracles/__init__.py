@@ -7,7 +7,8 @@ one layer of :mod:`repro`, kept as it was before the CSR rewrites:
 * :mod:`oracles.quality` -- congestion, block parameter and quality;
 * :mod:`oracles.shortcuts` -- part validation and the congestion-capped /
   oblivious constructions;
-* :mod:`oracles.structure` -- the cell and gate validators;
+* :mod:`oracles.structure` -- the cell and gate validators and the
+  tree contraction `RootedTree.contract_to`;
 * :mod:`oracles.mst` and :mod:`oracles.mincut` -- Boruvka MST and the
   tree-packing min-cut;
 * :mod:`oracles.simulator` -- the full-scan :class:`ReferenceSimulator`.

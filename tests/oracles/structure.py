@@ -1,8 +1,10 @@
-"""The seed cell and gate validators (label-keyed ``nx`` checks).
+"""The seed cell and gate validators and tree contraction (label-keyed ``nx``).
 
 The oracle for :meth:`repro.structure.cells.CellPartition.validate` and
 :func:`repro.structure.gates.validate_gates`: both must accept and reject
-exactly the same inputs, with the same first violation.
+exactly the same inputs, with the same first violation.  :func:`contract_to`
+is the seed :meth:`repro.structure.spanning.RootedTree.contract_to`, which
+built the tree and its quotient as ``nx.Graph`` objects.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.errors import InvalidPartitionError
+from repro.errors import InvalidGraphError, InvalidPartitionError
 from repro.structure.cells import CellPartition
 from repro.structure.gates import GateCollection
+from repro.structure.spanning import RootedTree, bfs_spanning_tree
 
 
 def validate_cells(
@@ -87,3 +90,54 @@ def validate_gates(graph: nx.Graph, collection: GateCollection) -> float:
             owner[vertex] = index
 
     return collection.measured_s()
+
+
+def contract_to(tree: RootedTree, keep) -> RootedTree:
+    """The seed contraction minor of ``tree`` on ``keep`` (Theorem 7's ``T^2``)."""
+    keep_set = set(keep)
+    if not keep_set:
+        raise InvalidGraphError("cannot contract a tree onto an empty vertex set")
+    missing = keep_set - tree.nodes
+    if missing:
+        raise InvalidGraphError(f"vertices {sorted(missing, key=repr)[:5]} are not tree nodes")
+    tree_graph = tree.as_graph()
+    outside = tree.nodes - keep_set
+    # Map each outside component to a representative kept neighbour.
+    component_of: dict[Hashable, int] = {}
+    components: list[set[Hashable]] = []
+    for node in outside:
+        if node in component_of:
+            continue
+        component: set[Hashable] = set()
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            if current in component or current not in outside:
+                continue
+            component.add(current)
+            component_of[current] = len(components)
+            stack.extend(n for n in tree_graph.neighbors(current) if n in outside)
+        components.append(component)
+
+    quotient = nx.Graph()
+    quotient.add_nodes_from(keep_set)
+    component_border: dict[int, set[Hashable]] = {i: set() for i in range(len(components))}
+    for u, v in tree_graph.edges():
+        u_in, v_in = u in keep_set, v in keep_set
+        if u_in and v_in:
+            quotient.add_edge(u, v)
+        elif u_in and not v_in:
+            component_border[component_of[v]].add(u)
+        elif v_in and not u_in:
+            component_border[component_of[u]].add(v)
+    for border in component_border.values():
+        if not border:
+            continue
+        anchor = min(border, key=repr)
+        for other in border:
+            if other != anchor:
+                quotient.add_edge(anchor, other)
+    if not nx.is_connected(quotient):
+        raise InvalidGraphError("contraction produced a disconnected quotient tree")
+    root = min(keep_set, key=repr)
+    return bfs_spanning_tree(quotient, root=root)

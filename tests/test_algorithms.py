@@ -11,6 +11,7 @@ from repro.algorithms.mst_baselines import (
     paper_reference_rounds,
     whole_tree_builder,
 )
+from repro.errors import ConvergenceError
 from repro.graphs.minor_free import planar_plus_apex
 from repro.graphs.planar import cycle_graph, grid_graph, random_delaunay_triangulation, wheel_graph
 from repro.graphs.weights import assign_adversarial_weights, assign_random_weights, assign_unit_weights
@@ -51,6 +52,23 @@ def test_boruvka_phase_count_is_logarithmic(weighted_grid):
     assert result.phases <= 2 + weighted_grid.number_of_nodes().bit_length()
     assert len(result.phase_rounds) == result.phases
     assert sum(result.phase_rounds) == result.rounds
+
+
+def test_phase_budget_error_carries_the_partial_result():
+    graph = grid_graph(6, 6)
+    assign_random_weights(graph, seed=3, integer=True)
+    full = boruvka_mst(graph)
+    assert full.phases > 1
+    with pytest.raises(ConvergenceError) as caught:
+        boruvka_mst(graph, max_phases=1)
+    partial = caught.value.partial
+    assert partial.phases == 1
+    assert partial.phase_rounds == full.phase_rounds[:1]
+    assert partial.rounds == full.phase_rounds[0]
+    assert partial.phase_qualities == full.phase_qualities[:1]
+    # One phase merges every fragment at least once: >= n/2 MST edges.
+    assert len(partial.edges) >= 18 and partial.edges < full.edges
+    assert partial.weight == sum(graph.edges[edge]["weight"] for edge in partial.edges)
 
 
 def test_boruvka_on_unit_weights_returns_spanning_tree():

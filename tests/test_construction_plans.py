@@ -1,0 +1,190 @@
+"""Construction plans: one per spanning tree, reused by every Boruvka phase.
+
+The six paper constructions (Theorems 4-9) split into a part-independent
+plan, memoised on the :class:`~repro.structure.spanning.RootedTree`, and a
+per-parts step.  A reused plan must serve any later parts exactly as a
+freshly built one does: every phase of a Boruvka run is replayed on the
+run's (warm) tree and on a copy of it whose memo is cold, and all three
+edge-set lists must agree.  The scope tests pin the memo's lifetime and
+keys, and the frozen host graphs.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import weakref
+from unittest import mock
+
+import networkx as nx
+import pytest
+
+from repro.algorithms.mst import boruvka_mst
+from repro.errors import InvalidGraphError
+from repro.scenarios import registry
+from repro.scenarios.engine import build_instance
+from repro.shortcuts.apex import apex_plan
+from repro.shortcuts.clique_sum import clique_sum_plan, clique_sum_shortcut
+from repro.shortcuts.genus_vortex import genus_vortex_plan
+from repro.shortcuts.planar import planar_shortcut
+from repro.shortcuts.treewidth import treewidth_plan
+from repro.structure.spanning import RootedTree, bfs_spanning_tree
+
+# (family, constructor): the cells of the family-mst benchmark workload.
+CELLS = [
+    ("planar", "planar"),
+    ("treewidth", "treewidth"),
+    ("clique_sum", "clique_sum"),
+    ("apex", "apex"),
+    ("genus", "genus_vortex"),
+    ("minor_free", "minor_free"),
+]
+
+
+def _instance(family_name: str, size: str, seed: int = 0):
+    spec = registry.family(family_name)
+    params = spec.tiny_params if size == "tiny" else spec.default_params
+    return build_instance(family_name, params, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("size", ["tiny", "default"])
+@pytest.mark.parametrize("family_name, constructor_name", CELLS)
+def test_reused_plan_gives_the_cold_plans_shortcut(family_name, constructor_name, size, seed):
+    instance = _instance(family_name, size, seed)
+    graph = instance.weighted_graph(seed)
+    builder = registry.constructor(constructor_name).builder_for(instance)
+    tree = bfs_spanning_tree(graph)
+    phases = []
+
+    def recording_builder(graph, tree, parts):
+        shortcut = builder(graph, tree, parts)
+        phases.append((list(parts), shortcut.edge_sets))
+        return shortcut
+
+    boruvka_mst(graph, shortcut_builder=recording_builder, tree=tree)
+    assert len(phases) > 1
+    assert tree._memo, "the construction left no plan on the run's tree"
+    for parts, edge_sets in phases:
+        cold = builder(graph, RootedTree(tree.parent, tree.root), parts).edge_sets
+        assert edge_sets == cold
+        assert builder(graph, tree, parts).edge_sets == cold
+    # Families unlike the phases' (fewer, larger parts; a new part order)
+    # reach bags and cells the run's phases may not have.
+    for num_parts in (2, 5, 9):
+        parts = list(reversed(instance.parts(num_parts=num_parts, seed=seed)))
+        cold = builder(graph, RootedTree(tree.parent, tree.root), parts).edge_sets
+        assert builder(graph, tree, parts).edge_sets == cold
+
+
+def test_plans_die_with_their_tree():
+    refs = []
+    clique_sum = _instance("clique_sum", "tiny")
+    tree = bfs_spanning_tree(clique_sum.graph)
+    plan = clique_sum_plan(clique_sum.graph, tree, clique_sum.witness)
+    plan.shortcut(clique_sum.parts(num_parts=4, seed=0))
+    assert plan._bag_hosts, "no bag host was built"
+    refs += [weakref.ref(plan), weakref.ref(treewidth_plan(clique_sum.graph, tree))]
+
+    minor_free = _instance("minor_free", "tiny")
+    minor_tree = bfs_spanning_tree(minor_free.graph)
+    builder = registry.constructor("minor_free").builder_for(minor_free)
+    builder(minor_free.graph, minor_tree, minor_free.parts(num_parts=4, seed=0))
+    (minor_plan,) = [plan for _sources, plan in minor_tree._memo.values()]
+    refs.append(weakref.ref(minor_plan))
+    # Nested plans: the apex plans of almost-embeddable bags live on the
+    # plan's cached bag trees.
+    nested = [
+        plan for bag_tree, _host in minor_plan._bag_hosts.values()
+        for _sources, plan in bag_tree._memo.values()
+    ]
+    assert nested, "no almost-embeddable bag built an apex plan"
+    refs += [weakref.ref(plan) for plan in nested]
+
+    genus = _instance("genus", "tiny")
+    genus_tree = bfs_spanning_tree(genus.graph)
+    refs.append(weakref.ref(genus_vortex_plan(genus.witness, genus_tree)))
+
+    apex = _instance("apex", "tiny")
+    apex_tree = bfs_spanning_tree(apex.graph)
+    witness = apex.witness
+    groups = [vortex.all_nodes() for vortex in witness.vortices]
+    refs.append(weakref.ref(apex_plan(apex.graph, apex_tree, witness.apices, groups)))
+
+    del plan, minor_plan, nested, tree, minor_tree, genus_tree, apex_tree, builder
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_each_witness_graph_and_fold_gets_its_own_plan():
+    instance = _instance("clique_sum", "tiny")
+    graph, witness = instance.graph, instance.witness
+    tree = bfs_spanning_tree(graph)
+    plan = clique_sum_plan(graph, tree, witness)
+    assert clique_sum_plan(graph, tree, witness) is plan
+    twin = dataclasses.replace(witness)
+    twin_plan = clique_sum_plan(graph, tree, twin)
+    assert twin_plan is not plan and twin_plan.decomposition is twin
+    unfolded = clique_sum_plan(graph, tree, witness, fold=False)
+    assert unfolded is not plan and not unfolded.fold
+    assert clique_sum_plan(graph, tree, witness) is plan
+
+    other_graph = graph.copy()
+    assert treewidth_plan(other_graph, tree) is not treewidth_plan(graph, tree)
+    assert treewidth_plan(graph, tree) is treewidth_plan(graph, tree)
+
+    apex = _instance("apex", "tiny")
+    apex_tree = bfs_spanning_tree(apex.graph)
+    apices = apex.witness.apices
+    with_apices = apex_plan(apex.graph, apex_tree, apices)
+    assert apex_plan(apex.graph, apex_tree, list(apices)) is with_apices
+    assert apex_plan(apex.graph, apex_tree, ()) is not with_apices
+
+
+def test_planarity_is_checked_once_per_tree_and_graph():
+    planar = _instance("planar", "tiny")
+    tree = bfs_spanning_tree(planar.graph)
+    parts = planar.parts(num_parts=3, seed=0)
+    with mock.patch.object(nx, "check_planarity", wraps=nx.check_planarity) as check:
+        planar_shortcut(planar.graph, tree, parts)
+        planar_shortcut(planar.graph, tree, parts)
+        planar_shortcut(planar.graph, bfs_spanning_tree(planar.graph), parts)
+    assert check.call_count == 2
+    k5 = nx.complete_graph(5)
+    k5_tree = bfs_spanning_tree(k5)
+    for _ in range(2):
+        with pytest.raises(InvalidGraphError, match="non-planar"):
+            planar_shortcut(k5, k5_tree, [frozenset({0})])
+
+
+def test_cached_host_graphs_are_frozen():
+    instance = _instance("clique_sum", "tiny")
+    tree = bfs_spanning_tree(instance.graph)
+    plan = clique_sum_plan(instance.graph, tree, instance.witness)
+    bag = next(iter(instance.witness.bags))
+    _vertices, completed = plan.bag_graph(bag)
+    _bag_tree, host = plan.bag_host(bag)
+    apex = _instance("apex", "tiny")
+    apex_tree = bfs_spanning_tree(apex.graph)  # a plan lives only as long as its tree
+    cell_plan = apex_plan(apex.graph, apex_tree, apex.witness.apices)
+    _cell_tree, cell_graph = cell_plan.cell_host(0)
+    for graph in (completed, host, cell_graph):
+        assert nx.is_frozen(graph)
+        with pytest.raises(nx.NetworkXError, match="Frozen"):
+            graph.add_edge("x", "y")
+
+
+def test_a_mutating_local_shortcutter_fails_loudly():
+    instance = _instance("clique_sum", "tiny")
+
+    def mutating(bag_graph, bag_tree, subparts, bag):
+        bag_graph.remove_edges_from(list(bag_graph.edges()))
+
+    with pytest.raises(nx.NetworkXError, match="Frozen"):
+        clique_sum_shortcut(
+            instance.graph,
+            bfs_spanning_tree(instance.graph),
+            instance.parts(num_parts=4, seed=0),
+            decomposition=instance.witness,
+            local_shortcutter=mutating,
+        )

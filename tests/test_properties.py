@@ -14,6 +14,7 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.structure import contract_to as seed_contract_to
 
 from repro.congest.aggregation import partwise_aggregate
 from repro.graphs.clique_sum import clique_sum_compose
@@ -23,7 +24,7 @@ from repro.shortcuts.baseline import steiner_shortcut, whole_tree_shortcut
 from repro.shortcuts.congestion_capped import congestion_capped_shortcut, oblivious_shortcut
 from repro.shortcuts.parts import random_connected_parts, tree_fragment_parts
 from repro.structure.heavy_light import fold_decomposition_tree
-from repro.structure.spanning import bfs_spanning_tree
+from repro.structure.spanning import RootedTree, bfs_spanning_tree
 from repro.structure.tree_decomposition import validate_tree_decomposition
 
 SETTINGS = settings(
@@ -145,3 +146,29 @@ def test_tree_contraction_is_a_tree_with_bounded_diameter(instance, data):
     assert contracted.nodes == set(keep)
     assert nx.is_tree(contracted.as_graph())
     assert contracted.diameter() <= tree.diameter()
+
+
+@SETTINGS
+@given(st.data())
+def test_tree_contraction_matches_the_seed_oracle(data):
+    """Random parent maps over shuffled int/str labels: same tree as the seed.
+
+    ``str`` labels sort differently by ``repr`` than their ints do ('10' <
+    '9'), so the anchors and the BFS order of the quotient are exercised
+    under both orders, and under a mix of the two.
+    """
+    size = data.draw(st.integers(min_value=1, max_value=40))
+    kinds = data.draw(st.lists(st.sampled_from((int, str)), min_size=size, max_size=size))
+    labels = data.draw(st.permutations([kind(i) for i, kind in zip(range(size), kinds)]))
+    parent = {labels[0]: None}
+    for position in range(1, size):
+        below = data.draw(st.integers(min_value=0, max_value=position - 1))
+        parent[labels[position]] = labels[below]
+    # The dict order sets the children order; shuffle it too.
+    order = data.draw(st.permutations(labels))
+    tree = RootedTree({node: parent[node] for node in order}, labels[0])
+    keep = data.draw(st.sets(st.sampled_from(labels), min_size=1, max_size=size))
+    contracted = tree.contract_to(keep)
+    expected = seed_contract_to(tree, keep)
+    assert contracted.root == expected.root
+    assert list(contracted.parent.items()) == list(expected.parent.items())
