@@ -55,9 +55,9 @@ Two entry points share the scheduler: :func:`partwise_aggregate` takes
 label-keyed values, :func:`partwise_aggregate_indexed` a flat sequence
 indexed by vertex index (the Boruvka loop of :mod:`repro.algorithms.mst`).
 Both read the shortcut's edges as
-:class:`~repro.shortcuts.shortcut.IndexEdges`: engine-built shortcuts
-carry them from construction, and label-built ones convert their
-``edge_sets`` once (:meth:`~repro.shortcuts.shortcut.Shortcut.index_edges`).
+:class:`~repro.shortcuts.shortcut.IndexEdges`
+(:meth:`~repro.shortcuts.shortcut.Shortcut.index_edges`), the one edge
+representation every shortcut holds.
 """
 
 from __future__ import annotations

@@ -226,7 +226,7 @@ class ApexPlan:
             graph=graph,
             tree=tree,
             parts=parts,
-            edge_sets=[frozenset(edges) for edges in edge_sets],
+            edge_sets=edge_sets,
             constructor="apex(theorem8)",
         )
 

@@ -296,7 +296,7 @@ class CliqueSumPlan:
             graph=self.graph,
             tree=self.tree,
             parts=parts,
-            edge_sets=[frozenset(edges) for edges in edge_sets],
+            edge_sets=edge_sets,
             constructor=f"clique_sum(fold={self.fold})",
         )
 

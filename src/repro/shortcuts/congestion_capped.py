@@ -32,7 +32,7 @@ from typing import Sequence
 
 import networkx as nx
 
-from ..core import view_of
+from ..core import part_set_of, view_of
 from ..structure.spanning import RootedTree, bfs_spanning_tree
 from .engine import ConstructionEngine
 from .parts import validate_parts
@@ -56,7 +56,8 @@ def congestion_capped_shortcut(
     """
     tree = tree if tree is not None else bfs_spanning_tree(view_of(graph))
     validate_parts(graph, parts)
-    return ConstructionEngine(graph, tree, parts).build_shortcut(max(0, congestion_budget))
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
+    return engine.build_shortcut(max(0, congestion_budget))
 
 
 def default_budget_schedule(num_parts: int) -> list[int]:
@@ -133,4 +134,5 @@ def oblivious_shortcut(
         return Shortcut(graph=graph, tree=tree, parts=[], edge_sets=[], constructor="oblivious")
     if budgets is None:
         budgets = default_budget_schedule(len(parts))
-    return oblivious_sweep(ConstructionEngine(graph, tree, parts), budgets)
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
+    return oblivious_sweep(engine, budgets)

@@ -25,9 +25,10 @@ whole-family array passes with no per-part Python loop:
 
 The sweep prices a budget ``b`` in closed form: per-edge congestion is
 ``min(#owners, b)``, and a part's blocks are the terminal-bearing
-components of its kept pairs, counted for all parts at once by one
-``connected_components`` call over (part, vertex) slots and a
-``bincount``.  Budgets at or above the largest owner count keep every pair,
+components of its kept pairs, counted for all parts at once over
+(part, vertex) slots by :func:`~repro.shortcuts.shortcut.max_part_blocks`,
+the block count :meth:`~repro.shortcuts.shortcut.Shortcut.block_parameter`
+uses too.  Budgets at or above the largest owner count keep every pair,
 so they share one price.  :meth:`ConstructionEngine.build_shortcut` is a
 ``rank < b`` mask over the pairs.
 
@@ -44,13 +45,11 @@ from typing import Sequence
 
 import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from ..core import PartSet, part_set_of, view_of
+from ..core import PartSet
 from ..errors import InvalidPartitionError
 from ..structure.spanning import RootedTree
-from .shortcut import IndexEdges, Shortcut
+from .shortcut import IndexEdges, Shortcut, max_part_blocks
 
 
 class ConstructionEngine:
@@ -61,11 +60,10 @@ class ConstructionEngine:
     :meth:`build_shortcut` materialises the pruned :class:`Shortcut` for one
     chosen budget.
 
-    The part family may be supplied either as label frozensets (``parts``)
-    or directly as an int-indexed :class:`~repro.core.PartSet`
-    (``part_set``); the Boruvka loop uses the latter so per-phase fragment
-    families never round-trip through labels.  Every part must be
-    non-empty.
+    The part family is an int-indexed :class:`~repro.core.PartSet`; label
+    callers resolve one with :func:`~repro.core.part_set_of`, and the
+    Boruvka loop hands its per-phase fragments over without a label
+    round-trip.  Every part must be non-empty.
 
     Attributes:
         pair_part, pair_edge, pair_benefit, pair_rank: one entry per
@@ -80,28 +78,16 @@ class ConstructionEngine:
         self,
         graph: nx.Graph,
         tree: RootedTree,
-        parts: Sequence[frozenset] | None = None,
-        part_set: PartSet | None = None,
+        part_set: PartSet,
     ) -> None:
         self.graph = graph
         self.tree = tree
-        if part_set is not None:
-            self.part_set = part_set
-            self.view = part_set.view
-        else:
-            if parts is None:
-                raise TypeError("ConstructionEngine needs either parts or a part_set")
-            self.view = view_of(graph)
-            self.part_set = part_set_of(self.view, parts)
+        self.part_set = part_set
+        self.view = part_set.view
         self.euler = tree.euler_index(self.view)
         self._tree_diameter: int | None = None
         self._build_steiner_pairs()
         self._rank_owners()
-
-    @property
-    def parts(self) -> list[frozenset]:
-        """The family as label frozensets (lazy when built from a part set)."""
-        return self.part_set.label_parts()
 
     @property
     def num_parts(self) -> int:
@@ -128,7 +114,6 @@ class ConstructionEngine:
             raise InvalidPartitionError(f"part {empty} is empty")
         members = np.asarray(self.part_set.members, dtype=np.int64)
         member_part = np.repeat(np.arange(num_parts, dtype=np.int64), sizes)
-        self._sizes = sizes
         self._member_keys = member_part * n + members
 
         # Members sorted by (part, tin); the keys part * n + tin are unique.
@@ -214,10 +199,9 @@ class ConstructionEngine:
         ])
         order = np.argsort(keys)
         slot_keys = keys[order]
-        num_slots = len(slot_keys)
         member_slots = np.searchsorted(slot_keys, self._member_keys)
-        # A slot is the child of at most one pair, so the kept pairs form a
-        # CSR graph with at most one arc per row, in slot order.
+        # A slot is the child of at most one pair, so the kept pairs' arcs
+        # come out in ascending source-slot order.
         arc_rows = np.flatnonzero(order < num_pairs)
         arc_pairs = order[arc_rows]
         arc_targets = np.searchsorted(
@@ -228,21 +212,7 @@ class ConstructionEngine:
 
         def max_blocks(budget: int) -> int:
             kept = arc_ranks < budget
-            if not kept.any():
-                return int(self._sizes.max(initial=0))
-            row_ptr = np.zeros(num_slots + 1, dtype=np.int32)
-            row_ptr[arc_rows[kept] + 1] = 1
-            np.cumsum(row_ptr, out=row_ptr)
-            graph = csr_matrix(
-                (np.ones(int(row_ptr[-1])), arc_targets[kept], row_ptr),
-                shape=(num_slots, num_slots),
-            )
-            count, labels = connected_components(graph, directed=True, connection="weak")
-            component_part = np.empty(count, dtype=np.int64)
-            component_part[labels] = slot_part
-            has_terminal = np.zeros(count, dtype=bool)
-            has_terminal[labels[member_slots]] = True
-            return int(np.bincount(component_part[has_terminal]).max())
+            return max_part_blocks(arc_rows[kept], arc_targets[kept], slot_part, member_slots)
 
         qualities: dict[int, int] = {}
         priced: dict[int, int] = {}
@@ -260,10 +230,9 @@ class ConstructionEngine:
         """Materialise the pruned :class:`Shortcut` for one budget.
 
         The shortcut is built in index space -- per-part ``(child, parent)``
-        vertex-index pairs plus the engine's part set -- and derives its
-        canonical label edge sets lazily, so a consumer that stays on the
-        array-native path (the Boruvka loop, the indexed aggregation) never
-        pays for label materialisation.
+        vertex-index pairs plus the engine's part set -- so a consumer that
+        stays on the array-native path (the Boruvka loop, the indexed
+        aggregation) never materialises labels.
         """
         budget = max(0, int(congestion_budget))
         kept = self.pair_rank < budget

@@ -16,27 +16,32 @@ The object stores everything needed to recompute these quantities from
 scratch, which the property-based tests use to confirm that every
 constructor's self-reported numbers are honest.
 
-The measurements run on flat arrays over the graph's shared
-:class:`~repro.core.GraphView`: congestion is a bulk counter update and the
-block parameter a union-find over vertex indices, instead of one
-``nx.Graph``-plus-``connected_components`` construction per part.  The
-differential tests pin them to the seed per-part ``networkx``
-recomputation in ``tests/oracles/quality.py`` on every graph family.
+A shortcut holds one representation: its parts as a
+:class:`~repro.core.PartSet` and its edges as :class:`IndexEdges`, both
+over the graph's shared :class:`~repro.core.GraphView`.  Label input is
+converted once, when the shortcut is built; the label ``parts`` and
+``edge_sets`` are derived, read-only views.  The measures run on the index
+arrays: congestion is one ``np.unique`` over the int edge keys
+``lo * n + hi``, and the block parameter one component count over
+(part, vertex) slots (:func:`max_part_blocks`, shared with the
+construction engine's budget sweep).  The differential tests pin them to
+the seed per-part ``networkx`` recomputation in ``tests/oracles/quality.py``
+on every graph family and on hypothesis-drawn shortcuts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..core import part_set_of, view_of
 from ..errors import InvalidShortcutError
 from ..structure.spanning import RootedTree
-from ..utils import canonical_edge
 
 Edge = tuple[Hashable, Hashable]
 
@@ -79,8 +84,10 @@ class IndexEdges(NamedTuple):
 
     Part ``i`` owns the edges ``(u[k], v[k])`` for
     ``offsets[i] <= k < offsets[i + 1]``; endpoints are
-    :class:`~repro.core.GraphView` indices.  The construction engine emits
-    tree edges as ``(child, parent)``.
+    :class:`~repro.core.GraphView` indices, and a part lists each
+    undirected edge at most once.  The construction engine emits tree edges
+    as ``(child, parent)``; converted label edge sets are ``(lo, hi)`` in
+    ascending key order.
     """
 
     offsets: np.ndarray
@@ -88,49 +95,66 @@ class IndexEdges(NamedTuple):
     v: np.ndarray
 
 
-class _EpochUnionFind:
-    """Union-find over ``0 .. n-1`` with O(1) epoch-stamped reuse.
+def max_part_blocks(
+    sources: np.ndarray, targets: np.ndarray, slot_part: np.ndarray, terminal_slots: np.ndarray
+) -> int:
+    """Return the largest number of terminal-bearing components of one part.
 
-    ``reset()`` bumps the epoch instead of reinitialising the parent array,
-    so measuring many parts over one graph costs flat arrays once, not once
-    per part.  A vertex whose stamp is stale is implicitly its own root.
+    The slots ``0 .. len(slot_part) - 1`` are (part, vertex) pairs,
+    ``slot_part`` gives each slot's part and ``terminal_slots`` the slots of
+    part members.  The arcs ``sources[k] -> targets[k]`` (``sources``
+    ascending) never join two parts' slots.  A part's blocks
+    (Definition 12) are the weak components of its slots that hold a
+    terminal, so one ``connected_components`` call and a ``bincount``
+    count them for every part at once; without arcs every terminal is its
+    own block.
     """
+    if not len(sources):
+        return int(np.bincount(slot_part[terminal_slots]).max(initial=0))
+    num_slots = len(slot_part)
+    row_ptr = np.zeros(num_slots + 1, dtype=np.int32)
+    np.cumsum(np.bincount(sources, minlength=num_slots), out=row_ptr[1:])
+    graph = csr_matrix(
+        (np.ones(len(sources)), targets.astype(np.int32, copy=False), row_ptr),
+        shape=(num_slots, num_slots),
+    )
+    count, labels = connected_components(graph, directed=True, connection="weak")
+    component_part = np.empty(count, dtype=np.int64)
+    component_part[labels] = slot_part
+    has_terminal = np.zeros(count, dtype=bool)
+    has_terminal[labels[terminal_slots]] = True
+    return int(np.bincount(component_part[has_terminal]).max(initial=0))
 
-    __slots__ = ("parent", "stamp", "epoch")
 
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.stamp = [0] * size
-        self.epoch = 0
+def _index_edges_of(view, edge_sets: Sequence[Iterable[Edge]]) -> IndexEdges:
+    """Convert per-part label edge sets into :class:`IndexEdges` over ``view``.
 
-    def reset(self) -> None:
-        self.epoch += 1
-
-    def _activate(self, item: int) -> None:
-        if self.stamp[item] != self.epoch:
-            self.stamp[item] = self.epoch
-            self.parent[item] = item
-
-    def find(self, item: int) -> int:
-        # A stale vertex is implicitly a singleton; fresh vertices only ever
-        # point at fresh vertices (parents are assigned between activated
-        # nodes), so the chase below stays within the current epoch.
-        if self.stamp[item] != self.epoch:
-            return item
-        parent = self.parent
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        self._activate(a)
-        self._activate(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    Each distinct edge-set object is converted once (the whole-tree
+    shortcut hands every part the same set) into its ascending edge keys
+    ``lo * n + hi``, so ``(u, v)`` and ``(v, u)`` are one edge.
+    """
+    n = len(view)
+    index_of = view.index_of
+    converted: dict[int, list[int]] = {}
+    keys: list[int] = []
+    offsets = [0]
+    for part, edges in enumerate(edge_sets):
+        part_keys = converted.get(id(edges))
+        if part_keys is None:
+            try:
+                pairs = [(index_of(u), index_of(v)) for u, v in edges]
+            except KeyError as error:
+                raise InvalidShortcutError(
+                    f"shortcut edge endpoint {error.args[0]!r} of part {part} "
+                    "is not a graph vertex"
+                ) from None
+            part_keys = converted[id(edges)] = sorted(
+                {a * n + b if a < b else b * n + a for a, b in pairs}
+            )
+        keys += part_keys
+        offsets.append(len(keys))
+    key_array = np.array(keys, dtype=np.int64)
+    return IndexEdges(np.array(offsets, dtype=np.int64), key_array // n, key_array % n)
 
 
 class Shortcut:
@@ -140,26 +164,26 @@ class Shortcut:
         graph: the network graph ``G``.
         tree: the rooted spanning tree ``T`` the shortcut is restricted to.
         parts: the parts ``P_1, ..., P_N`` (disjoint connected vertex sets).
-            May be ``None`` when ``part_set`` is given.
-        edge_sets: for every part, the set of shortcut edges ``H_i`` in
-            canonical form.  ``H_i`` may be empty.  May be ``None`` when
-            ``index_edges`` is given.
+            Ignored when ``part_set`` is given.
+        edge_sets: for every part, the set of shortcut edges ``H_i`` as
+            label pairs in either orientation.  ``H_i`` may be empty.
+            Ignored when ``index_edges`` is given.
         constructor: free-form name of the construction that produced the
             shortcut (recorded in experiment outputs).
-        part_set: optional int-indexed :class:`~repro.core.PartSet` of the
-            family.  When given, ``parts`` is ignored and the label
-            frozensets are derived lazily -- the array-native algorithm
-            layer hands per-phase Boruvka fragments through here without
-            ever materialising label sets on its hot path.
-        index_edges: optional :class:`IndexEdges` over ``part_set.view``.
-            When given, ``edge_sets`` may be ``None``; the canonical label
-            edge sets are derived lazily, and the CONGEST aggregation
-            primitive consumes the index arrays directly.
+        part_set: the int-indexed :class:`~repro.core.PartSet` of the
+            family; resolved from ``parts`` through
+            :func:`~repro.core.part_set_of` when not given.
+        index_edges: :class:`IndexEdges` over ``part_set.view``; converted
+            from ``edge_sets`` when not given.
 
-    Label access (``shortcut.parts`` / ``shortcut.edge_sets``) always works
-    regardless of which representation the constructor supplied; the other
-    representation is derived on first use.  The differential tests pin both
-    derivations against the label-native reference constructions.
+    The part set and the index edges are all the shortcut stores;
+    ``parts`` and ``edge_sets`` are read-only label views derived from them
+    on first access.
+
+    Raises:
+        InvalidPartitionError: a part holds a vertex that is not in the graph.
+        InvalidShortcutError: the edge sets do not match the parts one to
+            one, or an edge has an endpoint that is not in the graph.
     """
 
     def __init__(
@@ -174,27 +198,23 @@ class Shortcut:
     ) -> None:
         self.graph = graph
         self.tree = tree
-        self._part_set = part_set
-        if part_set is not None:
-            self._parts: list[frozenset] | None = None
-            num_parts = part_set.num_parts
-        else:
+        if part_set is None:
             if parts is None:
                 raise InvalidShortcutError("need either parts or a part_set")
-            self._parts = [frozenset(part) for part in parts]
-            num_parts = len(self._parts)
-        self._index_edges = index_edges
-        if edge_sets is not None:
-            self._raw_edge_sets: list[Iterable[Edge]] | None = list(edge_sets)
-            num_edge_sets = len(self._raw_edge_sets)
-        elif index_edges is not None:
-            self._raw_edge_sets = None
-            num_edge_sets = len(index_edges.offsets) - 1
-        else:
-            raise InvalidShortcutError("need either edge_sets or index_edges")
-        if num_parts != num_edge_sets:
+            part_set = part_set_of(view_of(graph), parts)
+        if index_edges is None:
+            if edge_sets is None:
+                raise InvalidShortcutError("need either edge_sets or index_edges")
+            edge_sets = list(edge_sets)
+            if len(edge_sets) != part_set.num_parts:
+                raise InvalidShortcutError("need exactly one edge set per part")
+            index_edges = _index_edges_of(part_set.view, edge_sets)
+        elif len(index_edges.offsets) - 1 != part_set.num_parts:
             raise InvalidShortcutError("need exactly one edge set per part")
-        self._edge_sets: list[frozenset[Edge]] | None = None
+        self._part_set = part_set
+        self._index_edges = index_edges
+        self._parts: tuple[frozenset, ...] | None = None
+        self._edge_sets: tuple[frozenset[Edge], ...] | None = None
         self.constructor = constructor
         # Set by the budget-searching constructors (oblivious_shortcut) to the
         # congestion budget that won the sweep (and the quality it was priced
@@ -203,109 +223,47 @@ class Shortcut:
         self.chosen_quality: int | None = None
         self._tree_diameter: int | None = None
 
-    # -- lazy label representations ----------------------------------------
+    # -- representation and label views --------------------------------------
+
+    def part_set(self):
+        """Return the int-indexed :class:`~repro.core.PartSet` of the parts."""
+        return self._part_set
+
+    def index_edges(self) -> IndexEdges:
+        """Return the shortcut edges as :class:`IndexEdges`."""
+        return self._index_edges
 
     @property
-    def parts(self) -> list[frozenset]:
-        """The parts as label frozensets (derived from the part set if needed)."""
+    def parts(self) -> tuple[frozenset, ...]:
+        """The parts as label frozensets (derived from the part set)."""
         if self._parts is None:
-            self._parts = self._part_set.label_parts()
+            self._parts = tuple(self._part_set.label_parts())
         return self._parts
 
     @property
-    def edge_sets(self) -> list[frozenset[Edge]]:
-        """The per-part canonical label edge sets (materialised on first use)."""
-        if self._edge_sets is None:
-            self._edge_sets = self._canonical_edge_sets()
-        return self._edge_sets
+    def edge_sets(self) -> tuple[frozenset[Edge], ...]:
+        """The per-part canonical label edge sets (derived from the index edges).
 
-    def _canonical_edge_sets(self) -> list[frozenset[Edge]]:
-        _EMPTY: frozenset[Edge] = frozenset()
-        if self._raw_edge_sets is None:
-            # Index order is repr order (GraphView construction), so index
-            # pairs orient exactly like ``canonical_edge`` on their labels.
+        Index order is repr order (GraphView construction), so ``(lo, hi)``
+        index pairs orient exactly like ``canonical_edge`` on their labels.
+        """
+        if self._edge_sets is None:
             node_of = self._part_set.view.nodes
             offsets, u, v = self._index_edges
-            offsets = offsets.tolist()
             pairs = [
                 (node_of[a], node_of[b])
                 for a, b in zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())
             ]
-            return [
-                frozenset(pairs[start:end]) if start < end else _EMPTY
-                for start, end in zip(offsets[:-1], offsets[1:])
-            ]
-        # Canonicalisation is hoisted out of the per-edge loop: endpoint reprs
-        # are memoised across all parts (shortcut edge sets overlap heavily on
-        # tree edges), and empty edge sets skip the loop entirely.
-        reprs: dict[Hashable, str] = {}
-        _get = reprs.get
-        # Identity memo: constructors that give several parts the same edge-set
-        # object (whole-tree, shared per-cell sets) keep that sharing through
-        # canonicalisation, which the measurement dedup exploits.  The inputs
-        # stay alive in ``_raw_edge_sets`` for the duration, so ids are stable.
-        canon_cache: dict[int, frozenset[Edge]] = {}
-
-        def canonicalise(edges: Iterable[Edge]) -> frozenset[Edge]:
-            if not edges:
-                return _EMPTY
-            cached = canon_cache.get(id(edges))
-            if cached is not None:
-                return cached
-            out = set()
-            for u, v in edges:
-                ru = _get(u)
-                if ru is None:
-                    ru = reprs[u] = repr(u)
-                rv = _get(v)
-                if rv is None:
-                    rv = reprs[v] = repr(v)
-                out.add((u, v) if ru <= rv else (v, u))
-            result = frozenset(out)
-            canon_cache[id(edges)] = result
-            return result
-
-        return [canonicalise(edges) for edges in self._raw_edge_sets]
-
-    def index_edges(self) -> IndexEdges:
-        """Return (and cache) the shortcut edges as :class:`IndexEdges`.
-
-        Engine-built shortcuts carry theirs from construction; label-built
-        shortcuts convert their ``edge_sets`` on first use, once per
-        distinct edge-set object.
-        """
-        if self._index_edges is None:
-            index_of = self.part_set().view.index_of
-            converted: dict[int, list[tuple[int, int]]] = {}
-            pairs: list[tuple[int, int]] = []
-            counts = [0]
-            for edges in self.edge_sets:
-                indexed = converted.get(id(edges))
-                if indexed is None:
-                    indexed = converted[id(edges)] = [(index_of(a), index_of(b)) for a, b in edges]
-                pairs += indexed
-                counts.append(len(indexed))
-            ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-            self._index_edges = IndexEdges(np.cumsum(counts), ends[:, 0], ends[:, 1])
-        return self._index_edges
-
-    def part_set(self):
-        """Return (and cache) the int-indexed :class:`~repro.core.PartSet`.
-
-        Engine-built shortcuts carry theirs from construction; label-built
-        shortcuts resolve one through the package-wide
-        :func:`~repro.core.part_set_of` memo on first use.
-        """
-        if self._part_set is None:
-            self._part_set = part_set_of(view_of(self.graph), self.parts)
-        return self._part_set
+            bounds = offsets.tolist()
+            self._edge_sets = tuple(
+                frozenset(pairs[start:end]) for start, end in zip(bounds[:-1], bounds[1:])
+            )
+        return self._edge_sets
 
     # -- basic measures ---------------------------------------------------
 
     @property
     def num_parts(self) -> int:
-        if self._parts is not None:
-            return len(self._parts)
         return self._part_set.num_parts
 
     def tree_diameter(self) -> int:
@@ -313,86 +271,52 @@ class Shortcut:
             self._tree_diameter = self.tree.diameter()
         return self._tree_diameter
 
+    def _edge_keys(self) -> np.ndarray:
+        """Every part's edges as int keys ``lo * n + hi`` (canonical edge order)."""
+        _offsets, u, v = self._index_edges
+        return np.minimum(u, v) * len(self._part_set.view) + np.maximum(u, v)
+
     def edge_congestion(self) -> dict[Edge, int]:
         """Return the per-edge congestion map ``c_e`` of Definition 11."""
-        congestion: Counter = Counter()
-        for edges in self.edge_sets:
-            congestion.update(edges)
-        return dict(congestion)
+        keys, counts = np.unique(self._edge_keys(), return_counts=True)
+        node_of = self._part_set.view.nodes
+        n = len(node_of)
+        return {
+            (node_of[key // n], node_of[key % n]): count
+            for key, count in zip(keys.tolist(), counts.tolist())
+        }
 
     def congestion(self) -> int:
         """Return the congestion (Definition 11): max parts sharing one edge."""
-        congestion: Counter = Counter()
-        for edges, multiplicity in self._edge_set_multiplicities():
-            if multiplicity == 1:
-                congestion.update(edges)
-            else:
-                for edge in edges:
-                    congestion[edge] += multiplicity
-        return max(congestion.values(), default=0)
-
-    def _edge_set_multiplicities(self) -> list[tuple[frozenset[Edge], int]]:
-        """Group the per-part edge sets by object identity.
-
-        Constructors that hand several parts the same frozenset (the
-        whole-tree baseline, per-cell sharing) are measured once per distinct
-        set instead of once per part; distinct objects keep multiplicity 1.
-        """
-        grouped: dict[int, list] = {}
-        for edges in self.edge_sets:
-            entry = grouped.get(id(edges))
-            if entry is None:
-                grouped[id(edges)] = [edges, 1]
-            else:
-                entry[1] += 1
-        return [(edges, count) for edges, count in grouped.values()]
+        _keys, counts = np.unique(self._edge_keys(), return_counts=True)
+        return int(counts.max(initial=0))
 
     def block_parameter(self) -> int:
         """Return the block parameter (Definition 12): max blocks of any part.
 
-        Flat union-find over vertex indices of the graph's shared
-        :class:`~repro.core.GraphView`: a part with edge set ``H_i`` has
-        exactly ``|{find(v) : v in P_i}|`` block components (untouched part
-        vertices are their own roots, i.e. singleton blocks), so no spanning
-        subgraph is ever materialised.  Parts with empty ``H_i`` short-circuit
-        to ``|P_i|``.
+        The slots are the (part, vertex) pairs of every part's members and
+        edge endpoints, keyed ``part * n + vertex``; each part edge is an
+        arc between two of its part's slots, and :func:`max_part_blocks`
+        counts the terminal-bearing components.  Untouched part members are
+        singleton blocks.
         """
-        worst = 0
-        union_find: _EpochUnionFind | None = None
-        part_set = None
-        # Parts sharing one edge-set object (by identity) share one union-find
-        # build; only the per-part root count differs.
-        parts_by_set: dict[int, list[int]] = {}
-        set_for_id: dict[int, frozenset[Edge]] = {}
-        for index, edges in enumerate(self.edge_sets):
-            parts_by_set.setdefault(id(edges), []).append(index)
-            set_for_id[id(edges)] = edges
-        for set_id, part_indices in parts_by_set.items():
-            edges = set_for_id[set_id]
-            if not edges:
-                part_set = part_set if part_set is not None else self.part_set()
-                worst = max(
-                    worst, max(part_set.size_of(i) for i in part_indices)
-                )
-                continue
-            if union_find is None:
-                # The int-indexed member arrays are memoised per (view, parts)
-                # -- or carried from construction by the engine -- so every
-                # candidate shortcut in a sweep over the same part family
-                # shares one label-to-index conversion.
-                part_set = self.part_set()
-                view = part_set.view
-                union_find = _EpochUnionFind(len(view))
-                index_of = view.index_of
-            union_find.reset()
-            union = union_find.union
-            for u, v in edges:
-                union(index_of(u), index_of(v))
-            find = union_find.find
-            for part_index in part_indices:
-                roots = {find(member) for member in part_set.members_of(part_index)}
-                worst = max(worst, len(roots))
-        return worst
+        part_set = self._part_set
+        n = len(part_set.view)
+        offsets, u, v = self._index_edges
+        part_base = np.arange(part_set.num_parts, dtype=np.int64) * n
+        member_keys = np.repeat(part_base, np.diff(part_set.offsets)) + np.asarray(
+            part_set.members, dtype=np.int64
+        )
+        edge_base = np.repeat(part_base, np.diff(offsets))
+        heads, tails = edge_base + u, edge_base + v
+        slot_keys = np.unique(np.concatenate([member_keys, heads, tails]))
+        order = np.argsort(heads)
+        return max_part_blocks(
+            np.searchsorted(slot_keys, heads[order]),
+            np.searchsorted(slot_keys, tails[order]),
+            slot_keys // n,
+            np.searchsorted(slot_keys, member_keys),
+        )
 
     def quality(self, tree_diameter: int | None = None) -> int:
         """Return the quality ``b * d + c`` (Definition 13)."""
@@ -410,7 +334,7 @@ class Shortcut:
             tree_diameter=d,
             quality=block * d + congestion,
             num_parts=self.num_parts,
-            total_shortcut_edges=sum(len(edges) for edges in self.edge_sets),
+            total_shortcut_edges=len(self._index_edges.u),
         )
 
     # -- derived graphs ----------------------------------------------------
@@ -455,48 +379,74 @@ class Shortcut:
 
     # -- validation ---------------------------------------------------------
 
+    def _on_tree(self) -> np.ndarray:
+        """Per index edge: whether it joins a vertex to its tree parent."""
+        parent = self.tree.euler_index(self._part_set.view).arrays()[0]
+        _offsets, u, v = self._index_edges
+        return (parent[u] == v) | (parent[v] == u)
+
     def is_tree_restricted(self) -> bool:
         """Return True iff every shortcut edge lies on the tree (Definition 10)."""
-        tree_edges = self.tree.edge_set()
-        return all(edges <= tree_edges for edges in self.edge_sets)
+        return bool(self._on_tree().all())
 
     def validate(self, require_tree_restricted: bool = True) -> None:
         """Check structural sanity; raise :class:`InvalidShortcutError` on failure.
 
         Checks performed:
-        * every shortcut edge is an edge of the graph;
-        * (optionally) every shortcut edge is a tree edge (Definition 10);
-        * every part is connected and parts are disjoint (Definition 9).
+        * every part is non-empty and connected, and parts are disjoint
+          (Definition 9);
+        * every shortcut edge is an edge of the graph: its key
+          ``lo * n + hi`` is one of the view's sorted CSR keys;
+        * (optionally) every shortcut edge is a tree edge (Definition 10).
 
         Note that shortcut edges disconnected from their part are *legal*
         (they waste congestion but break nothing), so connectivity of the
         full augmented subgraph is deliberately not required.
         """
-        seen: set[Hashable] = set()
-        for index, part in enumerate(self.parts):
-            if not part:
+        part_set = self._part_set
+        seen: set[int] = set()
+        for index, members in part_set.iter_members():
+            if not members:
                 raise InvalidShortcutError(f"part {index} is empty")
-            if seen & part:
+            if not seen.isdisjoint(members):
                 raise InvalidShortcutError("parts are not disjoint")
-            seen |= part
-            if not nx.is_connected(self.graph.subgraph(part)):
+            seen.update(members)
+            if not part_set.connected(index):
                 raise InvalidShortcutError(f"part {index} is not connected")
-        tree_edges = self.tree.edge_set()
-        for index, edges in enumerate(self.edge_sets):
-            for u, v in edges:
-                if not self.graph.has_edge(u, v):
-                    raise InvalidShortcutError(
-                        f"shortcut edge ({u}, {v}) of part {index} is not a graph edge"
-                    )
-            if require_tree_restricted and not edges <= tree_edges:
-                bad = next(iter(edges - tree_edges))
-                raise InvalidShortcutError(
-                    f"shortcut edge {bad} of part {index} is not a tree edge "
-                    "(Definition 10 requires T-restriction)"
-                )
+        core = part_set.view.core
+        n = core.num_nodes
+        keys = self._edge_keys()
+        graph_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(core.indptr))
+        graph_keys += core.indices
+        if not core.sorted_adjacency:
+            graph_keys.sort()
+        found = np.searchsorted(graph_keys, keys)
+        on_graph = found < len(graph_keys)
+        on_graph[on_graph] = graph_keys[found[on_graph]] == keys[on_graph]
+        legal = on_graph & self._on_tree() if require_tree_restricted else on_graph
+        if legal.all():
+            return
+        offsets = self._index_edges.offsets
+        index = int(np.searchsorted(offsets, np.argmin(legal), side="right")) - 1
+        start, end = int(offsets[index]), int(offsets[index + 1])
+        node_of = part_set.view.nodes
+
+        def first_illegal(mask: np.ndarray) -> Edge:
+            key = int(keys[start + np.argmin(mask[start:end])])
+            return node_of[key // n], node_of[key % n]
+
+        if not on_graph[start:end].all():
+            u, v = first_illegal(on_graph)
+            raise InvalidShortcutError(
+                f"shortcut edge ({u}, {v}) of part {index} is not a graph edge"
+            )
+        raise InvalidShortcutError(
+            f"shortcut edge {first_illegal(legal)} of part {index} is not a tree edge "
+            "(Definition 10 requires T-restriction)"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
             f"Shortcut(constructor={self.constructor!r}, parts={self.num_parts}, "
-            f"edges={sum(len(e) for e in self.edge_sets)})"
+            f"edges={len(self._index_edges.u)})"
         )

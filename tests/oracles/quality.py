@@ -1,10 +1,13 @@
-"""The seed shortcut measurements (Definitions 11-13), as free functions.
+"""The seed shortcut measurements (Definitions 10-13), as free functions.
 
 The oracle for :meth:`repro.shortcuts.shortcut.Shortcut.congestion`,
+:meth:`~repro.shortcuts.shortcut.Shortcut.edge_congestion`,
+:meth:`~repro.shortcuts.shortcut.Shortcut.is_tree_restricted`,
 :meth:`~repro.shortcuts.shortcut.Shortcut.block_parameter`,
 :meth:`~repro.shortcuts.shortcut.Shortcut.quality` and
 :meth:`~repro.shortcuts.shortcut.Shortcut.measure`: congestion by a
-per-edge dict walk, the block parameter by one ``nx.Graph`` +
+per-edge dict walk, tree restriction by label subset tests against
+``RootedTree.edge_set``, the block parameter by one ``nx.Graph`` +
 ``connected_components`` per part.
 """
 
@@ -17,13 +20,24 @@ import networkx as nx
 from repro.shortcuts.shortcut import Edge, Shortcut, ShortcutQuality
 
 
-def congestion(shortcut: Shortcut) -> int:
-    """Definition 11: max parts sharing one edge, by a per-edge dict walk."""
+def edge_congestion(shortcut: Shortcut) -> dict[Edge, int]:
+    """Definition 11 per edge: how many parts hold each edge, by a dict walk."""
     counts: dict[Edge, int] = {}
     for edges in shortcut.edge_sets:
         for edge in edges:
             counts[edge] = counts.get(edge, 0) + 1
-    return max(counts.values(), default=0)
+    return counts
+
+
+def congestion(shortcut: Shortcut) -> int:
+    """Definition 11: max parts sharing one edge."""
+    return max(edge_congestion(shortcut).values(), default=0)
+
+
+def is_tree_restricted(shortcut: Shortcut) -> bool:
+    """Definition 10: every shortcut edge is a label edge of the tree."""
+    tree_edges = shortcut.tree.edge_set()
+    return all(edges <= tree_edges for edges in shortcut.edge_sets)
 
 
 def block_components(shortcut: Shortcut, index: int) -> list[set[Hashable]]:

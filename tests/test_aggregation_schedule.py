@@ -13,9 +13,11 @@ Four layers:
   the last round; the ``max_rounds`` budget cuts both schedulers off at
   the same round;
 * **drawn shortcuts** -- hypothesis draws a random connected graph, its
-  BFS tree, disjoint connected parts (some vertices left as relays) and a
-  random subset of tree edges per part; the scheduler must equal the seed
-  one on the label shortcut and on the engine's;
+  BFS tree, disjoint connected parts (some vertices left as relays) and
+  per part a random set of tree and non-tree graph edges (shared, empty or
+  listed in both orientations); the scheduler must equal the seed one on
+  the label shortcut and on the engine's, and so must the quality
+  measures;
 * **malformed input** -- an empty part, or a member its part's augmented
   subgraph cannot reach, raises :class:`SimulationError` naming the part
   instead of returning a value the trees never gathered;
@@ -43,9 +45,11 @@ from repro.shortcuts.congestion_capped import oblivious_shortcut
 from repro.shortcuts.parts import tree_fragment_parts
 from repro.shortcuts.shortcut import Shortcut
 from repro.structure.spanning import bfs_spanning_tree
+from repro.utils import canonical_edge
 
 from oracles import aggregation as oracle_aggregation
 from oracles import mst as oracle_mst
+from oracles import quality as oracle_quality
 
 
 def _values(graph: nx.Graph, seed: int) -> dict:
@@ -125,9 +129,14 @@ def test_round_budget_matches_oracle_on_every_constructor(family_name, seed):
 
 
 @st.composite
-def drawn_shortcuts(draw):
+def drawn_shortcut_inputs(draw):
     """A random connected graph, its BFS tree, disjoint connected parts and
-    a random subset of the tree's edges for every part."""
+    an edge set for every part, as ``(graph, tree, parts, edge_sets)``.
+
+    An edge set draws from the tree edges and from the non-tree graph
+    edges, may list an edge in both orientations, may hold edges that
+    touch no part vertex, and may be empty; a part may reuse the previous
+    part's edge-set object."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(min_value=1, max_value=24))
     graph = nx.Graph()
@@ -155,11 +164,29 @@ def drawn_shortcuts(draw):
         free -= part
         parts.append(frozenset(part))
     tree_edges = sorted(tree.edge_set())
+    other_edges = sorted(
+        (min(u, v), max(u, v)) for u, v in graph.edges() if (min(u, v), max(u, v)) not in tree_edges
+    )
     share = draw(st.floats(min_value=0.0, max_value=1.0))
-    edge_sets = [
-        frozenset(edge for edge in tree_edges if rng.random() < share) for _ in parts
-    ]
-    return Shortcut(graph, tree, parts, edge_sets, constructor="drawn")
+    off_tree = draw(st.sampled_from([0.0, 0.0, 0.2, 0.6]))
+    edge_sets = []
+    for _ in parts:
+        if edge_sets and rng.random() < 0.25:
+            edge_sets.append(edge_sets[-1])
+            continue
+        if rng.random() < 0.15:
+            edge_sets.append(frozenset())
+            continue
+        edges = {edge for edge in tree_edges if rng.random() < share}
+        edges |= {edge for edge in other_edges if rng.random() < off_tree}
+        edges |= {(v, u) for u, v in edges if rng.random() < 0.3}
+        edge_sets.append(frozenset(edges))
+    return graph, tree, parts, edge_sets
+
+
+def drawn_shortcuts():
+    """The drawn inputs as a label-built :class:`Shortcut`."""
+    return drawn_shortcut_inputs().map(lambda drawn: Shortcut(*drawn, constructor="drawn"))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -170,6 +197,26 @@ def test_drawn_shortcuts_schedule_like_the_oracle(shortcut, seed):
     for candidate in (shortcut, engine_built):
         _assert_same_as_oracle(candidate, values, min)
         _assert_same_as_oracle(candidate, values, lambda a, b: a + b)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn_shortcut_inputs())
+def test_drawn_shortcuts_measure_like_the_oracle(drawn):
+    """The index-space measures equal the seed label measures, and the
+    derived label view is the canonical form of the input edge sets."""
+    graph, tree, parts, edge_sets = drawn
+    shortcut = Shortcut(graph, tree, parts, edge_sets, constructor="drawn")
+    assert shortcut.edge_sets == tuple(
+        frozenset(canonical_edge(u, v) for u, v in edges) for edges in edge_sets
+    )
+    assert shortcut.parts == tuple(parts)
+    engine_built = oblivious_shortcut(graph, tree, parts)
+    for candidate in (shortcut, engine_built):
+        assert candidate.congestion() == oracle_quality.congestion(candidate)
+        assert candidate.block_parameter() == oracle_quality.block_parameter(candidate)
+        assert candidate.edge_congestion() == oracle_quality.edge_congestion(candidate)
+        assert candidate.measure() == oracle_quality.measure(candidate)
+        assert candidate.is_tree_restricted() == oracle_quality.is_tree_restricted(candidate)
 
 
 def test_unreachable_member_raises_instead_of_a_silent_value():

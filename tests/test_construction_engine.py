@@ -108,7 +108,7 @@ def test_incremental_sweep_matches_from_scratch_at_every_budget(make_graph):
     graph = make_graph()
     tree = bfs_spanning_tree(graph)
     parts = path_parts(graph, tree)
-    engine = ConstructionEngine(graph, tree, parts)
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
     budgets = list(range(len(parts) + 2))
     qualities = engine.quality_sweep(budgets)
     for budget in budgets:
@@ -173,7 +173,7 @@ def test_chosen_budget_is_none_for_direct_constructions():
 
 def _assert_engine_matches_seed(graph, tree, parts, budgets):
     """Edge sets, congestion, blocks, priced quality and chosen budget."""
-    engine = ConstructionEngine(graph, tree, parts)
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
     qualities = engine.quality_sweep(budgets)
     for budget in budgets:
         fast = engine.build_shortcut(budget)
@@ -218,7 +218,7 @@ def test_engine_matches_seed_on_a_grid_with_a_hamiltonian_path_tree():
     graph = nx.grid_2d_graph(6, 7)
     tree = _snake_tree(6, 7)
     parts = [frozenset((row, col) for row in range(6)) for col in range(7)]
-    engine = ConstructionEngine(graph, tree, parts)
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
     assert engine.max_owner_count > 3
     assert len(engine.euler._lifting_table()) == (6 * 7 - 1).bit_length()
     _assert_engine_matches_seed(graph, tree, parts, _budgets(len(parts)))
@@ -253,7 +253,7 @@ def test_engine_matches_seed_on_all_singletons():
     graph = grid_graph(5, 6)
     tree = bfs_spanning_tree(graph)
     parts = singleton_parts(graph)
-    engine = ConstructionEngine(graph, tree, parts)
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
     assert engine.max_owner_count == 0
     assert len(engine.pair_edge) == 0
     assert [len(edges) for edges in engine.steiner_edges] == [0] * len(parts)
@@ -265,7 +265,7 @@ def test_engine_budget_zero_and_negative_keep_no_edge():
     graph = grid_graph(6, 6)
     tree = bfs_spanning_tree(graph)
     parts = tree_fragment_parts(graph, tree, num_parts=6, seed=2)
-    engine = ConstructionEngine(graph, tree, parts)
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
     for budget in (0, -1, -50):
         assert all(not edges for edges in engine.build_shortcut(budget).edge_sets)
     qualities = engine.quality_sweep([0, -4])
@@ -278,7 +278,7 @@ def test_engine_steiner_pairs_count_matches_seed_steiner_trees():
     graph = grid_graph(6, 6)
     tree = bfs_spanning_tree(graph)
     parts = tree_fragment_parts(graph, tree, num_parts=5, seed=8)
-    engine = ConstructionEngine(graph, tree, parts)
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
     for part, edges in zip(parts, engine.steiner_edges):
         assert len(edges) == len(tree.steiner_tree_edges(part))
 
@@ -288,8 +288,9 @@ def test_engine_rejects_an_empty_part():
 
     graph = grid_graph(3, 3)
     tree = bfs_spanning_tree(graph)
+    parts = [frozenset({0}), frozenset()]
     with pytest.raises(InvalidPartitionError, match="part 1 is empty"):
-        ConstructionEngine(graph, tree, [frozenset({0}), frozenset()])
+        ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
 
 
 # ----------------------------------------------------------------- substrate

@@ -32,7 +32,8 @@ PAPER_MAP = DOCS_DIR / "paper_map.md"
 SIMULATOR_DOC = DOCS_DIR / "simulator.md"
 SYMBOL_CHECKED_DOCS = [PAPER_MAP, SIMULATOR_DOC]
 SOURCE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-# The retired switch and the seed implementations that moved to tests/oracles/.
+# The retired switch, the seed implementations that moved to tests/oracles/
+# and the label measurement path of Shortcut.
 RETIRED_NAMES = (
     "core_enabled",
     "networkx_reference_paths",
@@ -44,6 +45,9 @@ RETIRED_NAMES = (
     "_congestion_capped_reference",
     "measure_reference",
     "block_parameter_reference",
+    "_EpochUnionFind",
+    "_edge_set_multiplicities",
+    "_raw_edge_sets",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.

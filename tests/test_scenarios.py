@@ -24,6 +24,7 @@ from repro.scenarios import (
     scenario_matrix,
 )
 from repro.scenarios.__main__ import main as scenarios_main
+from repro.shortcuts.shortcut import Shortcut
 
 from oracles.simulator import ReferenceSimulator
 
@@ -213,9 +214,22 @@ def test_shortcut_validation_still_guards_scenario_shortcuts():
     instance = build_instance("planar", {"side": 4})
     shortcut = constructor("steiner").build(instance, instance.tree, instance.parts("path"))
     shortcut.validate()
-    shortcut.edge_sets[0] = frozenset({(("bogus", 0), ("bogus", 1))})
-    with pytest.raises(InvalidShortcutError):
-        shortcut.validate()
+    with pytest.raises(TypeError):
+        shortcut.edge_sets[0] = frozenset()
+    graph, parts = instance.graph, shortcut.parts
+
+    def with_first_edge_set(edges):
+        edge_sets = [edges, *shortcut.edge_sets[1:]]
+        return Shortcut(graph, instance.tree, parts, edge_sets, constructor="steiner")
+
+    # An edge between labels the graph lacks is refused when the shortcut is built.
+    with pytest.raises(InvalidShortcutError, match="part 0"):
+        with_first_edge_set({(("bogus", 0), ("bogus", 1))})
+    # A pair of graph vertices that are not adjacent is refused by validate().
+    u = min(graph, key=repr)
+    v = next(v for v in sorted(graph, key=repr) if v != u and not graph.has_edge(u, v))
+    with pytest.raises(InvalidShortcutError, match="not a graph edge"):
+        with_first_edge_set({(u, v)}).validate()
 
 
 # ----------------------------------------------------------------------- CLI

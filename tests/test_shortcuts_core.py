@@ -124,6 +124,20 @@ def test_shortcut_rejects_mismatched_edge_sets(small_grid, small_grid_tree):
         Shortcut(small_grid, small_grid_tree, [frozenset({0})], [])
 
 
+def test_shortcut_rejects_a_part_with_a_non_graph_vertex():
+    graph = nx.path_graph(4)
+    tree = bfs_spanning_tree(graph)
+    with pytest.raises(InvalidPartitionError, match="part 0 contains non-graph vertex 'ghost'"):
+        Shortcut(graph, tree, [frozenset({0, "ghost"}), frozenset({2, 3})], [set(), {(2, 3)}])
+
+
+def test_shortcut_rejects_an_edge_with_a_non_graph_endpoint():
+    graph = nx.path_graph(4)
+    tree = bfs_spanning_tree(graph)
+    with pytest.raises(InvalidShortcutError, match="'ghost' of part 1 is not a graph vertex"):
+        Shortcut(graph, tree, [frozenset({0, 1}), frozenset({2, 3})], [set(), {(3, "ghost")}])
+
+
 def test_augmented_subgraph_contains_part_and_shortcut_edges(small_grid, small_grid_tree):
     part = frozenset({0, 1, 6})
     edges = small_grid_tree.steiner_tree_edges({0, 14})
