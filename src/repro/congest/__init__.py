@@ -22,7 +22,8 @@ Two levels of simulation are provided:
 The node-program level runs in two execution modes with one equality
 contract (rounds, messages, words, outputs and per-round telemetry all
 exactly equal -- see ``docs/simulator.md``): the active-set
-:class:`CongestSimulator` (label or core submode) and the vectorized
+:class:`CongestSimulator` (always on a view's indices; an ``nx.Graph``
+network's labels are translated at the program boundary) and the vectorized
 :class:`RuntimeSimulator` (compiled batch programs over flat arrays,
 :mod:`repro.congest.runtime`).  Both are pinned to a full-scan seed oracle
 kept in the test suite.

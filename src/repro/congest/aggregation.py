@@ -15,9 +15,10 @@ augmented subgraph, each aggregation-tree edge must carry one "up" message
 (after the parent has learned the result), and **each directed graph edge
 delivers at most one message per round** -- so edges used by many parts
 serialise, which is exactly how congestion costs rounds in the model.  A
-greedy FIFO schedule is used; optimal scheduling is NP-hard but within
-``O(congestion + dilation)`` of the greedy one, so the measured shape is the
-one the theory predicts.
+greedy FIFO schedule is used.  Leighton, Maggs and Rao prove that an
+``O(congestion + dilation)`` schedule always exists; greedy FIFO carries no
+such guarantee, so the measured rounds are an upper bound on what an
+optimal schedule needs, not a constant-factor match.
 
 This schedule-level simulation sits *beside* the node-program simulator
 and its execution modes (``docs/simulator.md``): the single-tree

@@ -29,9 +29,9 @@ The three pieces:
     the seeded decision stream: ``fate(round, u, v)`` for per-message
     drop/delay/duplication, ``crash_round(node)`` for node failures,
     ``shuffle_order`` for delivery-order permutations.  Node identifiers
-    are **canonical**: CSR indices in core/runtime mode, repr-rank in
-    label mode -- the same ints in every mode, so one schedule drives every
-    engine identically.
+    are **canonical**: the network view's indices (repr order of the
+    labels), which every simulator mode runs on -- label mode included --
+    so one schedule drives every engine identically.
 
 :class:`FaultQueue`
     the mailbox every fault-aware run loop routes its sends through: a
@@ -58,7 +58,6 @@ round).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping
 
 from ..errors import SimulationError
 
@@ -116,7 +115,7 @@ class FaultModel:
             that round on (crash-stop, no recovery).
         crash_window: upper bound on randomly drawn crash rounds (>= 1).
         crash_at: explicit ``(node, round)`` pins overriding the random
-            draw; nodes are canonical ids (CSR indices / repr ranks).
+            draw; nodes are canonical ids (view indices, i.e. repr ranks).
         shuffle: when true, each recipient's per-round inbox is permuted
             by a seeded Fisher-Yates before delivery (adversarial
             delivery order for order-sensitive programs).
@@ -333,40 +332,23 @@ class FaultQueue:
     Sends pass through :meth:`send` (drop / delay / duplicate applied at
     the send boundary); each round's deliveries come back from
     :meth:`deliveries` (crashed recipients filtered, adversarial order
-    applied at the deliver boundary).  ``canon`` maps program node ids to
-    canonical ints (None when the ids *are* canonical, i.e. core/runtime
-    mode); all schedule queries go through it, so label-mode and
-    core-mode runs of the same network consume the same decision stream.
+    applied at the deliver boundary).  Node ids are the canonical ints
+    (view indices) the schedule is keyed by, in every mode.
     """
 
-    __slots__ = ("schedule", "_canon", "_sort_key", "_buckets",
-                 "dropped", "delayed", "duplicated")
+    __slots__ = ("schedule", "_buckets", "dropped", "delayed", "duplicated")
 
-    def __init__(
-        self,
-        schedule: FaultSchedule,
-        canon: Mapping[Hashable, int] | None = None,
-    ) -> None:
+    def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
-        self._canon = canon
-        self._sort_key: Callable = (
-            _canonical_identity if canon is None else canon.__getitem__
-        )
         # arrival round -> recipient -> {sender: message}
-        self._buckets: dict[int, dict[Hashable, dict[Hashable, object]]] = {}
+        self._buckets: dict[int, dict[int, dict[int, object]]] = {}
         self.dropped = 0
         self.delayed = 0
         self.duplicated = 0
 
-    def _canon_of(self, node: Hashable) -> int:
-        canon = self._canon
-        return node if canon is None else canon[node]
-
-    def send(self, round_number: int, sender: Hashable, target: Hashable, message) -> None:
+    def send(self, round_number: int, sender: int, target: int, message) -> None:
         """Route one program send through the schedule into the buckets."""
-        delay, duplicate = self.schedule.fate(
-            round_number, self._canon_of(sender), self._canon_of(target)
-        )
+        delay, duplicate = self.schedule.fate(round_number, sender, target)
         if delay < 0:
             self.dropped += 1
             return
@@ -379,7 +361,7 @@ class FaultQueue:
             self.duplicated += 1
             buckets.setdefault(arrival + 1, {}).setdefault(target, {})[sender] = message
 
-    def deliveries(self, round_number: int) -> dict[Hashable, dict[Hashable, object]]:
+    def deliveries(self, round_number: int) -> dict[int, dict[int, object]]:
         """Pop and return this round's inboxes (recipient -> sender -> msg).
 
         Mail addressed to a recipient already crashed by ``round_number``
@@ -393,16 +375,14 @@ class FaultQueue:
             return {}
         schedule = self.schedule
         for target in list(bucket):
-            crash = schedule.crash_round(self._canon_of(target))
+            crash = schedule.crash_round(target)
             if crash is not None and round_number >= crash:
                 self.dropped += len(bucket.pop(target))
         if schedule.model.shuffle:
             for target, inbox in bucket.items():
                 if len(inbox) > 1:
-                    senders = sorted(inbox, key=self._sort_key)
-                    order = schedule.shuffle_order(
-                        round_number, self._canon_of(target), len(senders)
-                    )
+                    senders = sorted(inbox)
+                    order = schedule.shuffle_order(round_number, target, len(senders))
                     bucket[target] = {senders[i]: inbox[senders[i]] for i in order}
         return bucket
 
@@ -417,7 +397,3 @@ class FaultQueue:
         self.dropped = self.delayed = self.duplicated = 0
         return stats
 
-
-def _canonical_identity(value: int) -> int:
-    """Sort key when program ids are already canonical ints (core mode)."""
-    return value

@@ -9,8 +9,8 @@ declares itself halted; the simulation ends when every node has halted and no
 messages are in flight.
 
 Everything here serves the *per-node* execution mode (the active-set
-simulator, in label or core space); the
-vectorized runtime mode never instantiates node programs -- it runs the
+simulator, whose programs see view indices, or labels through the label
+adapter); the vectorized runtime mode never instantiates node programs -- it runs the
 compiled batch twins of :mod:`repro.congest.runtime`, which must reproduce
 these semantics observationally (``docs/simulator.md``).  Only
 :func:`message_size_in_words` is shared by every mode, so word
@@ -39,10 +39,10 @@ class NodeContext:
 
     ``id_key`` is the canonical sort key for node identifiers, used by
     programs that tie-break on ids (BFS parent choice, leader election).
-    Label-mode simulations use ``repr``; the CSR core mode passes the
-    identity, because indices are assigned in repr order of the labels --
-    the two keys therefore induce the *same* total order, which is what
-    keeps the core-mode executions bit-compatible with label-mode ones.
+    Core mode passes the identity (indices sort natively); the label
+    adapter hands its label contexts ``repr``.  Indices are assigned in
+    repr order of the labels, so the two keys induce the *same* total order
+    and a label-space program makes the same choices as its core-mode run.
     """
 
     __slots__ = ("node", "neighbours", "edge_weights", "num_nodes", "id_key", "_diameter_bound")

@@ -12,11 +12,12 @@ engine, the differential tests, the speedup benchmarks) can run the same
 node programs under either execution mode -- the active-set
 :class:`CongestSimulator` or the vectorized
 :class:`repro.congest.runtime.RuntimeSimulator` -- and a ``graph`` that is
-either an ``nx.Graph`` or a :class:`repro.core.GraphView`.  Given a view
-the simulation runs in core mode (integer node ids over CSR slices); the
-primitives translate the caller-facing labels at the boundary (the root
-argument in, parent pointers and leaders out), so results are
-label-identical either way.
+either an ``nx.Graph`` or a :class:`repro.core.GraphView`.  Each primitive
+runs on ``view_of(graph)``, so its programs always see integer node ids
+over CSR slices and every mode accepts either input; the primitives
+translate the caller-facing labels at the boundary (the root argument in,
+parent pointers and leaders out), so results are label-keyed and equal for
+a graph and its view.
 
 Each primitive's program factory is a small class that builds the per-node
 :class:`NodeProgram` when called with a context *and* carries the
@@ -32,7 +33,7 @@ from typing import Callable, Hashable, Mapping
 
 import networkx as nx
 
-from ..core import GraphView
+from ..core import GraphView, view_of
 from ..errors import InvalidGraphError, SimulationError
 from ..structure.spanning import RootedTree
 from .faults import FaultModel, FaultSchedule
@@ -93,9 +94,8 @@ class _BfsProgram(NodeProgram):
 class _BfsFactory:
     """Factory for :class:`_BfsProgram` with its vectorized twin.
 
-    ``root`` is already in program id space (an index in core/runtime mode,
-    a label otherwise) -- :func:`distributed_bfs_tree` converts at the
-    boundary.
+    ``root`` is already an index -- :func:`distributed_bfs_tree` converts
+    at the boundary.
     """
 
     __slots__ = ("root",)
@@ -140,11 +140,10 @@ def distributed_bfs_tree(
     which the tests assert; the resulting tree is used as the spanning tree
     ``T`` of the shortcut framework exactly as Theorem 1 prescribes.
 
-    ``root`` is always a node *label*; in core mode the primitive converts it
-    to an index on the way in and maps the parent pointers back to labels on
-    the way out, so the returned tree is label-keyed either way.  Runs under
-    every simulator mode (``simulator_cls``); the runtime mode requires
-    ``graph`` to be a :class:`~repro.core.GraphView`.
+    ``root`` is always a node *label*; the primitive converts it to an index
+    on the way in and maps the parent pointers back to labels on the way
+    out, so the returned tree is label-keyed.  Runs under every simulator
+    mode (``simulator_cls``).
 
     With an active ``fault_schedule`` the robust retry/ack flood runs
     instead and the returned tree is centrally repaired where the fault
@@ -157,21 +156,16 @@ def distributed_bfs_tree(
             graph, root, schedule, simulator_cls=simulator_cls, retry_budget=retry_budget
         )
         return tree, result
-    view = graph if isinstance(graph, GraphView) else None
-    program_root = root if view is None else view.index_of(root)
-    simulator = simulator_cls(graph, _BfsFactory(program_root))
-    result = simulator.run()
-    if view is None:
-        parent = {node: output for node, output in result.outputs.items()}
-    else:
-        node_of = view.nodes
-        parent = {
-            node: (None if output is None else node_of[output])
-            for node, output in result.outputs.items()
-        }
+    view = view_of(graph)
+    result = simulator_cls(view, _BfsFactory(view.index_of(root))).run()
+    node_of = view.nodes
+    parent = {
+        node: (None if output is None else node_of[output])
+        for node, output in result.outputs.items()
+    }
     parent[root] = None
     tree = RootedTree(parent, root)
-    tree.validate(view if view is not None else graph)
+    tree.validate(view)
     return tree, result
 
 
@@ -347,35 +341,25 @@ def robust_bfs_tree(
     if schedule is None:
         tree, result = distributed_bfs_tree(graph, root, simulator_cls=simulator_cls)
         return tree, result, 0
-    view = graph if isinstance(graph, GraphView) else None
-    program_root = root if view is None else view.index_of(root)
-    factory = _RobustBfsFactory(program_root, retry_budget)
-    simulator = simulator_cls(graph, factory, fault_schedule=schedule)
-    result = simulator.run()
-    if view is None:
-        parent = dict(result.outputs)
-        nodes = sorted(graph.nodes(), key=repr)
+    view = view_of(graph)
+    factory = _RobustBfsFactory(view.index_of(root), retry_budget)
+    result = simulator_cls(view, factory, fault_schedule=schedule).run()
+    node_of = view.nodes
+    core = view.core
+    index_of = view.index_of
+    parent = {
+        node: (None if output is None else node_of[output])
+        for node, output in result.outputs.items()
+    }
 
-        def neighbours_of(node):
-            return sorted(graph.neighbors(node), key=repr)
-
-    else:
-        node_of = view.nodes
-        core = view.core
-        index_of = view.index_of
-        parent = {
-            node: (None if output is None else node_of[output])
-            for node, output in result.outputs.items()
-        }
-        nodes = list(node_of)  # index order == repr order: canonical
-
-        def neighbours_of(node):
-            return [node_of[index] for index in core.neighbors(index_of(node))]
+    def neighbours_of(node):
+        return [node_of[index] for index in core.neighbors(index_of(node))]
 
     parent[root] = None
-    repaired = _graft_unreached(nodes, parent, root, neighbours_of)
+    # Index order == repr order, so the view's label list is canonical.
+    repaired = _graft_unreached(node_of, parent, root, neighbours_of)
     tree = RootedTree(parent, root)
-    tree.validate(view if view is not None else graph)
+    tree.validate(view)
     return tree, result, repaired
 
 
@@ -427,9 +411,9 @@ def flood_max_id(
 ) -> tuple[Hashable, SimulationResult]:
     """Elect the maximum-id node as the leader by flooding; return (leader, stats).
 
-    In core mode the elected maximum *index* is the maximum-repr label (index
-    order is repr order), returned in label form.  Runs under every
-    simulator mode; the runtime mode requires a view.
+    The elected maximum *index* is the maximum-repr label (index order is
+    repr order), returned in label form.  Every id costs one word, whatever
+    its label.  Runs under every simulator mode.
 
     Under an active ``fault_schedule`` the plain flood runs through the
     fault layer unchanged (it cannot hang: a node halts on its first quiet
@@ -438,27 +422,18 @@ def flood_max_id(
     the survivors instead of raising.
     """
     schedule = _resolve_schedule(fault_schedule)
-    simulator = simulator_cls(graph, _FloodMaxFactory(), fault_schedule=schedule)
-    result = simulator.run()
+    view = view_of(graph)
+    result = simulator_cls(view, _FloodMaxFactory(), fault_schedule=schedule).run()
     leaders = set(result.outputs.values())
     if len(leaders) == 1:
         leader = next(iter(leaders))
     elif schedule is None:
         raise RuntimeError(f"leader election did not converge: {leaders}")
     elif leaders:
-        # Survivors disagree: report the strongest claim (program id order).
-        key = _program_id_key if isinstance(graph, GraphView) else repr
-        leader = max(leaders, key=key)
+        leader = max(leaders)  # survivors disagree: report the strongest claim
     else:
         return None, result  # every node crashed: nobody was elected
-    if isinstance(graph, GraphView):
-        leader = graph.node_of(leader)
-    return leader, result
-
-
-def _program_id_key(value: object) -> object:
-    """Core-mode program ids (ints) compare natively."""
-    return value
+    return view.node_of(leader), result
 
 
 class _BroadcastProgram(NodeProgram):
@@ -503,7 +478,7 @@ class _BroadcastProgram(NodeProgram):
 class _BroadcastFactory:
     """Factory for :class:`_BroadcastProgram` with its vectorized twin.
 
-    ``source`` is in program id space, like :class:`_BfsFactory`'s root.
+    ``source`` is an index, like :class:`_BfsFactory`'s root.
     """
 
     __slots__ = ("source", "value")
@@ -618,9 +593,8 @@ def broadcast_value(
     Used by the scenario engine to charge the ``O(D)`` result-announcement
     phase of the distributed algorithms as a genuine simulated execution.
     The returned outputs map every node to the received value, which the
-    callers assert for correctness.  ``source`` is a label; in core mode it
-    is converted to an index at the boundary.  Runs under every
-    simulator mode; the runtime mode requires a view.
+    callers assert for correctness.  ``source`` is a label, converted to an
+    index at the boundary.  Runs under every simulator mode.
 
     Under an active ``fault_schedule`` the retry/ack announcement of
     :class:`_RobustBroadcastProgram` runs instead; nodes still uninformed
@@ -628,15 +602,13 @@ def broadcast_value(
     entirely) are the partial contract -- count them via
     ``result.outputs`` rather than expecting an exception.
     """
-    program_source = (
-        graph.index_of(source) if isinstance(graph, GraphView) else source
-    )
+    view = view_of(graph)
+    program_source = view.index_of(source)
     schedule = _resolve_schedule(fault_schedule)
     if schedule is not None:
         factory = _RobustBroadcastFactory(program_source, value, retry_budget)
-        return simulator_cls(graph, factory, fault_schedule=schedule).run()
-    simulator = simulator_cls(graph, _BroadcastFactory(program_source, value))
-    result = simulator.run()
+        return simulator_cls(view, factory, fault_schedule=schedule).run()
+    result = simulator_cls(view, _BroadcastFactory(program_source, value)).run()
     wrong = [node for node, output in result.outputs.items() if output != value]
     if wrong:
         raise RuntimeError(f"broadcast did not reach nodes {wrong[:5]}")
@@ -701,8 +673,7 @@ class _ConvergecastProgram(NodeProgram):
 class _ConvergecastFactory:
     """Factory for :class:`_ConvergecastProgram` with its vectorized twin.
 
-    ``parent`` / ``num_children`` / ``values`` are keyed by program id
-    (indices in core/runtime mode, labels otherwise);
+    ``parent`` / ``num_children`` / ``values`` are keyed by index;
     :func:`convergecast_aggregate` converts at the boundary.
     """
 
@@ -837,7 +808,7 @@ class _RobustConvergecastFactory:
     """Factory for :class:`_RobustConvergecastProgram` (fault schedules only).
 
     Like :class:`_ConvergecastFactory` plus per-node timeout rounds (all
-    keyed by program id); :func:`convergecast_aggregate` computes the
+    keyed by index); :func:`convergecast_aggregate` computes the
     depth-staggered timeouts at the boundary.
     """
 
@@ -899,30 +870,22 @@ def convergecast_aggregate(
     the reports that survived (``None`` when the root itself crashed) --
     the documented partial contract.
     """
-    view = graph if isinstance(graph, GraphView) else None
-    num_nodes = len(view) if view is not None else graph.number_of_nodes()
-    if len(tree.parent) != num_nodes:
+    view = view_of(graph)
+    if len(tree.parent) != len(view):
         raise InvalidGraphError("convergecast needs a spanning tree of the network")
     missing = [node for node in tree.parent if node not in values]
     if missing:
         raise SimulationError(f"no input value for vertex {missing[0]}")
     schedule = _resolve_schedule(fault_schedule)
-    if view is None:
-        parent = dict(tree.parent)
-        num_children = {node: len(tree.children[node]) for node in tree.parent}
-        node_values = {node: values[node] for node in tree.parent}
-        program_of = None
-    else:
-        index_of = view.index_of
-        parent = {}
-        num_children = {}
-        node_values = {}
-        for node, up in tree.parent.items():
-            index = index_of(node)
-            parent[index] = None if up is None else index_of(up)
-            num_children[index] = len(tree.children[node])
-            node_values[index] = values[node]
-        program_of = index_of
+    index_of = view.index_of
+    parent = {}
+    num_children = {}
+    node_values = {}
+    for node, up in tree.parent.items():
+        index = index_of(node)
+        parent[index] = None if up is None else index_of(up)
+        num_children[index] = len(tree.children[node])
+        node_values[index] = values[node]
     if schedule is not None:
         # Depth-staggered timeouts: deeper nodes give up earlier, so a
         # partial accumulator still has time to climb to the root before
@@ -936,17 +899,15 @@ def convergecast_aggregate(
                 frontier.append(child)
         max_depth = max(depth.values(), default=0)
         stride = retry_budget + 4
-        timeouts = {}
-        for node, level in depth.items():
-            program = node if program_of is None else program_of(node)
-            timeouts[program] = 2 * (max_depth + 1) + (max_depth - level) * stride + 4
+        timeouts = {
+            index_of(node): 2 * (max_depth + 1) + (max_depth - level) * stride + 4
+            for node, level in depth.items()
+        }
         factory = _RobustConvergecastFactory(
             parent, num_children, node_values, timeouts, combine, retry_budget
         )
-        result = simulator_cls(graph, factory, fault_schedule=schedule).run()
+        result = simulator_cls(view, factory, fault_schedule=schedule).run()
         return result.outputs.get(tree.root), result
     factory = _ConvergecastFactory(parent, num_children, node_values, combine)
-    simulator = simulator_cls(graph, factory)
-    result = simulator.run()
-    aggregate = result.outputs[tree.root]
-    return aggregate, result
+    result = simulator_cls(view, factory).run()
+    return result.outputs[tree.root], result

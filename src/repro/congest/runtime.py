@@ -1,7 +1,7 @@
 """The vectorized CONGEST runtime: whole-network batch step functions.
 
-The per-node modes of :class:`repro.congest.simulator.CongestSimulator`
-execute one Python ``on_round`` call per active node per round.  For the
+The per-node loop of :class:`repro.congest.simulator.CongestSimulator`
+executes one Python ``on_round`` call per active node per round.  For the
 built-in primitives that is pure interpreter overhead: a BFS flood, a
 broadcast, a leader election or a convergecast does the *same* tiny piece
 of work at every node of a frontier, so the whole frontier can be advanced
@@ -24,8 +24,8 @@ flat Python lists: the access pattern is element-at-a-time graph
 traversal, where list indexing beats numpy item access.
 
 **The equality contract.**  A runtime execution is *observationally
-identical* to the per-node core mode (and therefore to the label mode and
-the seed full-scan simulator kept as the test oracle): the
+identical* to the per-node loop (and to the seed full-scan simulator kept
+as the test oracle): the
 returned :class:`~repro.congest.simulator.SimulationResult` has exactly
 equal ``rounds``, ``messages``, ``words``, label-keyed ``outputs`` and
 per-round telemetry (including executed-node counts, which requires the
@@ -34,21 +34,22 @@ executes the recipients of the previous round's sends plus every
 never-halted program).  ``tests/test_runtime.py`` pins this on every
 registered scenario family; ``docs/simulator.md`` spells the contract out.
 
-Only programs with a compiled twin can run here: the simulator's
-``runtime=True`` mode asks the program factory for a ``compile_runtime``
-hook (attached by the factories in :mod:`repro.congest.primitives`) and
-refuses factories without one -- arbitrary user ``NodeProgram``
-subclasses keep running under the per-node modes, which remain the
-semantic reference.  The twins assume fail-free delivery, so under an
-active fault schedule the runtime mode runs the per-node loop in core mode
-instead (with any factory).
+Only programs with a compiled twin can run here:
+:class:`RuntimeSimulator` asks the program factory for a
+``compile_runtime`` hook (attached by the factories in
+:mod:`repro.congest.primitives`) and refuses factories without one --
+arbitrary user ``NodeProgram`` subclasses keep running under the per-node
+loop, which remains the semantic reference.  The twins assume fail-free
+delivery, so under an active fault schedule :class:`RuntimeSimulator` runs
+the per-node loop instead (with any factory).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..errors import RoundLimitError, SimulationError
+from ..core import GraphView
+from ..errors import InvalidGraphError, RoundLimitError, SimulationError
 from .node import message_size_in_words
 from .simulator import CongestSimulator, RoundTelemetry, SimulationResult
 
@@ -161,7 +162,7 @@ class RuntimeProgram:
         return size
 
     def drive(self, max_rounds: int = 10_000) -> SimulationResult:
-        """Run to quiescence; return a result bit-comparable with the per-node modes."""
+        """Run to quiescence; return a result bit-comparable with the per-node loop."""
         n = self.core.num_nodes
         # Telemetry accumulates into flat parallel columns; RoundTelemetry
         # rows are materialised once, after the loop.
@@ -493,7 +494,7 @@ class ConvergecastRuntime(RuntimeProgram):
         """The topology half of ``_validate_outgoing``: unlike the other
         compiled programs, convergecast sends along *caller-supplied* parent
         pointers rather than CSR slices, so each report edge must be checked
-        against the network exactly as the per-node modes do."""
+        against the network exactly as the per-node loop does."""
         if not self.core.has_edge(sender, target):
             raise SimulationError(
                 f"node {sender} attempted to send to non-neighbour {target}"
@@ -553,19 +554,22 @@ class ConvergecastRuntime(RuntimeProgram):
 
 
 class RuntimeSimulator(CongestSimulator):
-    """:class:`CongestSimulator` pinned to the vectorized runtime mode.
+    """:class:`CongestSimulator` in the vectorized runtime mode.
 
-    A convenience subclass for the ``simulator_cls`` threading used by the
-    primitives, the scenario engine and the benchmarks: passing this class
-    where :class:`CongestSimulator` is accepted runs the same workload on
-    compiled batch programs.  The network must be a
-    :class:`repro.core.GraphView` (the runtime is index-native) and the
-    program factory must carry a ``compile_runtime`` hook -- both enforced
-    at construction with the same exception contract as the core mode
+    The one way to select the compiled mode, threaded as ``simulator_cls``
+    through the primitives, the scenario engine and the benchmarks: passing
+    this class where :class:`CongestSimulator` is accepted runs the same
+    workload on compiled batch programs.  The network must be a
+    :class:`repro.core.GraphView` (the runtime is index-native; the
+    primitives view their input themselves) and the program factory must
+    carry a ``compile_runtime`` hook -- both enforced at construction with
+    the same exception contract as the per-node loop
     (:class:`~repro.errors.InvalidGraphError` for empty/disconnected/
     label-space networks, :class:`~repro.errors.SimulationError` for
-    factories without a compiled twin).  Under an active fault schedule it
-    runs core mode, where no compiled twin is needed.
+    factories without a compiled twin).  The twins assume fail-free
+    delivery (depth-uniform BFS rounds, parity-buffered inboxes), so under
+    an active fault schedule it builds per-node programs and runs the
+    per-node loop, where any factory works.
     """
 
     def __init__(
@@ -576,11 +580,40 @@ class RuntimeSimulator(CongestSimulator):
         diameter_bound: int | None = None,
         fault_schedule=None,
     ) -> None:
+        if not isinstance(graph, GraphView):
+            raise InvalidGraphError(
+                "the vectorized runtime needs a GraphView network; wrap the graph "
+                "with repro.core.view_of (the per-node loop accepts nx.Graph)"
+            )
+        self._runtime_program: RuntimeProgram | None = None
         super().__init__(
             graph,
             program_factory,
             bandwidth_words=bandwidth_words,
             diameter_bound=diameter_bound,
-            runtime=True,
             fault_schedule=fault_schedule,
         )
+
+    def _init_programs(self, core, program_factory) -> None:
+        """No per-node programs: ask the factory for its compiled twin.
+
+        The factories of :mod:`repro.congest.primitives` attach the
+        ``compile_runtime`` hook; the batch programs are index-native and
+        their outputs are mapped back to labels through the view.
+        """
+        if self._fault_schedule is not None:
+            super()._init_programs(core, program_factory)
+            return
+        compile_hook = getattr(program_factory, "compile_runtime", None)
+        if compile_hook is None:
+            raise SimulationError(
+                f"program factory {program_factory!r} has no vectorized runtime "
+                "(no compile_runtime hook); run it under the per-node loop instead"
+            )
+        self._runtime_program = compile_hook(self)
+
+    def run(self, max_rounds: int = 10_000) -> SimulationResult:
+        """Drive the compiled batch program (the per-node loop under faults)."""
+        if self._runtime_program is None:
+            return super().run(max_rounds)
+        return self._runtime_program.drive(max_rounds)

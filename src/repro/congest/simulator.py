@@ -20,29 +20,31 @@ round counts depend on *where* the silence happened.
 The seed's full-scan simulator (same results, eager diameter, O(n) per
 round) is kept in the test suite as the differential-testing oracle.
 
-Handing the simulator a :class:`repro.core.GraphView` instead of an
-``nx.Graph`` switches it into **core mode**: node identifiers are the
-view's integer indices, neighbour lists come straight from CSR slices, the
-active set sorts as plain ints and topology checks hit flat neighbour sets
--- no per-round dict-of-dict walks.  Because the view assigns indices in
-repr order, a core-mode execution is round-for-round identical to the
-label-mode one; only the node ids seen *inside* programs (contexts,
-inboxes, message payloads built from ids) are indices.  ``run()`` keys the
-result's ``outputs`` by the original labels either way; callers whose
-programs emit node ids in their results (e.g. BFS parent pointers) map
-those values back through ``view.node_of`` -- see
+The loop runs in one id space, the indices of a
+:class:`repro.core.GraphView` (**core mode**): node ids are ints, neighbour
+lists come straight from CSR slices, the active set sorts as plain ints and
+topology checks hit flat neighbour sets.  An ``nx.Graph`` network is
+wrapped with :func:`repro.core.view_of` on the way in (**label mode**) and
+a thin adapter translates at the program boundary: each program gets a
+label-space :class:`NodeContext` (repr-ordered neighbours, label-keyed
+weights, ``id_key=repr``), its inbox keys are mapped index -> label and
+its outbox keys label -> index.  Payloads are never translated, so a
+program that sends a label pays for the label's words; everything else --
+rounds, telemetry, fault decisions -- is the core-mode execution, because
+the view assigns indices in repr order.  ``run()`` keys the result's
+``outputs`` by the original labels either way; programs run on a view see
+indices, so callers whose programs emit node ids in their results (e.g. BFS
+parent pointers) map those values back through ``view.node_of`` -- see
 :func:`repro.congest.primitives.distributed_bfs_tree`.
 
-The third mode is the **vectorized runtime** (``runtime=True``, or the
-:class:`repro.congest.runtime.RuntimeSimulator` convenience subclass):
-instead of one Python call per active node per round, the built-in node
-programs are compiled into whole-network batch step functions
-(:mod:`repro.congest.runtime`) that advance a round with flat-array
-operations.  Rounds, messages, words, outputs and per-round telemetry are
-*exactly* equal to the per-node modes -- the model semantics live in the
-per-node loop below, which stays the differential oracle for the compiled
-programs.  Under an active fault schedule the runtime mode runs that
-per-node loop in core mode.  ``docs/simulator.md`` documents the model and
+The vectorized runtime is the subclass
+:class:`repro.congest.runtime.RuntimeSimulator`: instead of one Python call
+per active node per round, the built-in node programs are compiled into
+whole-network batch step functions (:mod:`repro.congest.runtime`) that
+advance a round with flat-array operations.  Rounds, messages, words,
+outputs and per-round telemetry are *exactly* equal to the per-node loop
+below, which holds the model semantics and stays the differential oracle
+for the compiled programs.  ``docs/simulator.md`` documents the model and
 the mode equality contract.
 
 There is one round loop, :meth:`CongestSimulator.run`.  Mail flows through
@@ -58,10 +60,8 @@ from typing import Callable, Hashable
 
 import networkx as nx
 
-from ..core import GraphView
+from ..core import GraphView, view_of
 from ..errors import InvalidGraphError, RoundLimitError, SimulationError
-from ..graphs.weights import WEIGHT
-from ..utils import require_connected, require_simple
 from .faults import FaultModel, FaultQueue, FaultSchedule
 from .node import NodeContext, NodeProgram, message_size_in_words
 
@@ -145,8 +145,12 @@ class CongestSimulator:
     """Synchronous message-passing simulator with bandwidth enforcement.
 
     Args:
-        graph: the network graph (connected, no self-loops).  Edge weights
-            are exposed to the node programs through their context.
+        graph: the network (connected, no self-loops), as a
+            :class:`~repro.core.GraphView` (programs see its indices) or an
+            ``nx.Graph`` (programs see its labels; the run itself happens
+            on ``view_of(graph)``, so the graph must not be mutated after it
+            is first viewed).  Edge weights are exposed to the node programs
+            through their context.
         program_factory: callable mapping a :class:`NodeContext` to the
             :class:`NodeProgram` that runs at that node.
         bandwidth_words: per-edge, per-direction, per-round message capacity
@@ -169,71 +173,37 @@ class CongestSimulator:
         program_factory: Callable[[NodeContext], NodeProgram],
         bandwidth_words: int = 3,
         diameter_bound: int | None = None,
-        runtime: bool = False,
         fault_schedule: FaultSchedule | FaultModel | None = None,
     ) -> None:
-        self._view: GraphView | None = graph if isinstance(graph, GraphView) else None
+        view = view_of(graph)
+        self._view = view
+        # Error messages name the ids the programs see: labels in label mode.
+        self._name_of: Callable[[int], Hashable] = _identity
+        if view is not graph:
+            self._name_of = view.nodes.__getitem__
+            program_factory = _LabelFactory(
+                view.nodes, program_factory, self._resolve_diameter_bound
+            )
         self.bandwidth_words = bandwidth_words
         self._diameter_bound = diameter_bound
-        self.programs: dict[Hashable, NodeProgram] = {}
-        self._runtime_program = None
         if fault_schedule is not None and not isinstance(fault_schedule, FaultSchedule):
             fault_schedule = FaultSchedule(fault_schedule)
         self._fault_schedule = (
             fault_schedule if fault_schedule is not None and fault_schedule.active else None
         )
-        if runtime:
-            if self._view is None:
-                raise InvalidGraphError(
-                    "the vectorized runtime needs a GraphView network; wrap the graph "
-                    "with repro.core.view_of (the per-node modes accept nx.Graph)"
-                )
-            # The compiled twins assume fail-free delivery (depth-uniform BFS
-            # rounds, parity-buffered inboxes); under an active schedule the
-            # runtime mode runs core mode, where any factory works.
-            if self._fault_schedule is None:
-                self._init_runtime(program_factory)
-                return
-        if self._view is not None:
-            self._init_core(self._view, program_factory)
-            return
-        require_connected(graph, "network graph")
-        require_simple(graph, "network graph")
-        self._graph = graph
-        self._neighbour_sets = None
-        n = graph.number_of_nodes()
-        # Deterministic node order, independent of graph insertion order.
-        self._order: list[Hashable] = sorted(graph.nodes(), key=repr)
-        self._rank: dict[Hashable, int] = {node: i for i, node in enumerate(self._order)}
-        self._sort_key = self._rank.__getitem__
-        for node in self._order:
-            neighbours = tuple(sorted(graph.neighbors(node), key=repr))
-            weights = {
-                neighbour: graph[node][neighbour].get(WEIGHT, 1.0) for neighbour in neighbours
-            }
-            context = NodeContext(
-                node=node,
-                neighbours=neighbours,
-                edge_weights=weights,
-                num_nodes=n,
-                diameter_bound=self._resolve_diameter_bound,
-            )
-            self.programs[node] = program_factory(context)
-
-    def _init_core(
-        self, view: GraphView, program_factory: Callable[[NodeContext], NodeProgram]
-    ) -> None:
-        """Core mode: nodes are CSR indices, adjacency comes from flat slices."""
         core = _require_connected_core(view)
         self._graph = None  # lazy: materialised only if .graph is read
-        n = core.num_nodes
         # Index order == repr order of the labels, so this *is* the canonical
         # deterministic order; ints sort natively (no rank map needed).
-        self._order = list(range(n))
-        self._rank = None
-        self._sort_key = None
+        self._order = range(core.num_nodes)
+        self.programs: dict[int, NodeProgram] = {}
+        self._neighbour_sets: list[set[int]] | None = None
+        self._init_programs(core, program_factory)
+
+    def _init_programs(self, core, program_factory: Callable[[NodeContext], NodeProgram]) -> None:
+        """Build one program per node: ids are indices, adjacency is CSR slices."""
+        n = core.num_nodes
         neighbour_sets: list[set[int]] = []
-        identity = _identity
         resolve = self._resolve_diameter_bound
         for node in self._order:
             neighbours = core.neighbors(node)
@@ -245,43 +215,19 @@ class CongestSimulator:
                 edge_weights=weights,
                 num_nodes=n,
                 diameter_bound=resolve,
-                id_key=identity,
+                id_key=_identity,
             )
             self.programs[node] = program_factory(context)
         self._neighbour_sets = neighbour_sets
-
-    def _init_runtime(self, program_factory) -> None:
-        """Runtime mode: no per-node programs; one compiled batch program.
-
-        The batch programs are index-native and their outputs are mapped
-        back to labels through the view, exactly like core mode.
-        Construction performs the same empty/disconnected precondition
-        checks as :meth:`_init_core`, then asks the factory for its
-        compiled twin via the ``compile_runtime`` hook attached by
-        :mod:`repro.congest.primitives`.
-        """
-        core = _require_connected_core(self._view)
-        self._graph = None  # lazy: materialised only if .graph is read
-        self._order = list(range(core.num_nodes))
-        self._rank = None
-        self._sort_key = None
-        self._neighbour_sets = None
-        compile_hook = getattr(program_factory, "compile_runtime", None)
-        if compile_hook is None:
-            raise SimulationError(
-                f"program factory {program_factory!r} has no vectorized runtime "
-                "(no compile_runtime hook); run it under the per-node modes instead"
-            )
-        self._runtime_program = compile_hook(self)
 
     @property
     def graph(self) -> nx.Graph:
         """The network as an ``nx.Graph``, materialised on demand.
 
-        In core and runtime mode the simulator runs entirely on the view's
-        CSR arrays; the ``nx`` adapter graph is only built (lazily, through
-        :attr:`GraphView.graph`) if something actually reads this attribute,
-        so native million-node simulations never construct one.
+        The simulator runs entirely on the view's CSR arrays; the ``nx``
+        graph is only built (lazily, through :attr:`GraphView.graph`) if
+        something actually reads this attribute, so native million-node
+        simulations never construct one.
         """
         if self._graph is None:
             self._graph = self._view.graph
@@ -289,14 +235,7 @@ class CongestSimulator:
 
     def _resolve_diameter_bound(self) -> int:
         if self._diameter_bound is None:
-            if self._view is not None:
-                core = self._view.core
-                self._diameter_bound = core.exact_diameter()
-            else:
-                graph = self.graph
-                self._diameter_bound = (
-                    nx.diameter(graph) if graph.number_of_nodes() > 1 else 0
-                )
+            self._diameter_bound = self._view.core.exact_diameter()
         return self._diameter_bound
 
     @property
@@ -304,54 +243,43 @@ class CongestSimulator:
         """The diameter bound the nodes see (computed on first access)."""
         return self._resolve_diameter_bound()
 
-    def _validate_outgoing(self, sender: Hashable, outgoing: dict[Hashable, object]) -> None:
-        neighbour_sets = self._neighbour_sets
+    def _validate_outgoing(self, sender: int, outgoing: dict[int, object]) -> None:
+        neighbours = self._neighbour_sets[sender]
         for target, message in outgoing.items():
-            if neighbour_sets is not None:
-                ok = target in neighbour_sets[sender]
-            else:
-                ok = self.graph.has_edge(sender, target)
-            if not ok:
-                raise SimulationError(
-                    f"node {sender} attempted to send to non-neighbour {target}"
-                )
+            if target not in neighbours:  # label mode has already checked
+                raise SimulationError(f"node {sender} attempted to send to non-neighbour {target}")
             size = message_size_in_words(message)
             if size > self.bandwidth_words:
+                name_of = self._name_of
                 raise SimulationError(
-                    f"node {sender} sent a {size}-word message to {target}, exceeding the "
-                    f"bandwidth of {self.bandwidth_words} words per edge per round"
+                    f"node {name_of(sender)} sent a {size}-word message to {name_of(target)}, "
+                    f"exceeding the bandwidth of {self.bandwidth_words} words per edge per round"
                 )
 
     def _final_outputs(self, exclude: frozenset | set = frozenset()) -> dict[Hashable, object]:
-        """Collect per-node results, keyed by original labels in core mode.
+        """Collect per-node results, keyed by the original labels.
 
-        ``exclude`` holds crashed nodes (program id space): a failed
-        processor produces no output, so its key is absent entirely.
+        ``exclude`` holds crashed nodes (indices): a failed processor
+        produces no output, so its key is absent entirely.
         """
         programs = self.programs
-        if self._view is not None:
-            node_of = self._view.nodes
-            return {
-                node_of[index]: programs[index].result()
-                for index in self._order
-                if index not in exclude
-            }
+        node_of = self._view.nodes
         return {
-            node: programs[node].result() for node in self._order if node not in exclude
+            node_of[index]: programs[index].result()
+            for index in self._order
+            if index not in exclude
         }
 
-    def _crash_rounds(self) -> dict[int, list[Hashable]]:
+    def _crash_rounds(self) -> dict[int, list[int]]:
         """Resolve the schedule's crash decisions into round -> [nodes].
 
-        Nodes are program ids; within a round they are listed in canonical
-        order (``self._order``), so all modes count and apply crashes
-        identically.
+        Within a round nodes are listed in canonical (index) order, so all
+        modes count and apply crashes identically.
         """
         schedule = self._fault_schedule
-        canon = self._rank
-        by_round: dict[int, list[Hashable]] = {}
+        by_round: dict[int, list[int]] = {}
         for node in self._order:
-            crash = schedule.crash_round(node if canon is None else canon[node])
+            crash = schedule.crash_round(node)
             if crash is not None:
                 by_round.setdefault(crash, []).append(node)
         return by_round
@@ -359,10 +287,7 @@ class CongestSimulator:
     def run(self, max_rounds: int = 10_000) -> SimulationResult:
         """Run the simulation to quiescence (all halted, no messages in flight).
 
-        In runtime mode the compiled batch program drives the loop instead;
-        the returned :class:`SimulationResult` is exactly equal either way
-        (the equality contract in ``docs/simulator.md``).  Exceeding
-        ``max_rounds`` raises :class:`~repro.errors.RoundLimitError`
+        Exceeding ``max_rounds`` raises :class:`~repro.errors.RoundLimitError`
         carrying the partial result.
 
         Per round only the *active set* runs: the recipients of this round's
@@ -373,18 +298,15 @@ class CongestSimulator:
         the send boundary) and each round's inboxes come back crash-filtered
         and adversarially ordered from the same queue (deliver boundary).
         """
-        if self._runtime_program is not None:
-            return self._runtime_program.drive(max_rounds)
         programs = self.programs
-        sort_key = self._sort_key
         if self._fault_schedule is None:
             queue = _Mailbox()
-            crash_by_round: dict[int, list[Hashable]] = {}
+            crash_by_round: dict[int, list[int]] = {}
         else:
-            queue = FaultQueue(self._fault_schedule, self._rank)
+            queue = FaultQueue(self._fault_schedule)
             crash_by_round = self._crash_rounds()
         send = queue.send
-        crashed: set[Hashable] = set()
+        crashed: set[int] = set()
         total_messages = total_words = 0
         total_dropped = total_delayed = total_duplicated = 0
         telemetry: list[RoundTelemetry] = []
@@ -452,7 +374,7 @@ class CongestSimulator:
                 live.discard(node)
             active = live if not inboxes else live.union(inboxes.keys())
             sent = words = executed = 0
-            for node in sorted(active, key=sort_key):
+            for node in sorted(active):
                 program = programs[node]
                 inbox = inboxes.get(node)
                 if inbox is None:
@@ -497,6 +419,99 @@ class CongestSimulator:
         )
 
 
+class _LabelFactory:
+    """The label-mode adapter: label-space programs behind the index loop.
+
+    Called with a core-mode (index) context, it builds the label context the
+    user's factory expects -- neighbours in repr order (index order), weights
+    keyed by label, ``id_key=repr`` -- and wraps the resulting program in a
+    :class:`_LabelProgram` that translates its mail at the boundary.
+    """
+
+    __slots__ = ("labels", "factory", "diameter_bound")
+
+    def __init__(
+        self,
+        labels: list[Hashable],
+        factory: Callable[[NodeContext], NodeProgram],
+        diameter_bound: Callable[[], int],
+    ) -> None:
+        self.labels = labels
+        self.factory = factory
+        self.diameter_bound = diameter_bound
+
+    def __call__(self, context: NodeContext) -> "_LabelProgram":
+        labels = self.labels
+        neighbours = tuple(labels[index] for index in context.neighbours)
+        label_context = NodeContext(
+            node=labels[context.node],
+            neighbours=neighbours,
+            edge_weights={
+                labels[index]: weight for index, weight in context.edge_weights.items()
+            },
+            num_nodes=context.num_nodes,
+            diameter_bound=self.diameter_bound,
+        )
+        return _LabelProgram(
+            self.factory(label_context),
+            label_context.node,
+            labels,
+            dict(zip(neighbours, context.neighbours)),
+        )
+
+
+class _LabelProgram:
+    """One user program seen through the adapter: inbox keys index -> label,
+    outbox keys label -> index; payloads pass through untouched.
+
+    A send to a label that is not a neighbour raises here, naming labels,
+    because such a label has no index to hand on to the loop's own check.
+    """
+
+    __slots__ = ("program", "node", "labels", "index_of")
+
+    def __init__(
+        self,
+        program: NodeProgram,
+        node: Hashable,
+        labels: list[Hashable],
+        index_of: dict[Hashable, int],
+    ) -> None:
+        self.program = program
+        self.node = node
+        self.labels = labels
+        self.index_of = index_of
+
+    @property
+    def halted(self) -> bool:
+        return self.program.halted
+
+    def on_start(self) -> dict[int, object]:
+        return self._outgoing(self.program.on_start())
+
+    def on_round(self, round_number: int, inbox: dict[int, object]) -> dict[int, object]:
+        labels = self.labels
+        label_inbox = {labels[sender]: message for sender, message in inbox.items()}
+        return self._outgoing(self.program.on_round(round_number, label_inbox))
+
+    def result(self) -> object:
+        return self.program.result()
+
+    def _outgoing(self, outgoing: dict[Hashable, object] | None) -> dict[int, object]:
+        if not outgoing:
+            return {}
+        index_of = self.index_of
+        translated = {}
+        for target, message in outgoing.items():
+            index = index_of.get(target)
+            if index is None:
+                raise SimulationError(
+                    f"node {self.node} attempted to send to non-neighbour {target}"
+                )
+            translated[index] = message
+        return translated
+
+
 class _Mailbox:
     """The fail-free mailbox: every send arrives in the next round, intact.
 
@@ -507,12 +522,12 @@ class _Mailbox:
     __slots__ = ("pending",)
 
     def __init__(self) -> None:
-        self.pending: dict[Hashable, dict[Hashable, object]] = {}
+        self.pending: dict[int, dict[int, object]] = {}
 
-    def send(self, round_number: int, sender: Hashable, target: Hashable, message) -> None:
+    def send(self, round_number: int, sender: int, target: int, message) -> None:
         self.pending.setdefault(target, {})[sender] = message
 
-    def deliveries(self, round_number: int) -> dict[Hashable, dict[Hashable, object]]:
+    def deliveries(self, round_number: int) -> dict[int, dict[int, object]]:
         inboxes, self.pending = self.pending, {}
         return inboxes
 
@@ -524,13 +539,12 @@ class _Mailbox:
 
 
 def _require_connected_core(view: GraphView):
-    """Return ``view.core`` after the label-mode precondition checks.
+    """Return ``view.core`` after the network precondition checks.
 
-    Same exception contract as label mode (``require_connected``): an empty
-    or disconnected network is a *precondition* failure of the caller's
-    input, so every mode raises InvalidGraphError with the same message;
-    SimulationError stays reserved for illegal states detected while a
-    simulation is running (bad sends, bandwidth, round budgets).
+    An empty or disconnected network is a *precondition* failure of the
+    caller's input, so it raises InvalidGraphError; SimulationError stays
+    reserved for illegal states detected while a simulation is running
+    (bad sends, bandwidth, round budgets).
     """
     core = view.core
     if core.num_nodes == 0:

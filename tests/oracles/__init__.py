@@ -31,11 +31,11 @@ from unittest import mock
 @contextmanager
 def seed_paths():
     """Run scenarios on the oracles: Boruvka, min-cut, aggregation, the
-    oblivious construction and shortcut measurement, with the simulated MST
-    phases in label mode (node programs see labels, not view indices).
+    oblivious construction and shortcut measurement.
 
-    Only the per-node loop runs label mode, so an ``mst`` scenario under
-    these patches needs ``simulator_cls=CongestSimulator``."""
+    The simulated MST phases are not patched: the primitives run on the
+    network's view in every simulator mode, and the oracle simulator is
+    pinned to them by the simulator tests instead."""
     import repro.scenarios.registry as registry
     from repro.shortcuts.shortcut import Shortcut
 
@@ -46,7 +46,6 @@ def seed_paths():
         (registry, "approximate_min_cut", mincut.approximate_min_cut),
         (registry, "partwise_aggregate", aggregation.partwise_aggregate),
         (registry, "oblivious_shortcut", shortcuts.oblivious_shortcut),
-        (registry, "view_of", lambda graph: graph),
         (Shortcut, "measure", quality.measure),
     ]
     with ExitStack() as stack:

@@ -17,28 +17,101 @@ of the equality contract in ``docs/simulator.md``: the active-set loop is
 pinned to it on arbitrary node programs (``tests/test_congest_simulator.py``),
 and the vectorized runtime on every compiled program family
 (``tests/test_runtime.py``).  It accepts a :class:`~repro.core.GraphView`
-like the production simulator (full-scan semantics, core-mode ids), so all
+like the production simulator (full-scan semantics, index ids), so all
 modes can be compared on one network object.
+
+Handed an ``nx.Graph`` it keeps the seed's own label-space set-up instead
+of the production label adapter: repr-sorted neighbour tuples, weights read
+as ``graph[u][v].get(WEIGHT, 1.0)``, topology checked with ``has_edge``,
+the diameter from ``nx.diameter``.  That keeps the adapter pinned to an
+independent implementation.  Label-space runs are fail-free only; faulty
+oracle runs take a view.
 """
 
 from __future__ import annotations
 
 from typing import Hashable
 
+import networkx as nx
+
 from repro.congest.faults import FaultQueue
-from repro.congest.node import message_size_in_words
+from repro.congest.node import NodeContext, message_size_in_words
 from repro.congest.simulator import CongestSimulator, RoundTelemetry, SimulationResult
-from repro.errors import RoundLimitError
+from repro.core import GraphView
+from repro.errors import RoundLimitError, SimulationError
+from repro.graphs.weights import WEIGHT
+from repro.utils import require_connected, require_simple
 
 
 class ReferenceSimulator(CongestSimulator):
     """Full-scan CONGEST simulator with the seed's per-round cost profile."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, graph, program_factory, bandwidth_words=3, diameter_bound=None,
+                 fault_schedule=None) -> None:
+        if isinstance(graph, GraphView):
+            super().__init__(graph, program_factory, bandwidth_words=bandwidth_words,
+                             diameter_bound=diameter_bound, fault_schedule=fault_schedule)
+        else:
+            self._init_labels(graph, program_factory, bandwidth_words, diameter_bound,
+                              fault_schedule)
         # The seed computed the diameter bound in the constructor whether or
         # not any program would read it; keep that (costly) behaviour.
         self._resolve_diameter_bound()
+
+    def _init_labels(self, graph, program_factory, bandwidth_words, diameter_bound,
+                     fault_schedule) -> None:
+        """The seed's label-space set-up: programs keyed and ordered by label."""
+        if fault_schedule is not None:
+            raise ValueError("faulty ReferenceSimulator runs take a GraphView")
+        require_connected(graph, "network graph")
+        require_simple(graph, "network graph")
+        self._view = None
+        self._graph = graph
+        self._fault_schedule = None
+        self.bandwidth_words = bandwidth_words
+        self._diameter_bound = diameter_bound
+        self._order = sorted(graph.nodes(), key=repr)
+        self.programs = {}
+        for node in self._order:
+            neighbours = tuple(sorted(graph.neighbors(node), key=repr))
+            weights = {
+                neighbour: graph[node][neighbour].get(WEIGHT, 1.0) for neighbour in neighbours
+            }
+            context = NodeContext(
+                node=node,
+                neighbours=neighbours,
+                edge_weights=weights,
+                num_nodes=graph.number_of_nodes(),
+                diameter_bound=self._resolve_diameter_bound,
+            )
+            self.programs[node] = program_factory(context)
+
+    def _resolve_diameter_bound(self) -> int:
+        if self._view is not None or self._diameter_bound is not None:
+            return super()._resolve_diameter_bound()
+        graph = self._graph
+        self._diameter_bound = nx.diameter(graph) if graph.number_of_nodes() > 1 else 0
+        return self._diameter_bound
+
+    def _validate_outgoing(self, sender, outgoing) -> None:
+        if self._view is not None:
+            return super()._validate_outgoing(sender, outgoing)
+        for target, message in outgoing.items():
+            if not self._graph.has_edge(sender, target):
+                raise SimulationError(
+                    f"node {sender} attempted to send to non-neighbour {target}"
+                )
+            size = message_size_in_words(message)
+            if size > self.bandwidth_words:
+                raise SimulationError(
+                    f"node {sender} sent a {size}-word message to {target}, exceeding the "
+                    f"bandwidth of {self.bandwidth_words} words per edge per round"
+                )
+
+    def _final_outputs(self, exclude=frozenset()) -> dict[Hashable, object]:
+        if self._view is not None:
+            return super()._final_outputs(exclude)
+        return {node: self.programs[node].result() for node in self._order}
 
     def _run_faulty(self, max_rounds: int) -> SimulationResult:
         """The fault-aware loop in full-scan flavour.
@@ -51,7 +124,7 @@ class ReferenceSimulator(CongestSimulator):
         """
         programs = self.programs
         schedule = self._fault_schedule
-        queue = FaultQueue(schedule, self._rank)
+        queue = FaultQueue(schedule)
         crash_by_round = self._crash_rounds()
         crashed: set[Hashable] = set()
         total_messages = total_words = 0

@@ -263,7 +263,7 @@ def test_mst_scenario_identical_with_and_without_core_paths():
     )
     fast = run_scenario(scenario).as_dict()
     with seed_paths():
-        # Label mode: only the per-node loop runs node programs on labels.
+        # The seed paths, with the simulated phases on the per-node loop.
         reference = run_scenario(scenario, simulator_cls=CongestSimulator).as_dict()
     for key in ("mst_rounds", "mst_phases", "mst_weight", "sim_rounds", "sim_messages", "sim_words"):
         assert fast["result"][key] == reference["result"][key], key

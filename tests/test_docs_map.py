@@ -32,8 +32,9 @@ PAPER_MAP = DOCS_DIR / "paper_map.md"
 SIMULATOR_DOC = DOCS_DIR / "simulator.md"
 SYMBOL_CHECKED_DOCS = [PAPER_MAP, SIMULATOR_DOC]
 SOURCE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-# The retired switch, the seed implementations that moved to tests/oracles/
-# and the label measurement path of Shortcut.
+# The retired switch, the seed implementations that moved to tests/oracles/,
+# the label measurement path of Shortcut and the label-space id keys of the
+# simulator and its fault queue.
 RETIRED_NAMES = (
     "core_enabled",
     "networkx_reference_paths",
@@ -48,6 +49,8 @@ RETIRED_NAMES = (
     "_EpochUnionFind",
     "_edge_set_multiplicities",
     "_raw_edge_sets",
+    "_program_id_key",
+    "_canonical_identity",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.

@@ -134,7 +134,9 @@ def test_convergecast_three_mode_equality(model):
 
 
 def test_label_mode_matches_core_mode_under_faults():
-    """One schedule drives label- and core-mode runs identically."""
+    """The primitives run on the view of an ``nx.Graph``, so both calls are
+    view runs; ``tests/test_label_mode.py`` drives label-mode programs on
+    the simulator directly under one schedule."""
     graph = grid_graph(4, 4)
     schedule = FaultSchedule(ADVERSARIAL, seed=21)
     _, label_result = distributed_bfs_tree(graph, 0, fault_schedule=schedule)

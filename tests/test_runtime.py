@@ -214,8 +214,11 @@ def test_runtime_rejects_empty_network():
 
 
 def test_runtime_requires_a_graph_view():
+    """The simulator itself stays index-native; the primitives view their input."""
+    from repro.congest.primitives import _BfsFactory
+
     with pytest.raises(InvalidGraphError, match="GraphView"):
-        distributed_bfs_tree(grid_graph(3, 3), 0, simulator_cls=RuntimeSimulator)
+        RuntimeSimulator(grid_graph(3, 3), _BfsFactory(0))
 
 
 def test_runtime_rejects_factories_without_compiled_twin():
