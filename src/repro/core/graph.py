@@ -41,28 +41,21 @@ class CoreGraph:
             ``0 <= u, v < n``; each undirected edge appears once.  Self-loops
             are rejected (the CONGEST model has none); parallel edges are
             merged (last weight wins), matching ``nx.Graph`` semantics.
-        sort_neighbours: store each adjacency slice in ascending index
-            order (the canonical layout; required by :meth:`has_edge`'s
-            binary search and by deterministic BFS).  Pass ``False`` to
-            preserve the insertion order of ``edges`` instead, for callers
-            that need to mirror a specific ``networkx`` iteration order.
+
+    Each adjacency slice is stored in ascending index order, the canonical
+    layout that :meth:`has_edge`'s binary search and deterministic BFS rely
+    on.
     """
 
     __slots__ = (
         "num_nodes",
         "num_edges",
-        "sorted_adjacency",
         "_indptr_list",
         "_indices_list",
         "_weights_list",
     )
 
-    def __init__(
-        self,
-        num_nodes: int,
-        edges: Iterable[tuple],
-        sort_neighbours: bool = True,
-    ) -> None:
+    def __init__(self, num_nodes: int, edges: Iterable[tuple]) -> None:
         if num_nodes < 0:
             raise InvalidGraphError("CoreGraph needs a non-negative vertex count")
         adjacency: list[dict[int, float]] = [dict() for _ in range(num_nodes)]
@@ -80,27 +73,19 @@ class CoreGraph:
         indices: list[int] = []
         weights: list[float] = []
         for u in range(num_nodes):
-            items = sorted(adjacency[u].items()) if sort_neighbours else adjacency[u].items()
-            for v, weight in items:
+            for v, weight in sorted(adjacency[u].items()):
                 indices.append(v)
                 weights.append(weight)
             indptr[u + 1] = len(indices)
 
         self.num_nodes = num_nodes
         self.num_edges = len(indices) // 2
-        self.sorted_adjacency = sort_neighbours
         self._indptr_list = indptr
         self._indices_list = indices
         self._weights_list = weights
 
     @classmethod
-    def from_csr(
-        cls,
-        indptr,
-        indices,
-        weights=None,
-        sort_neighbours: bool = True,
-    ) -> "CoreGraph":
+    def from_csr(cls, indptr, indices, weights=None) -> "CoreGraph":
         """Build a :class:`CoreGraph` directly from prebuilt CSR arrays.
 
         This is the fast constructor behind the native generators
@@ -113,14 +98,11 @@ class CoreGraph:
                 non-decreasing.
             indices: column indices, length ``indptr[-1]``; the arrays must
                 already be symmetric (every edge present in both rows) with
-                no self-loops, and each row ascending when
-                ``sort_neighbours`` is ``True``.  Only cheap O(1) shape
+                no self-loops, and each row ascending.  Only cheap O(1) shape
                 checks run here -- the vectorised generators guarantee the
                 invariants, and the property tests re-verify them.
             weights: optional weight array parallel to ``indices``
                 (defaults to unit weights).
-            sort_neighbours: whether the supplied rows are in ascending
-                index order (the canonical layout).
 
         Accepts numpy arrays or Python lists; the arrays are stored as
         flat Python lists (``tolist()``), matching :meth:`__init__`.
@@ -145,7 +127,6 @@ class CoreGraph:
         graph = cls.__new__(cls)
         graph.num_nodes = num_nodes
         graph.num_edges = len(indices_list) // 2
-        graph.sorted_adjacency = sort_neighbours
         graph._indptr_list = indptr_list
         graph._indices_list = indices_list
         graph._weights_list = weights_list
@@ -194,10 +175,8 @@ class CoreGraph:
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             return False
         start, end = self._indptr_list[u], self._indptr_list[u + 1]
-        if self.sorted_adjacency:
-            position = bisect.bisect_left(self._indices_list, v, start, end)
-            return position < end and self._indices_list[position] == v
-        return v in self._indices_list[start:end]
+        position = bisect.bisect_left(self._indices_list, v, start, end)
+        return position < end and self._indices_list[position] == v
 
     def edge_weight(self, u: int, v: int, default: float = 1.0) -> float:
         start, end = self._indptr_list[u], self._indptr_list[u + 1]

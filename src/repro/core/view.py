@@ -73,7 +73,7 @@ class GraphView:
         "__weakref__",
     )
 
-    def __init__(self, graph: nx.Graph, sort_neighbours: bool = True) -> None:
+    def __init__(self, graph: nx.Graph) -> None:
         from ..graphs.weights import WEIGHT
 
         labels = sorted(graph.nodes(), key=repr)
@@ -101,7 +101,7 @@ class GraphView:
         # view's: a cache entry referencing the view would keep a weakly-keyed
         # view alive forever.
         self._part_sets: dict = {}
-        self.core = CoreGraph(len(labels), edges, sort_neighbours=sort_neighbours)
+        self.core = CoreGraph(len(labels), edges)
 
     @classmethod
     def from_core(
@@ -232,7 +232,11 @@ class GraphView:
 # collector reclaims as one unit when the graph is dropped -- the same
 # lifetime discipline as ``GraphView._part_sets``.  Graphs are treated as
 # frozen once viewed -- every caller in this package mutates weights *before*
-# deriving structures, and the scenario layer documents the convention.
+# deriving structures, and the scenario layer documents the convention.  The
+# simulator, the structure layer (BFS trees, diameters, tree validation, part
+# generators) and the algorithms all view their nx input here, so a graph
+# whose topology changes must be copied first (``graph.copy()`` carries no
+# view).
 _VIEW_ATTR = "_repro_graph_view"
 
 # Running count of nx.Graph materialisations performed by the adapter

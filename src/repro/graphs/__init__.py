@@ -56,9 +56,6 @@ from .weights import (
     hashed_weights_array,
 )
 from .native import (
-    NATIVE_GENERATORS,
-    clique_sum_chain_reference,
-    ktree_chain_reference,
     native_clique_sum_chain,
     native_cycle,
     native_cylinder,
@@ -71,7 +68,6 @@ from .native import (
 )
 
 __all__ = [
-    "NATIVE_GENERATORS",
     "AlmostEmbeddableGraph",
     "Bag",
     "CliqueSumDecomposition",
@@ -85,7 +81,6 @@ __all__ = [
     "assign_random_weights",
     "assign_unit_weights",
     "build_almost_embeddable",
-    "clique_sum_chain_reference",
     "clique_sum_compose",
     "cycle_graph",
     "excludes_minor",
@@ -95,7 +90,6 @@ __all__ = [
     "hashed_edge_weight",
     "hashed_weights_array",
     "is_planar",
-    "ktree_chain_reference",
     "lower_bound_graph",
     "native_clique_sum_chain",
     "native_cycle",

@@ -9,9 +9,12 @@ directly, and wrap it in a *lazy* view
 (:meth:`~repro.core.GraphView.from_core`) whose ``nx.Graph`` is only ever
 materialised if a reference path or validator asks for it.
 
-The native output is pinned **exactly equal** to the preserved ``nx``
-generator converted via ``GraphView`` -- same canonical node ordering, same
-edge set, same weights (``tests/test_graphs_native.py``).  Exactness is
+The native output is pinned **exactly equal** to an ``nx`` twin converted
+via ``GraphView`` -- same canonical node ordering, same edge set, same
+weights (``tests/test_graphs_native.py``).  The twins are the
+:mod:`repro.graphs.planar` generators, and for the two chain shapes,
+which have no ``nx`` generator in the package, label-space builders kept
+with the test oracles (``tests/oracles/graphs.py``).  Exactness is
 non-trivial because the package's canonical node order is *sorted by
 ``repr``*, in two layers:
 
@@ -35,7 +38,6 @@ and the per-edge ``nx`` twin produce bit-for-bit identical floats.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from ..core import CoreGraph, GraphView
@@ -53,10 +55,7 @@ __all__ = [
     "native_delaunay",
     "native_ktree_chain",
     "native_clique_sum_chain",
-    "ktree_chain_reference",
-    "clique_sum_chain_reference",
     "with_hashed_weights",
-    "NATIVE_GENERATORS",
 ]
 
 
@@ -178,9 +177,7 @@ def with_hashed_weights(
     u = np.repeat(labels, np.diff(indptr))
     v = labels[indices]
     weights = hashed_weights_array(u, v, seed, low=low, high=high, integer=integer)
-    weighted_core = CoreGraph.from_csr(
-        indptr, indices, weights, sort_neighbours=core.sorted_adjacency
-    )
+    weighted_core = CoreGraph.from_csr(indptr, indices, weights)
     return GraphView.from_core(weighted_core, nodes=view.nodes, has_weights=True)
 
 
@@ -308,27 +305,6 @@ def native_delaunay(
     return view
 
 
-def ktree_chain_reference(n: int, k: int) -> nx.Graph:
-    """The preserved ``nx`` twin of :func:`native_ktree_chain`.
-
-    A deterministic interval ``k``-tree: vertex ``i`` is adjacent to the
-    ``min(i, k)`` preceding vertices, so the bags ``{i-k, ..., i}`` form a
-    path decomposition of width ``k`` (a bounded-treewidth chain -- the
-    shape the scale experiments use because its treewidth is independent
-    of ``n``).
-    """
-    if k < 1:
-        raise InvalidGraphError("k must be at least 1")
-    if n < k + 1:
-        raise InvalidGraphError(f"a {k}-tree chain needs at least {k + 1} nodes")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for i in range(1, n):
-        for j in range(max(0, i - k), i):
-            graph.add_edge(j, i)
-    return graph
-
-
 def native_ktree_chain(
     n: int,
     k: int,
@@ -337,7 +313,13 @@ def native_ktree_chain(
     high: float = 100.0,
     integer: bool = False,
 ) -> GraphView:
-    """CSR-native twin of :func:`ktree_chain_reference`."""
+    """A deterministic interval ``k``-tree on ``n`` vertices, CSR-native.
+
+    Vertex ``i`` is adjacent to the ``min(i, k)`` preceding vertices, so the
+    bags ``{i-k, ..., i}`` form a path decomposition of width ``k`` (a
+    bounded-treewidth chain -- the shape the scale experiments use because
+    its treewidth is independent of ``n``).
+    """
     if k < 1:
         raise InvalidGraphError("k must be at least 1")
     if n < k + 1:
@@ -351,39 +333,6 @@ def native_ktree_chain(
     return _assemble_view(n, label_u, label_v, weight_seed, low, high, integer)
 
 
-def clique_sum_chain_reference(num_bags: int, bag_side: int, k: int) -> nx.Graph:
-    """The preserved ``nx`` twin of :func:`native_clique_sum_chain`.
-
-    A deterministic ``k``-clique-sum of ``num_bags`` grid blocks: block
-    ``t`` is a ``bag_side x bag_side`` grid on the label interval starting
-    at ``t * (bag_side**2 - k)`` (cell ``(r, c)`` at offset ``r*bag_side +
-    c``), each junction's ``k`` shared vertices -- the last ``k`` cells of
-    one block and the first ``k`` of the next -- completed into a clique,
-    which is the set the two blocks are glued on.
-    """
-    if num_bags < 1 or k < 1:
-        raise InvalidGraphError("need at least one bag and k >= 1")
-    if bag_side * bag_side < 2 * k:
-        raise InvalidGraphError("bag too small for the junction cliques")
-    size = bag_side * bag_side
-    graph = nx.Graph()
-    for t in range(num_bags):
-        base = t * (size - k)
-        for r in range(bag_side):
-            for c in range(bag_side):
-                node = base + r * bag_side + c
-                if c + 1 < bag_side:
-                    graph.add_edge(node, node + 1)
-                if r + 1 < bag_side:
-                    graph.add_edge(node, node + bag_side)
-    for t in range(num_bags - 1):
-        shared = [t * (size - k) + size - k + i for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                graph.add_edge(shared[i], shared[j])
-    return graph
-
-
 def native_clique_sum_chain(
     num_bags: int,
     bag_side: int,
@@ -393,7 +342,15 @@ def native_clique_sum_chain(
     high: float = 100.0,
     integer: bool = False,
 ) -> GraphView:
-    """CSR-native twin of :func:`clique_sum_chain_reference` (index-space glue)."""
+    """A deterministic ``k``-clique-sum of ``num_bags`` grid blocks, CSR-native.
+
+    Block ``t`` is a ``bag_side x bag_side`` grid on the label interval
+    starting at ``t * (bag_side**2 - k)`` (cell ``(r, c)`` at offset
+    ``r*bag_side + c``); each junction's ``k`` shared vertices -- the last
+    ``k`` cells of one block and the first ``k`` of the next -- are
+    completed into a clique, which is the set the two blocks are glued on.
+    The glue is computed in index space.
+    """
     if num_bags < 1 or k < 1:
         raise InvalidGraphError("need at least one bag and k >= 1")
     if bag_side * bag_side < 2 * k:
@@ -416,60 +373,3 @@ def native_clique_sum_chain(
         label_u = np.concatenate([label_u, (junctions + i[None, :]).ravel()])
         label_v = np.concatenate([label_v, (junctions + j[None, :]).ravel()])
     return _assemble_view(num_nodes, label_u, label_v, weight_seed, low, high, integer)
-
-
-# Registry of (native, nx-twin) pairs for the differential and property
-# suites: family name -> (native callable, twin callable, list of kwargs
-# dicts exercised by the tests).  Twins take the same positional shape
-# parameters; weight arguments apply to the native side only (the twin is
-# weighted separately via assign_hashed_weights).
-def _grid_twin(rows, cols):
-    from .planar import grid_graph
-
-    return grid_graph(rows, cols)
-
-
-def _cylinder_twin(rows, cols):
-    from .planar import cylinder_graph
-
-    return cylinder_graph(rows, cols)
-
-
-def _cycle_twin(n):
-    from .planar import cycle_graph
-
-    return cycle_graph(n)
-
-
-def _star_twin(n):
-    from .planar import star_graph
-
-    return star_graph(n)
-
-
-def _wheel_twin(n):
-    from .planar import wheel_graph
-
-    return wheel_graph(n)
-
-
-def _delaunay_twin(n, seed=None):
-    from .planar import random_delaunay_triangulation
-
-    return random_delaunay_triangulation(n, seed=seed)
-
-
-NATIVE_GENERATORS: dict[str, tuple] = {
-    "grid": (native_grid, _grid_twin, [{"rows": 4, "cols": 7}, {"rows": 13, "cols": 12}, {"rows": 1, "cols": 30}]),
-    "cylinder": (native_cylinder, _cylinder_twin, [{"rows": 3, "cols": 5}, {"rows": 11, "cols": 14}]),
-    "cycle": (native_cycle, _cycle_twin, [{"n": 3}, {"n": 41}]),
-    "star": (native_star, _star_twin, [{"n": 1}, {"n": 27}]),
-    "wheel": (native_wheel, _wheel_twin, [{"n": 3}, {"n": 23}]),
-    "delaunay": (native_delaunay, _delaunay_twin, [{"n": 30, "seed": 3}, {"n": 150, "seed": 11}]),
-    "ktree_chain": (native_ktree_chain, ktree_chain_reference, [{"n": 12, "k": 1}, {"n": 40, "k": 4}]),
-    "clique_sum_chain": (
-        native_clique_sum_chain,
-        clique_sum_chain_reference,
-        [{"num_bags": 2, "bag_side": 3, "k": 2}, {"num_bags": 5, "bag_side": 4, "k": 3}],
-    ),
-}

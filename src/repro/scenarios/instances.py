@@ -100,15 +100,11 @@ class ScenarioInstance:
 
     @property
     def num_nodes(self) -> int:
-        if self._view is not None:
-            return self._view.core.num_nodes
-        return self._graph.number_of_nodes()
+        return self.view.core.num_nodes
 
     @property
     def num_edges(self) -> int:
-        if self._view is not None:
-            return self._view.core.num_edges
-        return self._graph.number_of_edges()
+        return self.view.core.num_edges
 
     @property
     def tree(self) -> RootedTree:
@@ -121,8 +117,8 @@ class ScenarioInstance:
         """Return (and cache) a part family of the requested kind.
 
         Supported kinds: ``"tree_fragments"`` (keyword ``num_parts``/
-        ``seed``), ``"path"`` and ``"singleton"``.  On native instances the
-        tree-fragment and singleton kinds run nx-free on the view.
+        ``seed``), ``"path"`` and ``"singleton"``.  Every kind runs on the
+        instance's view, so native instances stay nx-free.
         """
         # Resolve defaults before keying the cache, so e.g. parts("x") and
         # parts("x", num_parts=6) share one entry.
@@ -138,15 +134,14 @@ class ScenarioInstance:
         if kwargs:
             raise ValueError(f"unknown parts arguments for {kind!r}: {sorted(kwargs)}")
         if key not in self._parts:
-            network = self.view if self.native else self.graph
             if kind == "tree_fragments":
                 self._parts[key] = tree_fragment_parts(
-                    network, self.tree, num_parts=num_parts, seed=seed
+                    self.view, self.tree, num_parts=num_parts, seed=seed
                 )
             elif kind == "path":
-                self._parts[key] = path_parts(network, self.tree)
+                self._parts[key] = path_parts(self.view, self.tree)
             else:
-                self._parts[key] = singleton_parts(network)
+                self._parts[key] = singleton_parts(self.view)
         return self._parts[key]
 
     def part_set(self, kind: str = "tree_fragments", **kwargs) -> PartSet:

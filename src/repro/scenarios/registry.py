@@ -528,15 +528,8 @@ def _run_mst(
     in that case, so fail-free records are unchanged.
     """
     weighted = instance.weighted_graph(seed)
-    if isinstance(weighted, GraphView):
-        # Native instance: the weighted object already is the CSR view; the
-        # whole run (BFS build, Boruvka, broadcast, reference check) stays
-        # nx-free, which is what admits million-node scenario sizes.
-        network = weighted
-        root = min(weighted.nodes, key=repr)
-    else:
-        network = view_of(weighted)
-        root = min(weighted.nodes(), key=repr)
+    network = view_of(weighted)
+    root = network.nodes[0]
     schedule = None
     if faults is not None and not faults.is_null:
         schedule = FaultSchedule(faults, seed=fault_seed)
@@ -602,11 +595,9 @@ def _run_mincut(
     fault_seed: int = 0,
 ) -> dict:
     """Tree-packing min-cut is centralised; ``faults`` is recorded, not applied."""
-    weighted = instance.weighted_graph(seed, low=low, high=high)
-    if isinstance(weighted, GraphView):
-        # The tree-packing min-cut is centralised label-space code;
-        # materialise the weighted view once for native instances.
-        weighted = weighted.graph
+    # The tree-packing min-cut is centralised label-space code: a native
+    # instance's weighted view materialises its nx.Graph here, once.
+    weighted = view_of(instance.weighted_graph(seed, low=low, high=high)).graph
     result = approximate_min_cut(weighted, epsilon=epsilon, shortcut_builder=builder, tree=tree)
     record = {
         "mincut_value": result.value,

@@ -21,7 +21,7 @@ from ..core import GraphView, part_connected, part_set_of, view_of
 from ..errors import InvalidPartitionError
 from ..graphs.weights import WEIGHT
 from ..structure.spanning import RootedTree, bfs_spanning_tree
-from ..utils import ensure_rng
+from ..utils import canonical_edge, ensure_rng
 
 
 def validate_parts(graph: nx.Graph | GraphView, parts: Sequence[frozenset]) -> None:
@@ -34,11 +34,11 @@ def validate_parts(graph: nx.Graph | GraphView, parts: Sequence[frozenset]) -> N
     part set cannot be built because a later part has non-graph vertices,
     it falls back to per-part BFS so the per-part check order is preserved.
 
-    Given a :class:`~repro.core.GraphView` the check never materialises an
+    The check runs on ``view_of(graph)`` and never materialises an
     ``nx.Graph`` -- native views are exactly the instances too large to
     convert.
     """
-    view = graph if isinstance(graph, GraphView) else view_of(graph)
+    view = view_of(graph)
     part_set = None
     part_set_failed = False
     nodes = None
@@ -125,11 +125,10 @@ def tree_fragment_parts(
     already in the tree) and together they cover every vertex.  This is the
     canonical "fragments of a partially built spanning forest" workload.
 
-    Given a :class:`~repro.core.GraphView` the whole computation is nx-free:
-    the cut edges are sampled from the same canonical sorted edge list (so
-    the rng draws are identical), and the forest components come from a
-    union-find over the surviving parent edges instead of
-    ``nx.connected_components`` -- the resulting parts are equal as sets.
+    The cut edges are drawn from the sorted canonical tree edge list, the
+    forest components come from a union-find over the surviving parent
+    edges, and the parts are listed by their repr-smallest vertex.  No
+    ``nx.Graph`` is built, so native views split at any scale.
     """
     rng = ensure_rng(seed)
     tree = tree if tree is not None else bfs_spanning_tree(graph)
@@ -138,12 +137,7 @@ def tree_fragment_parts(
         raise InvalidPartitionError("num_parts must be positive")
     cuts = min(num_parts - 1, len(edges))
     removed = rng.sample(edges, cuts) if cuts else []
-    if isinstance(graph, GraphView):
-        parts = _forest_components(tree, removed)
-    else:
-        forest = tree.as_graph()
-        forest.remove_edges_from(removed)
-        parts = [frozenset(component) for component in nx.connected_components(forest)]
+    parts = _forest_components(tree, removed)
     parts.sort(key=lambda part: min(map(repr, part)))
     validate_parts(graph, parts)
     return parts
@@ -151,8 +145,6 @@ def tree_fragment_parts(
 
 def _forest_components(tree: RootedTree, removed: Sequence[tuple]) -> list[frozenset]:
     """Components of the tree minus ``removed`` edges, via union-find."""
-    from ..utils import canonical_edge
-
     cut = set(removed)
     leader: dict[Hashable, Hashable] = {node: node for node in tree.parent}
 
@@ -177,7 +169,7 @@ def _forest_components(tree: RootedTree, removed: Sequence[tuple]) -> list[froze
 
 
 def path_parts(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphView,
     tree: RootedTree | None = None,
 ) -> list[frozenset]:
     """Decompose a spanning tree into vertex-disjoint paths and use them as parts.
@@ -252,6 +244,8 @@ def boruvka_parts(
 
 
 def singleton_parts(graph: nx.Graph | GraphView) -> list[frozenset]:
-    """Return one singleton part per vertex (the phase-0 Boruvka fragments)."""
-    nodes = graph.nodes if isinstance(graph, GraphView) else graph.nodes()
-    return [frozenset({v}) for v in sorted(nodes, key=repr)]
+    """Return one singleton part per vertex (the phase-0 Boruvka fragments).
+
+    The parts are listed in the view's canonical (repr) vertex order.
+    """
+    return [frozenset({v}) for v in view_of(graph).nodes]

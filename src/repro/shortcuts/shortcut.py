@@ -416,10 +416,9 @@ class Shortcut:
         core = part_set.view.core
         n = core.num_nodes
         keys = self._edge_keys()
+        # Ascending: CSR rows are index-sorted.
         graph_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(core.indptr))
         graph_keys += core.indices
-        if not core.sorted_adjacency:
-            graph_keys.sort()
         found = np.searchsorted(graph_keys, keys)
         on_graph = found < len(graph_keys)
         on_graph[on_graph] = graph_keys[found[on_graph]] == keys[on_graph]

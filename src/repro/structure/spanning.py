@@ -10,11 +10,13 @@ by the clique-sum local shortcuts (the repaired tree ``T^2_h`` of Theorem 7).
 A tree also carries the memo (:meth:`RootedTree.memo`) in which the shortcut
 constructions keep their part-independent plans for the tree's lifetime.
 
-The traversal entry points (:func:`bfs_spanning_tree`,
-:func:`graph_diameter`) accept either an ``nx.Graph`` or a
-:class:`repro.core.GraphView`; given a view they run on the CSR kernel,
-producing byte-identical trees (index order equals the repr order used for
-tie-breaking on the ``networkx`` path) several times faster.
+The graph entry points (:func:`bfs_spanning_tree`, :func:`graph_diameter`
+and :meth:`RootedTree.validate`) run on the CSR kernel only.  An
+``nx.Graph`` argument is viewed once at the boundary through the memoised
+:func:`repro.core.view_of`, so it must not change its topology afterwards
+(graphs are frozen once viewed, see :mod:`repro.core.view`).  Index order is
+the canonical repr order, so BFS ties break towards the repr-smallest
+neighbour.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 import networkx as nx
 import numpy as np
 
-from ..core import GraphView
+from ..core import GraphView, view_of
 from ..errors import InvalidGraphError
-from ..utils import canonical_edge, require_connected
+from ..utils import canonical_edge
 
 Edge = tuple[Hashable, Hashable]
 T = TypeVar("T")
@@ -351,40 +353,24 @@ class RootedTree:
     def validate(self, graph: nx.Graph | GraphView | None = None) -> None:
         """Check that this is a spanning tree of ``graph`` (if provided).
 
-        Passing a :class:`~repro.core.GraphView` runs the nx-free twin of
-        the check (vertex-set equality, edge count, connectivity from the
-        root, every tree edge a CSR edge) -- the million-node native
-        pipeline validates its BFS trees without building any ``nx.Graph``.
+        Checks vertex-set equality and that every tree edge is a graph edge
+        on the graph's view, then the edge count and connectivity from the
+        root over the parent map; no ``nx.Graph`` is built, so the
+        million-node native pipeline validates its BFS trees on the arrays.
         """
-        if isinstance(graph, GraphView):
-            self._validate_native(graph)
-            return
-        tree_graph = self.as_graph()
-        if tree_graph.number_of_edges() != tree_graph.number_of_nodes() - 1:
-            raise InvalidGraphError("rooted tree has the wrong number of edges")
-        if not nx.is_connected(tree_graph):
-            raise InvalidGraphError("rooted tree is not connected")
-        if graph is not None:
-            if set(tree_graph.nodes()) != set(graph.nodes()):
-                raise InvalidGraphError("tree does not span the graph's vertex set")
-            for u, v in tree_graph.edges():
-                if not graph.has_edge(u, v):
-                    raise InvalidGraphError(f"tree edge ({u}, {v}) is not a graph edge")
-
-    def _validate_native(self, view: GraphView) -> None:
-        """The :class:`GraphView` twin of :meth:`validate` (same error texts)."""
         parent = self.parent
-        if set(parent) != set(view.nodes):
+        view = None if graph is None else view_of(graph)
+        if view is not None and set(parent) != set(view.nodes):
             raise InvalidGraphError("tree does not span the graph's vertex set")
-        core = view.core
-        index_of = view.index_of
         children: dict[Hashable, list[Hashable]] = {}
         edge_count = 0
         for node, par in parent.items():
             if par is None:
                 continue
             edge_count += 1
-            if not core.has_edge(index_of(node), index_of(par)):
+            if view is not None and not view.core.has_edge(
+                view.index_of(node), view.index_of(par)
+            ):
                 raise InvalidGraphError(f"tree edge ({node}, {par}) is not a graph edge")
             children.setdefault(par, []).append(node)
         if edge_count != len(parent) - 1:
@@ -525,37 +511,18 @@ def bfs_spanning_tree(graph: nx.Graph | GraphView, root: Hashable | None = None)
     most the diameter ``D`` of the graph -- the property Theorem 1 relies on
     when it plugs ``D`` into the shortcut quality function.
 
-    Accepts a :class:`GraphView` for the CSR fast path; the resulting tree is
-    identical to the ``networkx`` one (index order is repr order, so the
-    neighbour tie-breaking agrees) but label-keyed like always.
+    Runs on the CSR kernel of ``view_of(graph)``: the default root is the
+    repr-smallest vertex (index 0) and neighbours are scanned in index
+    (= repr) order.  The tree is label-keyed.
     """
-    if isinstance(graph, GraphView):
-        return _bfs_spanning_tree_core(graph, root)
-    require_connected(graph, "graph")
-    if root is None:
-        root = min(graph.nodes(), key=repr)
-    if root not in graph:
-        raise InvalidGraphError(f"root {root} is not in the graph")
-    parent: dict[Hashable, Hashable | None] = {root: None}
-    queue: deque[Hashable] = deque([root])
-    while queue:
-        node = queue.popleft()
-        for neighbour in sorted(graph.neighbors(node), key=repr):
-            if neighbour not in parent:
-                parent[neighbour] = node
-                queue.append(neighbour)
-    return RootedTree(parent, root)
-
-
-def _bfs_spanning_tree_core(view: GraphView, root: Hashable | None = None) -> RootedTree:
-    """CSR BFS spanning tree; same contract (and output) as the nx path."""
+    view = view_of(graph)
     if len(view) == 0:
         raise InvalidGraphError("graph is empty")
-    root_index = 0 if root is None else None
-    if root_index is None:
+    root_index = 0
+    if root is not None:
         try:
             root_index = view.index_of(root)
-        except KeyError:
+        except (KeyError, TypeError):
             raise InvalidGraphError(f"root {root} is not in the graph") from None
     parents, order = view.core.bfs_parents(root_index)
     if len(order) != len(view):
@@ -568,53 +535,23 @@ def _bfs_spanning_tree_core(view: GraphView, root: Hashable | None = None) -> Ro
     return RootedTree(parent, node_of[root_index])
 
 
-def center_root(graph: nx.Graph) -> Hashable:
-    """Return an approximate centre of the graph (minimises BFS tree height).
-
-    Found by double BFS: the midpoint of an approximately longest shortest
-    path has eccentricity at most ``ceil(D / 2) + 1``; rooting the spanning
-    tree there keeps ``d_T`` close to ``D`` rather than ``2 D``.
-    """
-    require_connected(graph, "graph")
-    start = min(graph.nodes(), key=repr)
-    far = max(nx.single_source_shortest_path_length(graph, start).items(), key=lambda kv: kv[1])[0]
-    lengths = nx.single_source_shortest_path_length(graph, far)
-    farther = max(lengths.items(), key=lambda kv: kv[1])[0]
-    path = nx.shortest_path(graph, far, farther)
-    return path[len(path) // 2]
-
-
 def graph_diameter(graph: nx.Graph | GraphView, exact_threshold: int = 400) -> int:
     """Return the diameter of ``graph`` (exact for small graphs, 2-approx above).
 
     For graphs with more than ``exact_threshold`` nodes the double-BFS lower
     bound is returned, which is within a factor 2 of the true diameter and is
-    standard practice for experiment bookkeeping at scale.  Given a
-    :class:`GraphView` both regimes run on the CSR kernel.
+    standard practice for experiment bookkeeping at scale.  Both regimes run
+    on the CSR kernel of ``view_of(graph)``; the double sweep's far vertex is
+    the lowest-index (repr-smallest) vertex at maximum distance.
     """
-    if isinstance(graph, GraphView):
-        core = graph.core
-        if core.num_nodes == 0:
-            raise InvalidGraphError("graph is empty")
-        if not core.is_connected():
-            raise InvalidGraphError("graph is not connected")
-        if core.num_nodes <= exact_threshold:
-            return core.exact_diameter()
-        return core.double_sweep_diameter()
-    require_connected(graph, "graph")
-    if graph.number_of_nodes() <= exact_threshold:
-        return nx.diameter(graph)
-    start = min(graph.nodes(), key=repr)
-    lengths = nx.single_source_shortest_path_length(graph, start)
-    # Far-vertex tie-break: the repr-smallest vertex at maximum distance.
-    # This is the same vertex the GraphView path picks (lowest index; index
-    # order is repr order), so both regimes of both paths agree exactly --
-    # the old "first max in BFS dict order" rule diverged from the CSR path
-    # above the exact threshold (ROADMAP open item, pinned by the
-    # differential test in tests/test_algorithms_core.py).
-    eccentricity = max(lengths.values())
-    far = min((v for v, d in lengths.items() if d == eccentricity), key=repr)
-    return max(nx.single_source_shortest_path_length(graph, far).values())
+    core = view_of(graph).core
+    if core.num_nodes == 0:
+        raise InvalidGraphError("graph is empty")
+    if not core.is_connected():
+        raise InvalidGraphError("graph is not connected")
+    if core.num_nodes <= exact_threshold:
+        return core.exact_diameter()
+    return core.double_sweep_diameter()
 
 
 def steiner_tree_edges(tree: RootedTree, terminals: Sequence[Hashable]) -> set[Edge]:

@@ -7,8 +7,11 @@ one layer of :mod:`repro`, kept as it was before the CSR rewrites:
 * :mod:`oracles.quality` -- congestion, block parameter and quality;
 * :mod:`oracles.shortcuts` -- part validation and the congestion-capped /
   oblivious constructions;
-* :mod:`oracles.structure` -- the cell and gate validators and the
-  tree contraction `RootedTree.contract_to`;
+* :mod:`oracles.structure` -- the BFS spanning tree, graph diameter, tree
+  validation, tree-fragment and singleton part generators, the cell and
+  gate validators and the tree contraction `RootedTree.contract_to`;
+* :mod:`oracles.graphs` -- the ``nx`` twins of the CSR-native generators
+  and their pairing registry ``NATIVE_GENERATORS``;
 * :mod:`oracles.mst` and :mod:`oracles.mincut` -- Boruvka MST and the
   tree-packing min-cut;
 * :mod:`oracles.simulator` -- the full-scan :class:`ReferenceSimulator`.

@@ -20,11 +20,12 @@ from repro.algorithms.mst import ShortcutBuilder
 from repro.errors import InvalidGraphError
 from repro.graphs.weights import WEIGHT
 from repro.shortcuts.shortcut import Shortcut
-from repro.structure.spanning import RootedTree, bfs_spanning_tree
+from repro.structure.spanning import RootedTree
 
 from .aggregation import partwise_aggregate
 from .mst import boruvka_mst
 from .shortcuts import oblivious_shortcut
+from .structure import bfs_spanning_tree
 
 
 def _charging_probe(graph: nx.Graph, tree: RootedTree) -> int:

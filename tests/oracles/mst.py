@@ -19,12 +19,13 @@ from repro.algorithms.mst import MstResult, ShortcutBuilder
 from repro.core import GraphView
 from repro.errors import ConvergenceError
 from repro.graphs.weights import WEIGHT
-from repro.structure.spanning import RootedTree, bfs_spanning_tree
+from repro.structure.spanning import RootedTree
 from repro.utils import canonical_edge
 
 from .aggregation import partwise_aggregate
 from .quality import quality
 from .shortcuts import oblivious_shortcut
+from .structure import bfs_spanning_tree
 
 
 def _edge_weight(graph: nx.Graph, u: Hashable, v: Hashable) -> float:

@@ -18,10 +18,11 @@ import networkx as nx
 from repro.errors import InvalidPartitionError
 from repro.shortcuts.congestion_capped import default_budget_schedule
 from repro.shortcuts.shortcut import Shortcut
-from repro.structure.spanning import RootedTree, bfs_spanning_tree
+from repro.structure.spanning import RootedTree
 from repro.utils import canonical_edge
 
 from .quality import quality
+from .structure import bfs_spanning_tree
 
 
 def validate_parts(graph: nx.Graph, parts: Sequence[frozenset]) -> None:

@@ -1,14 +1,29 @@
-"""The seed cell and gate validators and tree contraction (label-keyed ``nx``).
+"""The seed structure layer: spanning trees, diameters, tree validation, tree
+fragments, cells, gates and tree contraction (label-keyed ``nx``).
 
-The oracle for :meth:`repro.structure.cells.CellPartition.validate` and
-:func:`repro.structure.gates.validate_gates`: both must accept and reject
-exactly the same inputs, with the same first violation.  :func:`contract_to`
-is the seed :meth:`repro.structure.spanning.RootedTree.contract_to`, which
-built the tree and its quotient as ``nx.Graph`` objects.
+* :func:`bfs_spanning_tree`, :func:`graph_diameter`, :func:`validate_tree`
+  -- the seed ``nx`` bodies of :func:`repro.structure.spanning.bfs_spanning_tree`
+  (repr-sorted neighbour scan), :func:`repro.structure.spanning.graph_diameter`
+  (``nx.diameter``; above the exact threshold a double sweep whose far
+  vertex is the repr-smallest at maximum distance) and
+  :meth:`repro.structure.spanning.RootedTree.validate` (on ``as_graph()``).
+  The production versions run on the CSR kernel of ``view_of(graph)``.
+* :func:`tree_fragment_parts`, :func:`singleton_parts` -- the seed part
+  generators of :mod:`repro.shortcuts.parts`: ``nx.connected_components``
+  of the cut tree, and a repr sort of the vertex labels.
+* :func:`validate_cells`, :func:`validate_gates` -- the oracles for
+  :meth:`repro.structure.cells.CellPartition.validate` and
+  :func:`repro.structure.gates.validate_gates`: both must accept and reject
+  exactly the same inputs, with the same first violation.
+* :func:`contract_to` -- the seed
+  :meth:`repro.structure.spanning.RootedTree.contract_to`, which built the
+  tree and its quotient as ``nx.Graph`` objects.
 """
 
 from __future__ import annotations
 
+import random
+from collections import deque
 from typing import Hashable
 
 import networkx as nx
@@ -16,7 +31,84 @@ import networkx as nx
 from repro.errors import InvalidGraphError, InvalidPartitionError
 from repro.structure.cells import CellPartition
 from repro.structure.gates import GateCollection
-from repro.structure.spanning import RootedTree, bfs_spanning_tree
+from repro.structure.spanning import RootedTree
+from repro.utils import ensure_rng, require_connected
+
+
+def bfs_spanning_tree(graph: nx.Graph, root: Hashable | None = None) -> RootedTree:
+    """BFS from ``root`` (default: repr-smallest) over repr-sorted neighbours."""
+    require_connected(graph, "graph")
+    if root is None:
+        root = min(graph.nodes(), key=repr)
+    if root not in graph:
+        raise InvalidGraphError(f"root {root} is not in the graph")
+    parent: dict[Hashable, Hashable | None] = {root: None}
+    queue: deque[Hashable] = deque([root])
+    while queue:
+        node = queue.popleft()
+        for neighbour in sorted(graph.neighbors(node), key=repr):
+            if neighbour not in parent:
+                parent[neighbour] = node
+                queue.append(neighbour)
+    return RootedTree(parent, root)
+
+
+def graph_diameter(graph: nx.Graph, exact_threshold: int = 400) -> int:
+    """``nx.diameter`` up to ``exact_threshold`` nodes, a double sweep above."""
+    require_connected(graph, "graph")
+    if graph.number_of_nodes() <= exact_threshold:
+        return nx.diameter(graph)
+    start = min(graph.nodes(), key=repr)
+    lengths = nx.single_source_shortest_path_length(graph, start)
+    # Far-vertex tie-break: the repr-smallest vertex at maximum distance.
+    eccentricity = max(lengths.values())
+    far = min((v for v, d in lengths.items() if d == eccentricity), key=repr)
+    return max(nx.single_source_shortest_path_length(graph, far).values())
+
+
+def validate_tree(tree: RootedTree, graph: nx.Graph | None = None) -> None:
+    """Edge count and connectivity of ``tree.as_graph()``, then spanning ``graph``."""
+    tree_graph = tree.as_graph()
+    if tree_graph.number_of_edges() != tree_graph.number_of_nodes() - 1:
+        raise InvalidGraphError("rooted tree has the wrong number of edges")
+    if not nx.is_connected(tree_graph):
+        raise InvalidGraphError("rooted tree is not connected")
+    if graph is not None:
+        if set(tree_graph.nodes()) != set(graph.nodes()):
+            raise InvalidGraphError("tree does not span the graph's vertex set")
+        for u, v in tree_graph.edges():
+            if not graph.has_edge(u, v):
+                raise InvalidGraphError(f"tree edge ({u}, {v}) is not a graph edge")
+
+
+def tree_fragment_parts(
+    graph: nx.Graph,
+    tree: RootedTree | None = None,
+    num_parts: int = 8,
+    seed: int | random.Random | None = None,
+) -> list[frozenset]:
+    """Cut ``num_parts - 1`` sampled tree edges; the forest's components.
+
+    The seed body without its closing ``validate_parts`` call: the
+    components of a spanning forest are valid parts by construction.
+    """
+    rng = ensure_rng(seed)
+    tree = tree if tree is not None else bfs_spanning_tree(graph)
+    edges = sorted(tree.edges())
+    if num_parts < 1:
+        raise InvalidPartitionError("num_parts must be positive")
+    cuts = min(num_parts - 1, len(edges))
+    removed = rng.sample(edges, cuts) if cuts else []
+    forest = tree.as_graph()
+    forest.remove_edges_from(removed)
+    parts = [frozenset(component) for component in nx.connected_components(forest)]
+    parts.sort(key=lambda part: min(map(repr, part)))
+    return parts
+
+
+def singleton_parts(graph: nx.Graph) -> list[frozenset]:
+    """One singleton part per vertex, in repr order."""
+    return [frozenset({v}) for v in sorted(graph.nodes(), key=repr)]
 
 
 def validate_cells(

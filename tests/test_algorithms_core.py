@@ -41,6 +41,7 @@ from repro.structure.spanning import bfs_spanning_tree, graph_diameter
 from oracles import aggregation as oracle_aggregation
 from oracles import mincut as oracle_mincut
 from oracles import mst as oracle_mst
+from oracles import structure as oracle_structure
 
 _INSTANCES: dict = {}
 
@@ -196,12 +197,14 @@ def test_graph_diameter_tie_break_agrees_above_exact_threshold(make_graph):
     """ROADMAP open item: the approximate regime's far-vertex tie-breaks align."""
     graph = make_graph()
     assert graph.number_of_nodes() > 400
-    assert graph_diameter(graph) == graph_diameter(view_of(graph))
+    expected = oracle_structure.graph_diameter(graph)
+    assert graph_diameter(graph) == graph_diameter(view_of(graph)) == expected
 
 
 def test_graph_diameter_agrees_in_exact_regime_too():
     graph = grid_graph(7, 9)
-    assert graph_diameter(graph) == graph_diameter(view_of(graph)) == 14
+    expected = oracle_structure.graph_diameter(graph)
+    assert graph_diameter(graph) == graph_diameter(view_of(graph)) == expected == 14
 
 
 @pytest.mark.parametrize("core_mode", [False, True], ids=["label", "core"])

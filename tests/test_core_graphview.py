@@ -36,11 +36,13 @@ from repro.scenarios import (
     run_matrix,
     scenario_matrix,
 )
+from repro.shortcuts.parts import singleton_parts, tree_fragment_parts
 from repro.structure.heavy_light import heavy_light_chains
-from repro.structure.spanning import bfs_spanning_tree, graph_diameter
+from repro.structure.spanning import RootedTree, bfs_spanning_tree, graph_diameter
 
 from oracles import quality as oracle_quality
 from oracles import seed_paths
+from oracles import structure as oracle_structure
 
 
 # ----------------------------------------------------------------- CoreGraph
@@ -144,17 +146,75 @@ def test_view_of_is_memoised_per_graph_object():
 @pytest.mark.parametrize("family_name", family_names())
 def test_core_bfs_tree_matches_networkx(family_name):
     instance = _family_instance(family_name)
-    nx_tree = bfs_spanning_tree(instance.graph)
-    core_tree = bfs_spanning_tree(instance.view)
-    assert core_tree.root == nx_tree.root
-    assert core_tree.parent == nx_tree.parent
-    assert core_tree.depth == nx_tree.depth
+    nx_tree = oracle_structure.bfs_spanning_tree(instance.graph)
+    for network in (instance.graph, instance.view):
+        core_tree = bfs_spanning_tree(network)
+        assert core_tree.root == nx_tree.root
+        assert core_tree.parent == nx_tree.parent
+        assert core_tree.depth == nx_tree.depth
 
 
 @pytest.mark.parametrize("family_name", family_names())
 def test_core_diameter_matches_networkx(family_name):
     instance = _family_instance(family_name)
-    assert graph_diameter(instance.view) == graph_diameter(instance.graph)
+    expected = oracle_structure.graph_diameter(instance.graph)
+    assert graph_diameter(instance.view) == graph_diameter(instance.graph) == expected
+
+
+@pytest.mark.parametrize("family_name", family_names())
+def test_part_generators_match_networkx_forest(family_name):
+    """Union-find tree fragments and view-order singletons == the seed nx bodies,
+    list order included, on every family and for nx and view input alike."""
+    instance = _family_instance(family_name)
+    graph, tree = instance.graph, instance.tree
+    expected_singletons = oracle_structure.singleton_parts(graph)
+    for network in (graph, instance.view):
+        for num_parts, seed in ((1, 0), (6, 3), (17, 8), (len(tree.parent), 1)):
+            assert tree_fragment_parts(
+                network, tree, num_parts=num_parts, seed=seed
+            ) == oracle_structure.tree_fragment_parts(
+                graph, tree, num_parts=num_parts, seed=seed
+            ), (num_parts, seed)
+        assert singleton_parts(network) == expected_singletons
+    assert tree_fragment_parts(graph, num_parts=5, seed=2) == (
+        oracle_structure.tree_fragment_parts(graph, num_parts=5, seed=2)
+    )
+
+
+def _message(check):
+    with pytest.raises(InvalidGraphError) as raised:
+        check()
+    return str(raised.value)
+
+
+def test_tree_validation_messages_match_for_nx_and_view_input():
+    graph = grid_graph(3, 4)
+    view = view_of(graph)
+    tree = bfs_spanning_tree(graph)
+    for network in (graph, view):
+        tree.validate(network)
+    oracle_structure.validate_tree(tree, graph)
+
+    # A tree over a different vertex set (the path 0..10 misses vertex 11).
+    short = bfs_spanning_tree(grid_graph(1, 11))
+    expected = "tree does not span the graph's vertex set"
+    assert _message(lambda: oracle_structure.validate_tree(short, graph)) == expected
+    for network in (graph, view):
+        assert _message(lambda: short.validate(network)) == expected
+
+    # A spanning tree with a non-graph edge (the grid has no edge (0, 5)).
+    parent = dict(tree.parent)
+    parent[5] = 0
+    foreign_edge = RootedTree(parent, tree.root)
+    for network in (graph, view):
+        # Named child first, as the parent map holds it.
+        assert _message(lambda: foreign_edge.validate(network)) == (
+            "tree edge (5, 0) is not a graph edge"
+        )
+    # The seed named it in nx adjacency order.
+    assert _message(lambda: oracle_structure.validate_tree(foreign_edge, graph)) == (
+        "tree edge (0, 5) is not a graph edge"
+    )
 
 
 @pytest.mark.parametrize("family_name", family_names())

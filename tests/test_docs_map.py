@@ -33,8 +33,9 @@ SIMULATOR_DOC = DOCS_DIR / "simulator.md"
 SYMBOL_CHECKED_DOCS = [PAPER_MAP, SIMULATOR_DOC]
 SOURCE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
 # The retired switch, the seed implementations that moved to tests/oracles/,
-# the label measurement path of Shortcut and the label-space id keys of the
-# simulator and its fault queue.
+# the label measurement path of Shortcut, the label-space id keys of the
+# simulator and its fault queue, the second bodies of the structure layer,
+# the unsorted-adjacency knob and the native generators' nx twins.
 RETIRED_NAMES = (
     "core_enabled",
     "networkx_reference_paths",
@@ -51,6 +52,14 @@ RETIRED_NAMES = (
     "_raw_edge_sets",
     "_program_id_key",
     "_canonical_identity",
+    "_bfs_spanning_tree_core",
+    "_validate_native",
+    "center_root",
+    "sort_neighbours",
+    "sorted_adjacency",
+    "ktree_chain_reference",
+    "clique_sum_chain_reference",
+    "NATIVE_GENERATORS",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.

@@ -1,10 +1,10 @@
 """Differential wall: every CSR-native generator equals its ``nx`` twin.
 
 The twin contract of :mod:`repro.graphs.native`: for every family in
-``NATIVE_GENERATORS`` and every registered parameter case, the native
-generator's canonical node ordering, CSR structure arrays, and hashed edge
-weights are *exactly* equal -- not isomorphic, not approximately equal --
-to the preserved ``nx`` generator's output converted through
+``oracles.graphs.NATIVE_GENERATORS`` and every registered parameter case,
+the native generator's canonical node ordering, CSR structure arrays, and
+hashed edge weights are *exactly* equal -- not isomorphic, not
+approximately equal -- to the ``nx`` twin's output converted through
 :class:`~repro.core.GraphView`.  The lazy adapter must round-trip back to
 the twin graph, and label-space (``nx``) code must see the two as the same
 graph, so either generator can serve as the oracle for the other.
@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 from repro.core import nx_materializations, view_of
-from repro.graphs.native import NATIVE_GENERATORS, with_hashed_weights
+from repro.graphs.native import with_hashed_weights
 from repro.graphs.weights import WEIGHT, assign_hashed_weights
 from repro.structure.spanning import bfs_spanning_tree
+
+from oracles import structure as oracle_structure
+from oracles.graphs import NATIVE_GENERATORS
 
 CASES = [
     pytest.param(family, dict(kwargs), id=f"{family}-{i}")
@@ -117,11 +120,14 @@ def test_lazy_adapter_round_trips_to_twin(family, kwargs):
 
 @pytest.mark.parametrize("family, kwargs", CASES)
 def test_equality_holds_under_reference_paths(family, kwargs):
-    """The label-space (nx) paths see the adapter and the twin as one graph."""
+    """The seed nx BFS sees the adapter and the twin as one graph, and the
+    production BFS on the native view builds that same tree."""
     native, twin = _pair(family, kwargs)
     adapter = native.graph
     root = min(twin.nodes(), key=repr)
-    assert bfs_spanning_tree(adapter, root).parent == bfs_spanning_tree(twin, root).parent
+    expected = oracle_structure.bfs_spanning_tree(twin, root).parent
+    assert oracle_structure.bfs_spanning_tree(adapter, root).parent == expected
+    assert bfs_spanning_tree(native, root).parent == expected
 
 
 def test_unweighted_views_report_no_weights():

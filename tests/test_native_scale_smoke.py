@@ -49,9 +49,7 @@ def _serpentine_weights(view: GraphView, side: int) -> GraphView:
     p_u, p_v = positions(u_lab), positions(v_lab)
     on_path = np.abs(p_u - p_v) == 1
     weights = np.where(on_path, np.minimum(p_u, p_v) + 1.0, 1e7)
-    weighted = CoreGraph.from_csr(
-        indptr, indices, weights, sort_neighbours=core.sorted_adjacency
-    )
+    weighted = CoreGraph.from_csr(indptr, indices, weights)
     return GraphView.from_core(weighted, nodes=view.nodes, has_weights=True)
 
 

@@ -8,7 +8,6 @@ from repro.graphs.planar import grid_graph, wheel_graph
 from repro.structure.spanning import (
     RootedTree,
     bfs_spanning_tree,
-    center_root,
     graph_diameter,
     steiner_tree_edges,
 )
@@ -91,14 +90,6 @@ def test_subtree_nodes_and_children(small_grid):
     assert all_nodes == set(small_grid.nodes())
     for child in tree.children[0]:
         assert tree.subtree_nodes(child) < all_nodes
-
-
-def test_center_root_reduces_tree_height():
-    graph = grid_graph(1, 20)  # a path: rooting at the centre halves the height
-    centre = center_root(graph)
-    centred = bfs_spanning_tree(graph, root=centre)
-    cornered = bfs_spanning_tree(graph, root=0)
-    assert centred.height <= cornered.height // 2 + 1
 
 
 def test_graph_diameter_exact_and_approximate():
