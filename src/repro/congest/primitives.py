@@ -890,18 +890,11 @@ def convergecast_aggregate(
         # Depth-staggered timeouts: deeper nodes give up earlier, so a
         # partial accumulator still has time to climb to the root before
         # *its* timeout.  The stride covers one retry burst per tree level.
-        depth: dict[Hashable, int] = {tree.root: 0}
-        frontier = [tree.root]
-        while frontier:
-            node = frontier.pop()
-            for child in tree.children[node]:
-                depth[child] = depth[node] + 1
-                frontier.append(child)
-        max_depth = max(depth.values(), default=0)
+        max_depth = tree.height
         stride = retry_budget + 4
         timeouts = {
             index_of(node): 2 * (max_depth + 1) + (max_depth - level) * stride + 4
-            for node, level in depth.items()
+            for node, level in tree.depth.items()
         }
         factory = _RobustConvergecastFactory(
             parent, num_children, node_values, timeouts, combine, retry_budget

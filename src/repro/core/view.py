@@ -236,7 +236,8 @@ class GraphView:
 # simulator, the structure layer (BFS trees, diameters, tree validation, part
 # generators) and the algorithms all view their nx input here, so a graph
 # whose topology changes must be copied first (``graph.copy()`` carries no
-# view).
+# view).  A changed vertex count is caught on the next view_of; a changed
+# edge set is not (nx has no O(1) edge count).
 _VIEW_ATTR = "_repro_graph_view"
 
 # Running count of nx.Graph materialisations performed by the adapter
@@ -260,6 +261,12 @@ def view_of(graph: nx.Graph | GraphView) -> GraphView:
 
     Accepts an existing view and returns it unchanged, so code that wants
     "a view of whatever I was given" can call this unconditionally.
+
+    Raises:
+        InvalidGraphError: vertices were added to or removed from ``graph``
+            since it was viewed.  An edge-only change goes unnoticed:
+            ``nx.Graph`` counts its edges in linear time, so the memo checks
+            the vertex count only.
     """
     if isinstance(graph, GraphView):
         return graph
@@ -267,4 +274,6 @@ def view_of(graph: nx.Graph | GraphView) -> GraphView:
     if view is None:
         view = GraphView(graph)
         setattr(graph, _VIEW_ATTR, view)
+    elif len(graph) != len(view):
+        raise InvalidGraphError("graph changed after it was viewed; copy it first")
     return view

@@ -15,9 +15,13 @@ construction:
    *globally*: for each related cell the part receives the cell's whole
    subtree plus its uplink edge to the apex;
 5. for the at-most-two normal cells (plus special cells) a part intersects
-   but is not related to, *local* shortcuts inside the cell are built by the
-   family shortcutter of the cell (planar / Genus+Vortex), restricted to the
-   cell's subtree of ``T``.
+   but is not related to, *local* shortcuts inside the cell are built on the
+   cell's subtree of ``T`` (``T.contract_to(cell)``) by the oblivious
+   congestion-capped search -- the constructor a distributed algorithm
+   would run there; Lemmas 9 and 10 argue existence through the planar and
+   treewidth shortcutters, which are not run (see "Deviations from the
+   paper" in ``docs/paper_map.md``).  This is the local-shortcut step of
+   Theorem 7, :func:`repro.shortcuts.clique_sum.add_local_shortcuts`.
 
 Multiple apices are handled exactly as in Theorem 8's proof: the cells are
 the components of ``T`` minus *all* apices, and an apex-containing part gets
@@ -32,65 +36,21 @@ phases run only steps 1, 4 and 5.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
 
 from ..errors import InvalidShortcutError
 from ..graphs.apex_vortex import AlmostEmbeddableGraph
 from ..structure.cell_assignment import compute_cell_assignment
-from ..structure.cells import CellPartition, cells_from_tree_without_apices, merge_cells_touching
+from ..structure.cells import cells_from_tree_without_apices, merge_cells_touching
 from ..structure.spanning import RootedTree, bfs_spanning_tree
+from .clique_sum import add_local_shortcuts
 from .congestion_capped import oblivious_shortcut
 from .parts import validate_parts
 from .shortcut import Shortcut
 
 Edge = tuple[Hashable, Hashable]
-
-# Per-cell local shortcutter: (cell graph, cell subtree of T, sub-parts) -> Shortcut.
-CellShortcutter = Callable[[nx.Graph, RootedTree, Sequence[frozenset]], Shortcut]
-
-
-def _cell_subtree(tree: RootedTree, cell: frozenset) -> RootedTree:
-    """Return the subtree of ``T`` induced on a cell, as a rooted tree.
-
-    Cells are, by construction, connected subtrees of ``T`` (components of
-    ``T`` minus the apices, possibly merged with other components through a
-    vortex -- in which case the induced forest is reconnected by contracting
-    through the missing apices, i.e. we fall back to the generic
-    ``contract_to`` minor, which stays within tree edges wherever they exist).
-    """
-    induced = nx.Graph()
-    induced.add_nodes_from(cell)
-    for u, v in tree.edges():
-        if u in cell and v in cell:
-            induced.add_edge(u, v)
-    if nx.is_connected(induced):
-        root = min(cell, key=repr)
-        parent: dict[Hashable, Hashable | None] = {root: None}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for neighbour in induced.neighbors(node):
-                if neighbour not in parent:
-                    parent[neighbour] = node
-                    stack.append(neighbour)
-        return RootedTree(parent, root)
-    return tree.contract_to(cell)
-
-
-def default_cell_shortcutter(
-    cell_graph: nx.Graph, cell_tree: RootedTree, subparts: Sequence[frozenset]
-) -> Shortcut:
-    """Default per-cell local shortcutter: the oblivious congestion-capped search.
-
-    Lemma 9 uses the planar shortcutter (Theorem 4) here and Lemma 10 the
-    treewidth-based one; both are *existence* arguments, and the oblivious
-    search is the constructor the distributed algorithm would actually run
-    inside a cell (see the discussion in :mod:`repro.shortcuts.congestion_capped`).
-    Callers with a structural witness can pass a family-specific shortcutter.
-    """
-    return oblivious_shortcut(cell_graph, cell_tree, subparts)
 
 
 class ApexPlan:
@@ -103,7 +63,7 @@ class ApexPlan:
     part receives: the cell's tree edges plus its uplinks to the apices.
     The cell subtree and the cell host graph of a skipped or special cell
     are built lazily, on first use, and the host is frozen
-    (``nx.freeze``), like the clique-sum plan's bag hosts.
+    (``nx.freeze``), like the clique-sum plan's bag graphs.
     """
 
     def __init__(
@@ -152,29 +112,28 @@ class ApexPlan:
     def cell_host(self, cell_index: int) -> tuple[RootedTree, nx.Graph]:
         """Return the cell's subtree of ``T`` and its host graph (frozen).
 
-        The host is ``G[cell]`` plus the subtree's edges (virtual ones when
-        the cell had to be contracted, see :func:`_cell_subtree`).
+        The subtree is ``T.contract_to(cell)``: the induced subtree when the
+        cell is connected in ``T``, else (a special cell merged through a
+        vortex) contracted through the missing apices.  The host is
+        ``G[cell]`` plus the subtree's edges, virtual ones included.
         """
         cached = self._cell_hosts.get(cell_index)
         if cached is None:
             cell = self.partition.cells[cell_index]
-            cell_tree = _cell_subtree(self.tree, cell)
+            cell_tree = self.tree.contract_to(cell)
             cell_graph = self.graph.subgraph(cell).copy()
             cell_graph.add_edges_from(cell_tree.edges())
             cached = self._cell_hosts[cell_index] = (cell_tree, nx.freeze(cell_graph))
         return cached
 
-    def shortcut(
-        self, parts: Sequence[frozenset], cell_shortcutter: CellShortcutter | None = None
-    ) -> Shortcut:
+    def shortcut(self, parts: Sequence[frozenset]) -> Shortcut:
         """Serve ``parts``: apex parts, cell assignment, grants, local shortcuts."""
         graph, tree, apex_set = self.graph, self.tree, self.apices
         validate_parts(graph, parts)
-        shortcutter = cell_shortcutter if cell_shortcutter is not None else default_cell_shortcutter
         if not apex_set:
             # Degenerate case: no apices means the whole graph is one "cell";
             # serve every part with the oblivious constructor directly.
-            fallback = shortcutter(graph, tree, parts)
+            fallback = oblivious_shortcut(graph, tree, parts)
             fallback.constructor = "apex(no-apices)"
             return fallback
 
@@ -199,28 +158,22 @@ class ApexPlan:
         cell_of = self.cell_of
         for local_index, part_index in enumerate(surface_part_indices):
             related = assignment.related_cells[local_index]
-            skipped = assignment.skipped_cells[local_index]
+            local_cells = (self.special | assignment.skipped_cells[local_index]) - related
             touched = {cell_of[v] for v in parts[part_index] if v in cell_of}
-            for cell_index in sorted(touched):
-                if cell_index in related:
-                    continue
-                if cell_index in self.special or cell_index in skipped:
-                    skipped_by_cell.setdefault(cell_index, []).append(part_index)
+            for cell_index in sorted(touched & local_cells):
+                skipped_by_cell.setdefault(cell_index, []).append(part_index)
 
         for cell_index, part_indices in skipped_by_cell.items():
-            cell_vertices = self.cell_vertices[cell_index]
             cell_tree, cell_graph = self.cell_host(cell_index)
-            subparts: list[frozenset] = []
-            owners: list[int] = []
-            for part_index in part_indices:
-                restricted = set(parts[part_index]) & cell_vertices
-                for component in nx.connected_components(cell_graph.subgraph(restricted)):
-                    subparts.append(frozenset(component))
-                    owners.append(part_index)
-            local = shortcutter(cell_graph, cell_tree, subparts)
-            for sub_index, owner in enumerate(owners):
-                kept = {edge for edge in local.edge_sets[sub_index] if edge in tree_edges}
-                edge_sets[owner] |= kept
+            add_local_shortcuts(
+                edge_sets,
+                parts,
+                part_indices,
+                self.cell_vertices[cell_index],
+                cell_graph,
+                lambda subparts: oblivious_shortcut(cell_graph, cell_tree, subparts),
+                tree_edges,
+            )
 
         return Shortcut(
             graph=graph,
@@ -254,7 +207,6 @@ def apex_shortcut(
     parts: Sequence[frozenset] = (),
     apices: Iterable[Hashable] = (),
     vortex_node_groups: Sequence[Iterable[Hashable]] = (),
-    cell_shortcutter: CellShortcutter | None = None,
 ) -> Shortcut:
     """Construct a tree-restricted shortcut for an apex graph (Lemma 9/10, Thm 8).
 
@@ -266,7 +218,6 @@ def apex_shortcut(
         vortex_node_groups: for every vortex, the set of vertices it touches
             (boundary plus internal nodes); cells meeting a vortex are merged
             into special cells exactly as Lemma 10 prescribes.
-        cell_shortcutter: local shortcutter run inside skipped cells.
 
     Returns:
         A T-restricted :class:`Shortcut` covering every part.
@@ -275,15 +226,13 @@ def apex_shortcut(
     this call runs only its per-parts step.
     """
     tree = tree if tree is not None else bfs_spanning_tree(graph)
-    plan = apex_plan(graph, tree, apices, vortex_node_groups)
-    return plan.shortcut(parts, cell_shortcutter)
+    return apex_plan(graph, tree, apices, vortex_node_groups).shortcut(parts)
 
 
 def apex_shortcut_from_witness(
     witness: AlmostEmbeddableGraph,
     tree: RootedTree | None = None,
     parts: Sequence[frozenset] = (),
-    cell_shortcutter: CellShortcutter | None = None,
 ) -> Shortcut:
     """Convenience wrapper: read apices and vortices off an almost-embeddable witness."""
     return apex_shortcut(
@@ -292,5 +241,4 @@ def apex_shortcut_from_witness(
         parts,
         apices=witness.apices,
         vortex_node_groups=[vortex.all_nodes() for vortex in witness.vortices],
-        cell_shortcutter=cell_shortcutter,
     )

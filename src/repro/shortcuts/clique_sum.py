@@ -20,21 +20,23 @@ the ``fold`` flag so experiment E3 can measure both arms.
 
 Corollary 1 calls the construction once per Boruvka phase with new parts
 but the same graph, tree and witness.  Everything part-independent --
-the folded tree, the group vertex and edge sets, and per bag ``B^0_h``,
-``T^2_h`` and the host graph -- is therefore a :class:`CliqueSumPlan`,
-built once and memoised on the tree; :func:`clique_sum_shortcut` is
+the folded tree, the group vertex and edge sets, and per bag ``B^0_h`` and
+``T^2_h`` -- is therefore a :class:`CliqueSumPlan`, built once and
+memoised on the tree; :func:`clique_sum_shortcut` is
 ``clique_sum_plan(...).shortcut(parts)``.  The treewidth, genus+vortex and
-minor-free constructions run on the same plan.
+minor-free constructions run on the same plan, and the apex construction
+of Theorem 8 serves its cells with the same local-shortcut step
+(:func:`add_local_shortcuts`).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import networkx as nx
 
-from ..errors import InvalidShortcutError
+from ..errors import InvalidDecompositionError, InvalidShortcutError
 from ..graphs.clique_sum import Bag, CliqueSumDecomposition
 from ..structure.heavy_light import (
     FoldedDecompositionTree,
@@ -64,34 +66,46 @@ def default_local_shortcutter(
     """Family shortcutter used when the caller does not supply one.
 
     The oblivious congestion-capped search is a safe default for any bag
-    family; the minor-free pipeline overrides it with family-specific
-    constructors (planar / apex / treewidth) chosen by the bag's ``kind``.
+    family.  The treewidth and genus+vortex constructions pass a Steiner
+    shortcutter for their tiny bags, and the minor-free pipeline the apex
+    construction for almost-embeddable bags.
     """
     return oblivious_shortcut(bag_graph, bag_tree, subparts)
 
 
-def _descendant_vertex_sets(
-    folded: FoldedDecompositionTree,
-) -> tuple[dict[int, int | None], dict[int, set], dict[int, set]]:
-    """Return (parent map, per-group vertex set, per-group descendant vertex set)."""
-    tree = folded.tree
-    root = folded.root
-    parent: dict[int, int | None] = {root: None}
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for neighbour in tree.neighbors(node):
-            if neighbour not in parent:
-                parent[neighbour] = node
-                stack.append(neighbour)
-    group_vertices = {group: set(folded.group_vertices(group)) for group in tree.nodes()}
-    descendant_vertices: dict[int, set] = {group: set(group_vertices[group]) for group in tree.nodes()}
-    for node in reversed(order):
-        if parent[node] is not None:
-            descendant_vertices[parent[node]] |= descendant_vertices[node]
-    return parent, group_vertices, descendant_vertices
+def add_local_shortcuts(
+    edge_sets: list[set[Edge]],
+    parts: Sequence[frozenset],
+    part_indices: Iterable[int],
+    vertices: set,
+    host: nx.Graph,
+    run: Callable[[list[frozenset]], Shortcut],
+    tree_edges: frozenset[Edge],
+    discard: set | frozenset = frozenset(),
+) -> None:
+    """The local-shortcut step of Theorems 7 and 8 for one bag or cell.
+
+    Every part in ``part_indices`` is restricted to ``vertices`` and split
+    into the connected components of ``host`` (``B^0_h`` or the cell
+    graph); ``run`` builds the local shortcut of those sub-parts on the
+    repaired tree.  Each owner keeps the edges of its sub-parts' local
+    shortcut that are edges of ``T`` and do not lie inside ``discard``.
+    """
+    subparts: list[frozenset] = []
+    owners: list[int] = []
+    for part_index in part_indices:
+        restricted = set(parts[part_index]) & vertices
+        for component in nx.connected_components(host.subgraph(restricted)):
+            subparts.append(frozenset(component))
+            owners.append(part_index)
+    if not subparts:
+        return
+    for owner, edges in zip(owners, run(subparts).edge_sets):
+        edge_sets[owner].update(
+            edge
+            for edge in edges
+            if edge in tree_edges and not (edge[0] in discard and edge[1] in discard)
+        )
 
 
 def _tree_edges_within(tree_edges: set[Edge], vertices: set) -> set[Edge]:
@@ -135,10 +149,11 @@ class CliqueSumPlan:
     maps, the group and descendant vertex sets, each child group's global
     grant (the tree edges below it minus those inside its parent group),
     and the discard vertices of every group.  Per bag it builds lazily, on
-    first use: the vertex set, ``B^0_h``, the repaired tree
-    ``T^2_h = contract_to(bag)`` and the host graph the local shortcutter
-    runs on.  The graphs are frozen (``nx.freeze``), so a shortcutter that
-    mutates one fails instead of corrupting later phases; the cached host
+    first use: the vertex set, ``B^0_h`` and the repaired tree
+    ``T^2_h = contract_to(bag)``.  ``B^0_h`` is the graph the local
+    shortcutter runs on; it holds every edge of ``T^2_h`` (see
+    :meth:`bag`).  It is frozen (``nx.freeze``), so a shortcutter that
+    mutates it fails instead of corrupting later phases; the cached bag
     graphs and bag trees also let a shortcutter keep its own state on them
     (a view, an Euler index, a nested plan) across phases.
     """
@@ -159,24 +174,35 @@ class CliqueSumPlan:
         self.fold = fold
         folded = fold_decomposition_tree(decomposition) if fold else identity_folding(decomposition)
         self.folded = folded
-        parent, group_vertices, descendant_vertices = _descendant_vertex_sets(folded)
+        # Parent, children and depth of every group, in one traversal of
+        # the folded tree; its reverse order then sums the descendant sets.
+        root = folded.root
+        parent: dict[int, int | None] = {root: None}
         self.parent = parent
+        self.children: dict[int, list[int]] = {g: [] for g in folded.tree.nodes()}
+        self.depth: dict[int, int] = {root: 0}
+        order: list[int] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            for neighbour in folded.tree.neighbors(node):
+                if neighbour not in parent:
+                    parent[neighbour] = node
+                    self.children[node].append(neighbour)
+                    self.depth[neighbour] = self.depth[node] + 1
+                    stack.append(neighbour)
+        group_vertices = {g: set(folded.group_vertices(g)) for g in folded.tree.nodes()}
+        descendant_vertices = {g: set(vs) for g, vs in group_vertices.items()}
+        for node in reversed(order):
+            if parent[node] is not None:
+                descendant_vertices[parent[node]] |= descendant_vertices[node]
         self.descendant_vertices = descendant_vertices
         self.tree_edges = tree.edge_set()
         self.groups_of: dict[Hashable, list[int]] = {}
         for group, vertices in group_vertices.items():
             for vertex in vertices:
                 self.groups_of.setdefault(vertex, []).append(group)
-        self.children: dict[int, list[int]] = {g: [] for g in folded.tree.nodes()}
-        for node, par in parent.items():
-            if par is not None:
-                self.children[par].append(node)
-        self.depth: dict[int, int] = {folded.root: 0}
-        order = [folded.root]
-        for node in order:
-            for child in self.children[node]:
-                self.depth[child] = self.depth[node] + 1
-                order.append(child)
         edges_in_group = {
             g: _tree_edges_within(self.tree_edges, vs) for g, vs in group_vertices.items()
         }
@@ -191,8 +217,7 @@ class CliqueSumPlan:
             group: _parent_clique_vertices(decomposition, folded, parent, group)
             for group in folded.tree.nodes()
         }
-        self._bag_graphs: dict[int, tuple[set, nx.Graph]] = {}
-        self._bag_hosts: dict[int, tuple[RootedTree, nx.Graph]] = {}
+        self._bags: dict[int, tuple[set, nx.Graph, RootedTree]] = {}
 
     @property
     def tree(self) -> RootedTree:
@@ -213,29 +238,29 @@ class CliqueSumPlan:
                 return self.folded.root
         return next(iter(current))
 
-    def bag_graph(self, bag_index: int) -> tuple[set, nx.Graph]:
-        """Return the bag's vertex set and its completed graph ``B^0_h`` (frozen)."""
-        cached = self._bag_graphs.get(bag_index)
-        if cached is None:
-            completed = nx.freeze(self.decomposition.completed_bag_graph(bag_index))
-            vertices = set(self.decomposition.bags[bag_index].nodes)
-            cached = self._bag_graphs[bag_index] = (vertices, completed)
-        return cached
+    def bag(self, bag_index: int) -> tuple[set, nx.Graph, RootedTree]:
+        """Return the bag's vertex set, ``B^0_h`` (frozen) and ``T^2_h``.
 
-    def bag_host(self, bag_index: int) -> tuple[RootedTree, nx.Graph]:
-        """Return the repaired tree ``T^2_h`` and the local shortcutter's host graph.
+        ``B^0_h`` holds every edge of ``T^2_h`` for a valid decomposition: a
+        kept tree edge joins two bag vertices, and the border of every
+        contracted T-component lies in one partial clique, which ``B^0_h``
+        completes.  That is checked once, here.
 
-        The host holds the completed bag edges and the repaired tree's
-        (possibly virtual) edges; virtual edges are pruned after the local
-        construction anyway.
+        Raises:
+            InvalidDecompositionError: an edge of ``T^2_h`` is not in ``B^0_h``.
         """
-        cached = self._bag_hosts.get(bag_index)
+        cached = self._bags.get(bag_index)
         if cached is None:
-            vertices, completed = self.bag_graph(bag_index)
+            vertices = set(self.decomposition.bags[bag_index].nodes)
+            completed = nx.freeze(self.decomposition.completed_bag_graph(bag_index))
             bag_tree = self.tree.contract_to(vertices)
-            host = completed.copy()
-            host.add_edges_from(bag_tree.edges())
-            cached = self._bag_hosts[bag_index] = (bag_tree, nx.freeze(host))
+            for u, v in bag_tree.edges():
+                if not completed.has_edge(u, v):
+                    raise InvalidDecompositionError(
+                        f"bag {bag_index}: repaired tree edge ({u!r}, {v!r}) is not an edge "
+                        "of the completed bag graph"
+                    )
+            cached = self._bags[bag_index] = (vertices, completed, bag_tree)
         return cached
 
     def shortcut(
@@ -264,33 +289,20 @@ class CliqueSumPlan:
 
         # Local shortcuts, one pass per group over the parts homed there.
         for group, part_indices in parts_by_group.items():
-            discard_vertices = self.discard_vertices[group]
+            discard = self.discard_vertices[group]
             for bag_index in self.folded.member_bags(group):
-                bag_vertices, completed = self.bag_graph(bag_index)
-                # Sub-parts: connected components (in the completed bag graph) of
-                # each homed part restricted to the bag.
-                subparts: list[frozenset] = []
-                owner_of_subpart: list[int] = []
-                for part_index in part_indices:
-                    restricted = set(parts[part_index]) & bag_vertices
-                    if not restricted:
-                        continue
-                    for component in nx.connected_components(completed.subgraph(restricted)):
-                        subparts.append(frozenset(component))
-                        owner_of_subpart.append(part_index)
-                if not subparts:
-                    continue
-                bag_tree, host = self.bag_host(bag_index)
+                vertices, completed, bag_tree = self.bag(bag_index)
                 bag = self.decomposition.bags[bag_index]
-                local = shortcutter(host, bag_tree, subparts, bag)
-                for sub_index, owner in enumerate(owner_of_subpart):
-                    kept = {
-                        edge
-                        for edge in local.edge_sets[sub_index]
-                        if edge in tree_edges
-                        and not (edge[0] in discard_vertices and edge[1] in discard_vertices)
-                    }
-                    edge_sets[owner] |= kept
+                add_local_shortcuts(
+                    edge_sets,
+                    parts,
+                    part_indices,
+                    vertices,
+                    completed,
+                    lambda subparts: shortcutter(completed, bag_tree, subparts, bag),
+                    tree_edges,
+                    discard,
+                )
 
         return Shortcut(
             graph=self.graph,

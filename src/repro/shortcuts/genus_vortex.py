@@ -5,10 +5,11 @@ graphs -- bounded genus plus vortices, no apices -- by showing they have
 treewidth ``O((g + 1) k l D)`` (Lemma 3) and then invoking the
 treewidth-based shortcut construction (Theorem 5).  The constructor here
 replays that chain: build the Lemma 2/3 tree decomposition (star-replace the
-vortices, decompose, re-insert the vortex nodes) and hand it to
-:func:`repro.shortcuts.treewidth.treewidth_shortcut`.  The decomposition is
-built once per spanning tree and witness (:func:`genus_vortex_plan`), not
-once per Boruvka phase.
+vortices, decompose, re-insert the vortex nodes), take the treewidth
+construction's plan over it (:func:`repro.shortcuts.treewidth.treewidth_plan`)
+and serve the parts with its Steiner bag shortcutter.  The decomposition
+and the plan are built once per spanning tree and witness
+(:func:`genus_vortex_plan`), not once per Boruvka phase.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ from ..structure.tree_decomposition import (
 )
 from .clique_sum import CliqueSumPlan
 from .shortcut import Shortcut
-from .treewidth import treewidth_plan, treewidth_shortcut
+from .treewidth import tiny_bag_shortcutter, treewidth_plan
 
 
-def genus_vortex_plan(
-    almost_embeddable: AlmostEmbeddableGraph, tree: RootedTree, fold: bool = True
-) -> CliqueSumPlan:
+def genus_vortex_plan(almost_embeddable: AlmostEmbeddableGraph, tree: RootedTree) -> CliqueSumPlan:
     """Return the Theorem 7 plan over the Lemma 2/3 decomposition, memoised on ``tree``.
 
     The decomposition (greedy when the witness has no vortices) is built
@@ -45,14 +44,13 @@ def genus_vortex_plan(
         return greedy_tree_decomposition(graph)
 
     decomposition = tree.memo("genus_vortex", (almost_embeddable,), build_decomposition)
-    return treewidth_plan(graph, tree, decomposition, fold=fold)
+    return treewidth_plan(graph, tree, decomposition)
 
 
 def genus_vortex_shortcut(
     almost_embeddable: AlmostEmbeddableGraph,
     tree: RootedTree | None = None,
     parts: Sequence[frozenset] = (),
-    fold: bool = True,
 ) -> Shortcut:
     """Construct shortcuts for the apex-free part of an almost-embeddable graph.
 
@@ -63,17 +61,14 @@ def genus_vortex_shortcut(
             them).
         tree: spanning tree of the apex-free graph (defaults to BFS).
         parts: the parts to serve.
-        fold: passed through to the underlying clique-sum composition.
     """
     if almost_embeddable.apices:
         raise InvalidGraphError(
             "genus_vortex_shortcut handles only the (0, g, k, l) case; this witness "
             "has apices -- use apex_shortcut instead"
         )
-    graph = almost_embeddable.graph
-    tree = tree if tree is not None else bfs_spanning_tree(graph)
-    view = genus_vortex_plan(almost_embeddable, tree, fold).decomposition
-    shortcut = treewidth_shortcut(graph, tree, parts, clique_sum_view=view, fold=fold)
+    tree = tree if tree is not None else bfs_spanning_tree(almost_embeddable.graph)
+    shortcut = genus_vortex_plan(almost_embeddable, tree).shortcut(parts, tiny_bag_shortcutter)
     shortcut.constructor = "genus_vortex(theorem9)"
     return shortcut
 

@@ -50,11 +50,10 @@ def _bag_shortcutter(
     """Dispatch the per-bag construction on the bag's family tag."""
     witness = bag.witness
     if bag.kind == "almost_embeddable" and isinstance(witness, AlmostEmbeddableGraph):
-        bag_nodes = set(bag_graph.nodes())
-        apices = [apex for apex in witness.apices if apex in bag_nodes]
+        apices = [apex for apex in witness.apices if apex in bag.nodes]
         vortex_groups = []
         for vortex in witness.vortices:
-            group = [node for node in vortex.all_nodes() if node in bag_nodes]
+            group = [node for node in vortex.all_nodes() if node in bag.nodes]
             if group:
                 vortex_groups.append(group)
         return apex_shortcut(
@@ -74,7 +73,6 @@ def minor_free_shortcut(
     minor_free: MinorFreeGraph,
     tree: RootedTree | None = None,
     parts: Sequence[frozenset] = (),
-    fold: bool = True,
 ) -> Shortcut:
     """Construct a tree-restricted shortcut for a sampled L_k graph (Theorem 6).
 
@@ -82,11 +80,12 @@ def minor_free_shortcut(
         minor_free: the sampled graph together with its clique-sum witness.
         tree: spanning tree of the composed graph (defaults to BFS).
         parts: the parts to serve.
-        fold: whether to heavy-light fold the decomposition tree (Theorem 7).
+
+    The decomposition tree is heavy-light folded (Theorem 7).
     """
     graph = minor_free.graph
     tree = tree if tree is not None else bfs_spanning_tree(graph)
-    plan = clique_sum_plan(graph, tree, minor_free.decomposition, fold)
+    plan = clique_sum_plan(graph, tree, minor_free.decomposition)
     shortcut = plan.shortcut(parts, _bag_shortcutter)
     shortcut.constructor = "minor_free(theorem6)"
     return shortcut

@@ -29,7 +29,6 @@ def planar_shortcut(
     graph: nx.Graph,
     tree: RootedTree | None = None,
     parts: Sequence[frozenset] = (),
-    require_planar: bool = True,
 ) -> Shortcut:
     """Construct a tree-restricted shortcut for a planar graph.
 
@@ -37,9 +36,10 @@ def planar_shortcut(
         graph: the (planar) network graph.
         tree: the spanning tree ``T``; defaults to a BFS tree.
         parts: the parts to serve.
-        require_planar: if True (default), raise :class:`InvalidGraphError`
-            when the graph is not planar, so callers never silently apply
-            the planar quality targets to the wrong family.
+
+    Raises:
+        InvalidGraphError: the graph is not planar, so the planar quality
+            targets are never silently applied to the wrong family.
 
     The searched congestion budgets are geared to the Theorem 4 shape: the
     construction first tries ``Theta(log d)`` and ``Theta(d log d)`` and the
@@ -49,9 +49,7 @@ def planar_shortcut(
     it runs once per (tree, graph) and is memoised on the tree.
     """
     tree = tree if tree is not None else bfs_spanning_tree(graph)
-    if require_planar and not tree.memo(
-        "planar", (graph,), lambda: nx.check_planarity(graph)[0]
-    ):
+    if not tree.memo("planar", (graph,), lambda: nx.check_planarity(graph)[0]):
         raise InvalidGraphError(
             "planar_shortcut called on a non-planar graph; use apex_shortcut or "
             "minor_free_shortcut for perturbed/augmented planar networks"

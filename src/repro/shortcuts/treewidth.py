@@ -7,9 +7,10 @@ width-``k`` tree decomposition presents the graph as tiny bags (at most
 ``(k+1)``-clique-sum decomposition whose bags are trivially shortcut-able.
 We therefore reuse the Theorem 7 machinery of
 :mod:`repro.shortcuts.clique_sum` with the tree decomposition as the
-clique-sum witness and a trivial per-bag shortcutter; the decomposition,
-its clique-sum view and the Theorem 7 plan are built once per spanning
-tree (:func:`treewidth_plan`).  The resulting bounds
+clique-sum witness and a per-bag Steiner shortcutter
+(:func:`tiny_bag_shortcutter`, which the genus+vortex construction uses
+too); the decomposition, its clique-sum view and the folded Theorem 7
+plan are built once per spanning tree (:func:`treewidth_plan`).  The resulting bounds
 are ``b = O(k)`` and ``c = O(k log^2 n)`` -- a ``log n`` factor above the
 theorem's statement, coming from the generic folding argument; the measured
 values reported by experiment E2 are compared against both expressions.
@@ -29,7 +30,7 @@ from .clique_sum import CliqueSumPlan, clique_sum_plan
 from .shortcut import Shortcut
 
 
-def _tiny_bag_shortcutter(
+def tiny_bag_shortcutter(
     bag_graph: nx.Graph,
     bag_tree: RootedTree,
     subparts: Sequence[frozenset],
@@ -46,26 +47,20 @@ def _tiny_bag_shortcutter(
 
 
 def treewidth_plan(
-    graph: nx.Graph,
-    tree: RootedTree,
-    decomposition: TreeDecomposition | None = None,
-    clique_sum_view: CliqueSumDecomposition | None = None,
-    fold: bool = True,
+    graph: nx.Graph, tree: RootedTree, decomposition: TreeDecomposition | None = None
 ) -> CliqueSumPlan:
     """Return the Theorem 7 plan over the decomposition's clique-sum view.
 
-    Without ``clique_sum_view`` the view of ``decomposition`` -- the greedy
-    (min-degree) decomposition of ``graph`` when that is omitted too -- is
-    built once and memoised on ``tree`` with its plan.
+    The view of ``decomposition`` -- the greedy (min-degree) decomposition
+    of ``graph`` when that is omitted -- is built once and memoised on
+    ``tree`` with its plan.
     """
-    if clique_sum_view is None:
 
-        def build_view() -> CliqueSumDecomposition:
-            witness = decomposition if decomposition is not None else greedy_tree_decomposition(graph)
-            return decomposition_from_tree_decomposition(graph, witness.tree, witness.width)
+    def build_view() -> CliqueSumDecomposition:
+        witness = decomposition if decomposition is not None else greedy_tree_decomposition(graph)
+        return decomposition_from_tree_decomposition(graph, witness.tree, witness.width)
 
-        clique_sum_view = tree.memo("treewidth", (graph, decomposition), build_view)
-    return clique_sum_plan(graph, tree, clique_sum_view, fold)
+    return clique_sum_plan(graph, tree, tree.memo("treewidth", (graph, decomposition), build_view))
 
 
 def treewidth_shortcut(
@@ -73,8 +68,6 @@ def treewidth_shortcut(
     tree: RootedTree | None = None,
     parts: Sequence[frozenset] = (),
     decomposition: TreeDecomposition | None = None,
-    clique_sum_view: CliqueSumDecomposition | None = None,
-    fold: bool = True,
 ) -> Shortcut:
     """Construct a tree-restricted shortcut from a treewidth decomposition.
 
@@ -83,16 +76,10 @@ def treewidth_shortcut(
         tree: spanning tree ``T`` (defaults to BFS).
         parts: the parts to serve.
         decomposition: a :class:`TreeDecomposition`; computed heuristically
-            (min-degree) when omitted.
-        clique_sum_view: optionally, a pre-built clique-sum view of the
-            decomposition (as produced by
-            :func:`repro.graphs.clique_sum.decomposition_from_tree_decomposition`).
-            Either way the view is built once per tree: see
-            :func:`treewidth_plan`.
-        fold: whether to fold the decomposition tree (Theorem 7 compression).
+            (min-degree) when omitted.  Its clique-sum view and the folded
+            Theorem 7 plan are built once per tree: see :func:`treewidth_plan`.
     """
     tree = tree if tree is not None else bfs_spanning_tree(graph)
-    plan = treewidth_plan(graph, tree, decomposition, clique_sum_view, fold)
-    shortcut = plan.shortcut(parts, _tiny_bag_shortcutter)
+    shortcut = treewidth_plan(graph, tree, decomposition).shortcut(parts, tiny_bag_shortcutter)
     shortcut.constructor = "treewidth(theorem5)"
     return shortcut

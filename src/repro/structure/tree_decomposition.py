@@ -15,7 +15,7 @@ Two kinds of decompositions are needed by the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import networkx as nx
 from networkx.algorithms.approximation import treewidth_min_degree, treewidth_min_fill_in
@@ -239,11 +239,3 @@ def _collapse_indexed_bags(indexed_tree: nx.Graph) -> nx.Graph:
 def treewidth_upper_bound(graph: nx.Graph, method: str = "min_degree") -> int:
     """Return a heuristic upper bound on the treewidth of ``graph``."""
     return greedy_tree_decomposition(graph, method=method).width
-
-
-def decomposition_for_parts(
-    decomposition: TreeDecomposition, vertices: Iterable[Hashable]
-) -> list[frozenset]:
-    """Return the bags intersecting ``vertices`` (helper for diagnostics)."""
-    vertex_set = set(vertices)
-    return [bag for bag in decomposition.tree.nodes() if set(bag) & vertex_set]

@@ -90,11 +90,6 @@ def pairs(items: Sequence[Hashable]) -> Iterator[tuple[Hashable, Hashable]]:
             yield items[i], items[j]
 
 
-def subgraph_copy(graph: nx.Graph, nodes: Iterable[Hashable]) -> nx.Graph:
-    """Return a standalone copy of the subgraph induced by ``nodes``."""
-    return graph.subgraph(set(nodes)).copy()
-
-
 def invert_mapping(mapping: Mapping[Hashable, Hashable]) -> dict[Hashable, set[Hashable]]:
     """Invert a many-to-one mapping into ``value -> set of keys``."""
     inverse: dict[Hashable, set[Hashable]] = {}

@@ -5,14 +5,24 @@ plan, memoised on the :class:`~repro.structure.spanning.RootedTree`, and a
 per-parts step.  A reused plan must serve any later parts exactly as a
 freshly built one does: every phase of a Boruvka run is replayed on the
 run's (warm) tree and on a copy of it whose memo is cold, and all three
-edge-set lists must agree.  The scope tests pin the memo's lifetime and
-keys, and the frozen host graphs.
+edge-set lists must agree, and their digests must equal the ones recorded
+in ``tests/golden/construction_edge_sets.json``.  That file pins the edge
+sets across refactors of the construction layer; regenerate it (and review
+the diff like any other behavioural change) with::
+
+    PYTHONPATH=src python tests/test_construction_plans.py --write
+
+The scope tests pin the memo's lifetime and keys, and the frozen host graphs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
+import json
+import pathlib
+import sys
 import weakref
 from unittest import mock
 
@@ -20,7 +30,8 @@ import networkx as nx
 import pytest
 
 from repro.algorithms.mst import boruvka_mst
-from repro.errors import InvalidGraphError
+from repro.errors import InvalidDecompositionError, InvalidGraphError
+from repro.graphs.clique_sum import Bag, CliqueSumDecomposition
 from repro.scenarios import registry
 from repro.scenarios.engine import build_instance
 from repro.shortcuts.apex import apex_plan
@@ -29,6 +40,8 @@ from repro.shortcuts.genus_vortex import genus_vortex_plan
 from repro.shortcuts.planar import planar_shortcut
 from repro.shortcuts.treewidth import treewidth_plan
 from repro.structure.spanning import RootedTree, bfs_spanning_tree
+
+GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "golden" / "construction_edge_sets.json"
 
 # (family, constructor): the cells of the family-mst benchmark workload.
 CELLS = [
@@ -47,10 +60,14 @@ def _instance(family_name: str, size: str, seed: int = 0):
     return build_instance(family_name, params, seed)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("size", ["tiny", "default"])
-@pytest.mark.parametrize("family_name, constructor_name", CELLS)
-def test_reused_plan_gives_the_cold_plans_shortcut(family_name, constructor_name, size, seed):
+def _digest(edge_sets) -> str:
+    """A stable digest of one shortcut's edge sets, part order included."""
+    canonical = json.dumps([sorted(map(repr, edges)) for edges in edge_sets])
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _replay(family_name: str, constructor_name: str, size: str, seed: int) -> list[str]:
+    """Check warm plans against cold ones; return the digest of every shortcut."""
     instance = _instance(family_name, size, seed)
     graph = instance.weighted_graph(seed)
     builder = registry.constructor(constructor_name).builder_for(instance)
@@ -65,16 +82,34 @@ def test_reused_plan_gives_the_cold_plans_shortcut(family_name, constructor_name
     boruvka_mst(graph, shortcut_builder=recording_builder, tree=tree)
     assert len(phases) > 1
     assert tree._memo, "the construction left no plan on the run's tree"
+    digests = []
     for parts, edge_sets in phases:
         cold = builder(graph, RootedTree(tree.parent, tree.root), parts).edge_sets
         assert edge_sets == cold
         assert builder(graph, tree, parts).edge_sets == cold
+        digests.append(_digest(cold))
     # Families unlike the phases' (fewer, larger parts; a new part order)
     # reach bags and cells the run's phases may not have.
     for num_parts in (2, 5, 9):
         parts = list(reversed(instance.parts(num_parts=num_parts, seed=seed)))
         cold = builder(graph, RootedTree(tree.parent, tree.root), parts).edge_sets
         assert builder(graph, tree, parts).edge_sets == cold
+        digests.append(_digest(cold))
+    return digests
+
+
+def _golden_key(constructor_name: str, size: str, seed: int) -> str:
+    return f"{constructor_name}/{size}/{seed}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("size", ["tiny", "default"])
+@pytest.mark.parametrize("family_name, constructor_name", CELLS)
+def test_reused_plan_gives_the_cold_plans_shortcut(family_name, constructor_name, size, seed):
+    digests = _replay(family_name, constructor_name, size, seed)
+    with GOLDEN_PATH.open(encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert digests == golden[_golden_key(constructor_name, size, seed)]
 
 
 def test_plans_die_with_their_tree():
@@ -83,7 +118,7 @@ def test_plans_die_with_their_tree():
     tree = bfs_spanning_tree(clique_sum.graph)
     plan = clique_sum_plan(clique_sum.graph, tree, clique_sum.witness)
     plan.shortcut(clique_sum.parts(num_parts=4, seed=0))
-    assert plan._bag_hosts, "no bag host was built"
+    assert plan._bags, "no bag was built"
     refs += [weakref.ref(plan), weakref.ref(treewidth_plan(clique_sum.graph, tree))]
 
     minor_free = _instance("minor_free", "tiny")
@@ -95,7 +130,7 @@ def test_plans_die_with_their_tree():
     # Nested plans: the apex plans of almost-embeddable bags live on the
     # plan's cached bag trees.
     nested = [
-        plan for bag_tree, _host in minor_plan._bag_hosts.values()
+        plan for _vertices, _completed, bag_tree in minor_plan._bags.values()
         for _sources, plan in bag_tree._memo.values()
     ]
     assert nested, "no almost-embeddable bag built an apex plan"
@@ -162,16 +197,51 @@ def test_cached_host_graphs_are_frozen():
     tree = bfs_spanning_tree(instance.graph)
     plan = clique_sum_plan(instance.graph, tree, instance.witness)
     bag = next(iter(instance.witness.bags))
-    _vertices, completed = plan.bag_graph(bag)
-    _bag_tree, host = plan.bag_host(bag)
+    _vertices, completed, _bag_tree = plan.bag(bag)
     apex = _instance("apex", "tiny")
     apex_tree = bfs_spanning_tree(apex.graph)  # a plan lives only as long as its tree
     cell_plan = apex_plan(apex.graph, apex_tree, apex.witness.apices)
     _cell_tree, cell_graph = cell_plan.cell_host(0)
-    for graph in (completed, host, cell_graph):
+    for graph in (completed, cell_graph):
         assert nx.is_frozen(graph)
         with pytest.raises(nx.NetworkXError, match="Frozen"):
             graph.add_edge("x", "y")
+
+
+@pytest.mark.parametrize("size", ["tiny", "default"])
+@pytest.mark.parametrize("family_name", ["clique_sum", "treewidth", "genus", "minor_free"])
+def test_every_repaired_tree_edge_is_a_bag_edge(family_name, size):
+    instance = _instance(family_name, size)
+    graph, witness = instance.graph, instance.witness
+    tree = bfs_spanning_tree(graph)
+    if family_name == "clique_sum":
+        plan = clique_sum_plan(graph, tree, witness)
+    elif family_name == "treewidth":
+        plan = treewidth_plan(graph, tree)
+    elif family_name == "genus":
+        plan = genus_vortex_plan(witness, tree)
+    else:
+        plan = clique_sum_plan(graph, tree, witness.decomposition)
+    for bag_index in plan.decomposition.bags:
+        _vertices, completed, bag_tree = plan.bag(bag_index)
+        assert all(completed.has_edge(u, v) for u, v in bag_tree.edges())
+
+
+def test_a_repaired_tree_edge_outside_its_bag_is_rejected():
+    # The path 0-1-2 with bags {0, 2} and {1} sharing no vertex: contracting
+    # T onto {0, 2} joins 0 and 2, which the completed bag {0, 2} lacks.
+    graph = nx.path_graph(3)
+    broken = CliqueSumDecomposition(
+        graph=graph,
+        tree=nx.Graph([(0, 1)]),
+        bags={0: Bag(0, frozenset({0, 2})), 1: Bag(1, frozenset({1}))},
+        partial_cliques={frozenset({0, 1}): frozenset()},
+        k=1,
+    )
+    with pytest.raises(InvalidDecompositionError, match="bag 0"):
+        clique_sum_shortcut(
+            graph, bfs_spanning_tree(graph), [frozenset({0})], decomposition=broken
+        )
 
 
 def test_a_mutating_local_shortcutter_fails_loudly():
@@ -188,3 +258,23 @@ def test_a_mutating_local_shortcutter_fails_loudly():
             decomposition=instance.witness,
             local_shortcutter=mutating,
         )
+
+
+def _write_golden() -> None:
+    digests = {
+        _golden_key(constructor_name, size, seed): _replay(family_name, constructor_name, size, seed)
+        for family_name, constructor_name in CELLS
+        for size in ("tiny", "default")
+        for seed in (0, 1, 2)
+    }
+    with GOLDEN_PATH.open("w", encoding="utf-8") as handle:
+        json.dump(digests, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(digests)} edge-set digest lists to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    if "--write" in sys.argv:
+        _write_golden()
+    else:
+        print(__doc__)

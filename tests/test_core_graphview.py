@@ -327,3 +327,11 @@ def test_mst_scenario_identical_with_and_without_core_paths():
         reference = run_scenario(scenario, simulator_cls=CongestSimulator).as_dict()
     for key in ("mst_rounds", "mst_phases", "mst_weight", "sim_rounds", "sim_messages", "sim_words"):
         assert fast["result"][key] == reference["result"][key], key
+
+
+def test_a_graph_whose_vertices_changed_after_viewing_is_rejected():
+    graph = grid_graph(3, 3)
+    bfs_spanning_tree(graph)
+    graph.add_edge(8, 99)
+    with pytest.raises(InvalidGraphError, match="changed after it was viewed"):
+        bfs_spanning_tree(graph)

@@ -60,6 +60,18 @@ RETIRED_NAMES = (
     "ktree_chain_reference",
     "clique_sum_chain_reference",
     "NATIVE_GENERATORS",
+    "_cell_subtree",
+    "CellShortcutter",
+    "default_cell_shortcutter",
+    "cell_shortcutter",
+    "require_planar",
+    "clique_sum_view",
+    "bag_host",
+    "_bag_hosts",
+    "path_to_root",
+    "path_edges",
+    "subgraph_copy",
+    "decomposition_for_parts",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.
