@@ -15,18 +15,18 @@ Measured on a shared 2-core box (wall clock, single runs):
 =========  ===========  ==========  =============
 side       n            MST         peak RSS
 =========  ===========  ==========  =============
-100        10^4         1.9-2.9 s   163 MiB
-200        4 * 10^4     24 s        622 MiB
-316        ~10^5        146 s       1.9 GiB
+100        10^4         1.8 s       155 MiB
+200        4 * 10^4     12.4 s      621 MiB
+316        ~10^5        56 s        2.0 GiB
 =========  ===========  ==========  =============
 
-The Boruvka MST takes nearly all of it; at side 200 that is 3.1 s of
-construction engine, 2.6 s of aggregation-tree builds and 17.5 s of the
-aggregation delivery loop.  Every other leg together takes about 2 s at
-side 316.  The million-node default
-has not been measured since the construction engine and the aggregation
-trees moved to array passes; its budgets below are generous upper bounds,
-not measurements.  CI shrinks the instance with ``S7_BENCH_SIDE`` and
+The Boruvka MST takes nearly all of it; at side 200 that is 4.0 s of
+construction engine, 4.3 s of aggregation-tree builds and 2.3 s of the
+per-round aggregation delivery loop (CPU seconds).  Every other leg
+together takes about 4 s at side 316.  The million-node default has not
+been measured since the construction engine and the aggregation trees
+moved to array passes; its budgets below are generous upper bounds, not
+measurements.  CI shrinks the instance with ``S7_BENCH_SIDE`` and
 passes matching budget overrides instead of skipping the gate.
 
 Each run appends its record to ``benchmarks/BENCH_S7.json`` through the

@@ -44,13 +44,23 @@ edge contention, never on what the message carries.  The leaves report
 first, in part order and then BFS discovery order within a part.  Every
 round, the directed edges with a queued message deliver in the canonical
 edge order -- index-pair order, keyed by the int ``u * n + v`` over
-:class:`~repro.core.GraphView` indices.  A part's aggregate is then one
+:class:`~repro.core.GraphView` indices -- and a slot sends at its last
+delivery of the round: its up message once every child has reported,
+its children's down messages (in discovery order) once it has the
+result.  Sends on one edge queue in the order of the deliveries that
+triggered them.  The loop runs once per round, not once per message:
+each directed edge has a compact id (in key order) and a linked-list
+FIFO, a round is a handful of numpy passes over the active edges and
+the messages they deliver, and what a slot sends when it fires is one
+gather from a per-event emission CSR.  A part's aggregate is then one
 fold of ``combine`` over its members in ascending index order, which
 equals the value the convergecast would deliver for any exact,
 associative and commutative ``combine``.  Rounds, messages,
 ``per_part_rounds`` and values are identical to the seed label scheduler
 in ``tests/oracles/aggregation.py``; the differential tests pin the two
-equal on every family and on hypothesis-drawn shortcuts.
+equal on every family, on hypothesis-drawn shortcuts, on two
+hand-built in-round orderings and on the heaviest Boruvka phase of a
+60x60 grid (``tests/aggregation_at_scale.py`` checks every phase).
 
 Two entry points share the scheduler: :func:`partwise_aggregate` takes
 label-keyed values, :func:`partwise_aggregate_indexed` a flat sequence
@@ -63,8 +73,6 @@ representation every shortcut holds.
 
 from __future__ import annotations
 
-from array import array
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
@@ -162,27 +170,32 @@ def partwise_aggregate_indexed(
 
 
 class _Trees(NamedTuple):
-    """Every part's aggregation tree as flat per-slot tables.
+    """Every part's aggregation tree as the per-round loop's numpy tables.
 
-    ``parent`` is a slot (``-1`` at anchors and unreached slots),
-    ``pending`` the child count, ``children[child_start[s] :
-    child_start[s + 1]]`` the children of ``s`` in discovery order and
-    ``part`` the slot's part.  The message keys of a tree edge, by its
-    child slot ``c``: ``up_key[c]`` for ``c -> parent(c)``,
-    ``down_key[c]`` for ``parent(c) -> c``.  ``leaves`` are in part order,
-    then discovery order; ``awaiting[p]`` counts part ``p``'s non-anchor
-    tree slots.
+    A *task* is one message: ``c`` for the up message of the tree edge
+    whose child slot is ``c``, ``num_slots + c`` for its down message.
+    ``task_edge[t]`` is the compact id of the directed edge ``t`` crosses
+    (ids in ``u * n + v`` order; ``num_edges`` of them).  An *event* is a
+    slot firing: event ``r`` when slot ``r`` has heard from all its
+    children, event ``num_slots + c`` when slot ``c`` receives its down
+    message.  ``event_of[t]`` is the event a delivery of task ``t`` counts
+    towards, and ``pending[e]`` the number of deliveries event ``e`` still
+    awaits (a child count, or one down message).
+    ``emitted[emit_start[e] : emit_start[e + 1]]`` are the tasks event
+    ``e`` sends: its own up task below an anchor, its children's down tasks
+    in discovery order at an anchor or on a down delivery.  ``leaves`` are
+    the first up tasks, in part order and then discovery order, and
+    ``part`` is every slot's part.
     """
 
-    parent: array
-    pending: list[int]
-    children: array
-    child_start: array
-    part: array
-    up_key: array
-    down_key: array
-    leaves: list[int]
-    awaiting: list[int]
+    pending: np.ndarray
+    event_of: np.ndarray
+    emit_start: np.ndarray
+    emitted: np.ndarray
+    task_edge: np.ndarray
+    num_edges: int
+    leaves: np.ndarray
+    part: np.ndarray
 
 
 def _aggregation_trees(shortcut: Shortcut) -> _Trees:
@@ -197,8 +210,9 @@ def _aggregation_trees(shortcut: Shortcut) -> _Trees:
     ascending neighbours, so parents and children orders are exactly the
     per-part ones.
 
-    The result holds ``array('q')`` tables and lists for the delivery loop;
-    every numpy array of the build is freed when this function returns.
+    The tree is then recast as the tables :func:`_schedule` reads (see
+    :class:`_Trees`): tasks, their compact edge ids (one ``np.unique``
+    over the up and down keys) and the per-event emission CSR.
     """
     part_set = shortcut.part_set()
     view = part_set.view
@@ -220,9 +234,7 @@ def _aggregation_trees(shortcut: Shortcut) -> _Trees:
     owner[members] = member_part
     starts, degrees = indptr[members], indptr[members + 1] - indptr[members]
     row = np.repeat(np.arange(len(members)), degrees)
-    neighbours = indices[
-        np.arange(len(row)) - np.repeat(np.cumsum(degrees) - degrees, degrees) + starts[row]
-    ]
+    neighbours = indices[_ranges(starts, degrees)]
     inside = owner[neighbours] == member_part[row]
     row_base = member_part[row[inside]] * n
     edge_offsets, heads, tails = shortcut.index_edges()
@@ -262,8 +274,7 @@ def _aggregation_trees(shortcut: Shortcut) -> _Trees:
     del graph
 
     parent = predecessors[:num_slots].astype(np.int64)
-    member_slots = np.searchsorted(keys, member_keys)
-    unreached = parent[member_slots] < 0
+    unreached = parent[np.searchsorted(keys, member_keys)] < 0
     if unreached.any():
         first = int(np.flatnonzero(unreached)[0])
         raise SimulationError(
@@ -273,102 +284,134 @@ def _aggregation_trees(shortcut: Shortcut) -> _Trees:
     parent[(parent < 0) | (parent == num_slots)] = -1
     discovered = order[1:]
     tree_slots = discovered[parent[discovered] >= 0]
-    pending = np.bincount(parent[tree_slots], minlength=num_slots)
+    child_count = np.bincount(parent[tree_slots], minlength=num_slots)
     slot_part = keys // n
     ranked = discovered[np.argsort(slot_part[discovered], kind="stable")]
+    leaves = ranked[(child_count[ranked] == 0) & (parent[ranked] >= 0)]
+    del order, discovered, ranked
+
+    # Task t crosses directed edge task_edge[t]: c -> parent(c) for the up
+    # task c, parent(c) -> c for the down task num_slots + c.
     vertex = keys % n
-    parent_vertex = vertex[np.maximum(parent, 0)]
+    del keys
+    below, above = vertex[tree_slots], vertex[parent[tree_slots]]
+    del vertex
+    edge_keys, inverse = np.unique(
+        np.concatenate((below * n + above, above * n + below)), return_inverse=True
+    )
+    del below, above
+    task_edge = np.zeros(2 * num_slots, dtype=np.int64)
+    task_edge[tree_slots] = inverse[: len(tree_slots)]
+    task_edge[num_slots + tree_slots] = inverse[len(tree_slots) :]
+    del inverse
+
+    # Event r sends r's up task below an anchor and, at an anchor (or an
+    # unreached slot, which has no children), its children's down tasks;
+    # event num_slots + c sends c's children's down tasks.
+    children = tree_slots[np.argsort(parent[tree_slots], kind="stable")]
+    child_start = np.concatenate(([0], np.cumsum(child_count)))
+    slots = np.arange(num_slots)
+    is_top = parent < 0
+    up_lengths = np.where(is_top, child_count, 1)
+    up_emitted = np.repeat(slots, up_lengths)
+    tops = np.flatnonzero(is_top)
+    up_emitted[is_top[up_emitted]] = (
+        num_slots + children[_ranges(child_start[tops], child_count[tops])]
+    )
+    emit_start = np.concatenate(([0], np.cumsum(up_lengths), len(up_emitted) + child_start[1:]))
     return _Trees(
-        parent=_int_array(parent),
-        pending=pending.tolist(),
-        children=_int_array(tree_slots[np.argsort(parent[tree_slots], kind="stable")]),
-        child_start=_int_array(np.concatenate(([0], np.cumsum(pending)))),
-        part=_int_array(slot_part),
-        up_key=_int_array(vertex * n + parent_vertex),
-        down_key=_int_array(parent_vertex * n + vertex),
-        leaves=ranked[(pending[ranked] == 0) & (parent[ranked] >= 0)].tolist(),
-        awaiting=np.bincount(slot_part[tree_slots], minlength=num_parts).tolist(),
+        pending=np.concatenate((child_count, np.ones(num_slots, dtype=np.int64))),
+        event_of=np.concatenate((parent, num_slots + slots)),
+        emit_start=emit_start,
+        emitted=np.concatenate((up_emitted, num_slots + children)),
+        task_edge=task_edge,
+        num_edges=len(edge_keys),
+        leaves=leaves,
+        part=slot_part,
     )
 
 
-def _int_array(values: np.ndarray) -> array:
-    """A read-only per-slot table for the delivery loop.
-
-    An ``array('q')`` holds 8 bytes per entry where a list of large ints
-    holds an int object each, and indexes as fast in the loop.
-    """
-    return array("q", values.astype(np.int64, copy=False).tobytes())
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + l)`` over ``zip(starts, lengths)``."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _schedule(shortcut: Shortcut, max_rounds: int) -> tuple[int, int, list[int]]:
-    """Run the greedy schedule; return ``(rounds, messages, per_part_rounds)``."""
+    """Run the greedy schedule; return ``(rounds, messages, per_part_rounds)``.
+
+    One pass per round over numpy arrays.  Every directed edge's FIFO is a
+    linked list through ``follower`` (``-1`` ends it) that starts behind a
+    sentinel task of its own: ``cursor`` is the task the edge delivered
+    last (the sentinel at first), ``tail`` the task it will deliver last,
+    and the edge is idle when the two agree.  ``active`` lists the busy
+    edges in ascending id.  A round delivers the task after every active
+    edge's cursor, in that order, at running message positions; subtracts
+    every delivery from its event's ``pending`` count; and fires an event
+    whose count reached zero once, at its last delivery of the round.  The
+    fired events' emissions come out in (trigger position, child rank)
+    order and are chained behind their edges' tails.
+    ``per_part_rounds`` is each part's last down-delivery round.
+    """
     num_parts = shortcut.part_set().num_parts
     if not num_parts:
         return 0, 0, []
-    (
-        parent, pending, children, child_start, slot_part, up_key, down_key, leaves,
-        awaiting_down,
-    ) = _aggregation_trees(shortcut)
+    pending, event_of, emit_start, emitted, task_edge, num_edges, leaves, slot_part = (
+        _aggregation_trees(shortcut)
+    )
+    num_slots = len(slot_part)
+    follower = np.full(2 * num_slots + num_edges, -1, dtype=np.int64)
+    cursor = np.arange(2 * num_slots, 2 * num_slots + num_edges)
+    tail = cursor.copy()
+    last_position = np.full(2 * num_slots, -1, dtype=np.int64)
+    delivered_round = np.zeros(2 * num_slots, dtype=np.int64)
 
-    # One FIFO queue per directed edge ``u * n + v``; ``active`` holds the
-    # keys of non-empty queues in ascending order, ``fresh`` the keys that
-    # became non-empty since the last round started.  A task is the child
-    # slot ``c`` of its tree edge for an up message and ``~c`` for a down one.
-    edge_queues: defaultdict[int, deque] = defaultdict(deque)
-    fresh: list[int] = []
-    outstanding = 0
+    def append(tasks: np.ndarray) -> np.ndarray:
+        """Chain ``tasks`` (in send order, at least one) behind their edges'
+        tails; return the edges that were idle, in ascending id."""
+        edges = task_edge[tasks]
+        order = np.argsort(edges, kind="stable")
+        tasks, edges = tasks[order], edges[order]
+        # Chain each edge's run in send order; the edge's tail links to the
+        # run's first task and moves to its last.
+        same = edges[1:] == edges[:-1]
+        follower[tasks[:-1][same]] = tasks[1:][same]
+        lasts = tasks[np.concatenate((~same, [True]))]
+        first = np.concatenate(([True], ~same))
+        tasks, edges = tasks[first], edges[first]
+        ends = tail[edges]
+        follower[ends] = tasks
+        tail[edges] = lasts
+        return edges[cursor[edges] == ends]
 
-    def enqueue(key: int, task: int) -> None:
-        nonlocal outstanding
-        queue = edge_queues[key]
-        if not queue:
-            fresh.append(key)
-        queue.append(task)
-        outstanding += 1
-
-    for leaf in leaves:
-        enqueue(up_key[leaf], leaf)
-
-    per_part_done = [0] * num_parts
+    active = np.zeros(0, dtype=np.int64)
+    sent = leaves
     rounds = 0
     messages = 0
-    active: list[int] = []
-    while outstanding > 0:
+    while True:
+        if len(sent):
+            active = np.sort(np.concatenate((active, append(sent))))
+        if not len(active):
+            break
         if rounds > max_rounds:
             raise SimulationError("aggregation schedule exceeded the round budget")
         rounds += 1
-        if fresh:
-            active += fresh
-            active.sort()
-            fresh.clear()
         # Each directed edge delivers at most one message per round.
-        delivered = []
-        still_active = []
-        for key in active:
-            queue = edge_queues[key]
-            delivered.append(queue.popleft())
-            if queue:
-                still_active.append(key)
-        active = still_active
-        outstanding -= len(delivered)
-        messages += len(delivered)
-        for task in delivered:
-            if task >= 0:
-                receiver = parent[task]
-                pending[receiver] -= 1
-                if pending[receiver]:
-                    continue
-                if parent[receiver] >= 0:
-                    enqueue(up_key[receiver], receiver)
-                    continue
-                # The root has heard from every child: start the broadcast.
-            else:
-                receiver = ~task
-                part = slot_part[receiver]
-                awaiting_down[part] -= 1
-                if not awaiting_down[part]:
-                    per_part_done[part] = rounds
-            for child in children[child_start[receiver] : child_start[receiver + 1]]:
-                enqueue(down_key[child], ~child)
+        delivered = follower[cursor[active]]
+        cursor[active] = delivered
+        active = active[follower[delivered] >= 0]
+        delivered_round[delivered] = rounds
 
-    return rounds, messages, per_part_done
+        events = event_of[delivered]
+        # Positions run on across rounds, so last_position needs no reset.
+        positions = np.arange(messages, messages + len(delivered))
+        messages += len(delivered)
+        np.subtract.at(pending, events, 1)
+        np.maximum.at(last_position, events, positions)
+        events = events[(pending[events] == 0) & (last_position[events] == positions)]
+        starts = emit_start[events]
+        sent = emitted[_ranges(starts, emit_start[events + 1] - starts)]
+
+    per_part_done = np.zeros(num_parts, dtype=np.int64)
+    np.maximum.at(per_part_done, slot_part, delivered_round[num_slots:])
+    return rounds, messages, per_part_done.tolist()

@@ -267,47 +267,55 @@ class RootedTree:
         construction of Theorem 7's local-shortcut step: the result is a tree
         on ``keep`` whose hop-diameter is at most the diameter of ``T``.
 
-        The quotient is built over the parent/children maps: kept tree edges
-        stay, and each discarded component joins its kept border vertices to
-        the repr-smallest of them.  The result is the BFS tree of that
-        quotient from the repr-smallest kept vertex, over repr-sorted
+        The quotient is built over the parent map: kept tree edges stay, and
+        each discarded component joins its kept border vertices to the
+        repr-smallest of them.  A component's border is its top's kept
+        parent plus the kept vertices hanging below it, so only components
+        with a kept vertex below them matter: each such vertex climbs to its
+        component's top (the first vertex whose parent is kept or ``None``),
+        and the tops are memoised on the way.  The result is the BFS tree of
+        that quotient from the repr-smallest kept vertex, over repr-sorted
         neighbours, exactly as :func:`bfs_spanning_tree` roots it.
         """
         keep_set = set(keep)
         if not keep_set:
             raise InvalidGraphError("cannot contract a tree onto an empty vertex set")
-        parent, children = self.parent, self.children
+        parent = self.parent
         missing = {node for node in keep_set if node not in parent}
         if missing:
             raise InvalidGraphError(f"vertices {sorted(missing, key=repr)[:5]} are not tree nodes")
         adjacency: dict[Hashable, set[Hashable]] = {node: set() for node in keep_set}
+        top_of: dict[Hashable, Hashable] = {}
+        hanging: dict[Hashable, list[Hashable]] = {}
         for node in keep_set:
             par = parent[node]
-            if par is not None and par in keep_set:
+            if par is None:
+                continue
+            if par in keep_set:
                 adjacency[node].add(par)
                 adjacency[par].add(node)
-        seen: set[Hashable] = set()
-        for start in parent:
-            if start in keep_set or start in seen:
                 continue
-            seen.add(start)
-            border: set[Hashable] = set()
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                par = parent[node]
-                neighbours = children[node] if par is None else (par, *children[node])
-                for neighbour in neighbours:
-                    if neighbour in keep_set:
-                        border.add(neighbour)
-                    elif neighbour not in seen:
-                        seen.add(neighbour)
-                        stack.append(neighbour)
-            if border:
-                anchor = min(border, key=repr)
-                for other in border - {anchor}:
-                    adjacency[anchor].add(other)
-                    adjacency[other].add(anchor)
+            path = []
+            current = par
+            while current not in top_of:
+                path.append(current)
+                above = parent[current]
+                if above is None or above in keep_set:
+                    top_of[current] = current
+                    break
+                current = above
+            top = top_of[current]
+            for vertex in path:
+                top_of[vertex] = top
+            hanging.setdefault(top, []).append(node)
+        for top, below in hanging.items():
+            border = set(below)
+            if parent[top] is not None:
+                border.add(parent[top])
+            anchor = min(border, key=repr)
+            for other in border - {anchor}:
+                adjacency[anchor].add(other)
+                adjacency[other].add(anchor)
         root = min(keep_set, key=repr)
         quotient_parent: dict[Hashable, Hashable | None] = {root: None}
         queue: deque[Hashable] = deque([root])

@@ -1,6 +1,6 @@
 """Part-wise aggregation pinned to the seed scheduler, with its invariants.
 
-Four layers:
+Six layers:
 
 * **every family** -- on every registered family, every applicable
   constructor and seeds 0-2, :func:`repro.congest.aggregation.partwise_aggregate`
@@ -18,6 +18,12 @@ Four layers:
   listed in both orientations); the scheduler must equal the seed one on
   the label shortcut and on the engine's, and so must the quality
   measures;
+* **in-round orderings** -- two hand-built shortcuts pin the two orders
+  the per-round loop must reproduce within one round: a receiver fires at
+  its *last* delivery of the round, and several sends on one directed edge
+  queue by trigger position;
+* **load** -- the heaviest Boruvka phase of a 60x60 label grid (~730
+  messages a round; ``aggregation_at_scale.py`` checks every phase);
 * **malformed input** -- an empty part, or a member its part's augmented
   subgraph cannot reach, raises :class:`SimulationError` naming the part
   instead of returning a value the trees never gathered;
@@ -37,7 +43,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.mst import boruvka_mst
-from repro.congest.aggregation import partwise_aggregate
+from repro.congest.aggregation import partwise_aggregate, partwise_aggregate_indexed
 from repro.errors import SimulationError
 from repro.graphs.weights import WEIGHT
 from repro.scenarios import applicable_constructors, build_instance, constructor, family_names
@@ -47,6 +53,7 @@ from repro.shortcuts.shortcut import Shortcut
 from repro.structure.spanning import bfs_spanning_tree
 from repro.utils import canonical_edge
 
+from aggregation_at_scale import assert_like_the_oracle, grid_phases
 from oracles import aggregation as oracle_aggregation
 from oracles import mst as oracle_mst
 from oracles import quality as oracle_quality
@@ -217,6 +224,54 @@ def test_drawn_shortcuts_measure_like_the_oracle(drawn):
         assert candidate.edge_congestion() == oracle_quality.edge_congestion(candidate)
         assert candidate.measure() == oracle_quality.measure(candidate)
         assert candidate.is_tree_restricted() == oracle_quality.is_tree_restricted(candidate)
+
+
+def test_a_receiver_fires_at_its_last_delivery_of_the_round():
+    """Slot 2 of part A = {1, 2, 3, 5} hears from its children 3 and 5 in
+    round 1, at positions 0 (edge 3 -> 2) and 2 (edge 5 -> 2).  Part B =
+    {0, 4}, joined through shortcut edges 4-2-1-0, fires its slot 2 at
+    position 1 (edge 4 -> 2).  A's up message 2 -> 1 is sent at position 2,
+    so it queues behind B's: firing at A's first delivery would put it in
+    front and finish A in round 4 and B in round 7."""
+    graph = nx.Graph([(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
+    tree = bfs_spanning_tree(graph, root=0)
+    shortcut = Shortcut(
+        graph, tree, [frozenset({1, 2, 3, 5}), frozenset({0, 4})], [(), [(0, 1), (1, 2), (2, 4)]]
+    )
+    values = {node: 10 - node for node in graph}
+    result = partwise_aggregate(shortcut, values)
+    assert (result.rounds, result.per_part_rounds, result.values) == (6, [5, 6], [5, 6])
+    _assert_same_as_oracle(shortcut, values, min)
+
+
+def test_sends_on_one_edge_in_one_round_queue_by_trigger_position():
+    """Parts A = {0, 3} (via 3-2-1-0) and B = {1, 4} (via 4-2-1) both fire
+    their slot 2 in round 1, A at position 0 (edge 3 -> 2) and B at
+    position 1 (edge 4 -> 2), and both send up 2 -> 1 in that round: A's
+    message goes first.  In the other order A would finish in round 7 and B
+    in round 4."""
+    graph = nx.Graph([(0, 1), (1, 2), (2, 3), (2, 4)])
+    tree = bfs_spanning_tree(graph, root=0)
+    shortcut = Shortcut(
+        graph,
+        tree,
+        [frozenset({0, 3}), frozenset({1, 4})],
+        [[(0, 1), (1, 2), (2, 3)], [(1, 2), (2, 4)]],
+    )
+    values = {node: node for node in graph}
+    result = partwise_aggregate(shortcut, values)
+    assert (result.rounds, result.per_part_rounds, result.values) == (6, [6, 5], [0, 1])
+    _assert_same_as_oracle(shortcut, values, min)
+
+
+def test_heaviest_phase_of_a_60x60_grid_schedules_like_the_oracle():
+    """The Boruvka phase with the most messages a round of a 60x60 label
+    grid (seed 7), pinned to the seed scheduler."""
+    shortcut, values, result = max(
+        grid_phases(), key=lambda phase: phase[2].messages / max(1, phase[2].rounds)
+    )
+    assert result.messages / result.rounds > 700
+    assert_like_the_oracle(shortcut, values, result)
 
 
 def test_unreachable_member_raises_instead_of_a_silent_value():

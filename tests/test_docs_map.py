@@ -35,7 +35,8 @@ SOURCE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
 # The retired switch, the seed implementations that moved to tests/oracles/,
 # the label measurement path of Shortcut, the label-space id keys of the
 # simulator and its fault queue, the second bodies of the structure layer,
-# the unsorted-adjacency knob and the native generators' nx twins.
+# the unsorted-adjacency knob, the native generators' nx twins and the
+# per-message aggregation scheduler's helpers.
 RETIRED_NAMES = (
     "core_enabled",
     "networkx_reference_paths",
@@ -72,6 +73,8 @@ RETIRED_NAMES = (
     "path_edges",
     "subgraph_copy",
     "decomposition_for_parts",
+    "enqueue",
+    "_int_array",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.

@@ -2,6 +2,7 @@
 
 import networkx as nx
 import pytest
+from oracles.structure import contract_to as seed_contract_to
 
 from repro.errors import InvalidGraphError
 from repro.graphs.planar import grid_graph, wheel_graph
@@ -74,6 +75,23 @@ def test_contract_to_produces_tree_on_kept_vertices(small_grid):
     graph = contracted.as_graph()
     assert nx.is_tree(graph)
     assert contracted.diameter() <= tree.diameter()
+
+
+def test_contract_to_joins_kept_vertices_below_a_long_discarded_path():
+    """Kept 21-23 hang below the discarded path 1..20 under the kept root,
+    25 below the discarded 24 under 21, and the discarded subtree 30-32
+    holds no kept vertex: each discarded component joins its border to the
+    repr-smallest border vertex, exactly like the seed contraction."""
+    parent = {0: None, 30: 0, 31: 30, 32: 30}
+    parent.update({node: node - 1 for node in range(1, 21)})
+    parent.update({21: 20, 22: 20, 23: 20, 24: 21, 25: 24})
+    tree = RootedTree(parent, 0)
+    keep = {0, 21, 22, 23, 25}
+    contracted = tree.contract_to(keep)
+    assert contracted.parent == {0: None, 21: 0, 22: 0, 23: 0, 25: 21}
+    expected = seed_contract_to(tree, keep)
+    assert contracted.root == expected.root
+    assert list(contracted.parent.items()) == list(expected.parent.items())
 
 
 def test_contract_to_rejects_foreign_vertices(small_grid):
