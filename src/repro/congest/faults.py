@@ -66,6 +66,7 @@ __all__ = [
     "FaultModel",
     "FaultQueue",
     "FaultSchedule",
+    "active_schedule",
     "parse_fault_spec",
 ]
 
@@ -324,6 +325,23 @@ class FaultSchedule:
             j = _mix(self.seed, _SHUFFLE, round_number, target, i) % (i + 1)
             order[i], order[j] = order[j], order[i]
         return order
+
+
+def active_schedule(
+    fault_schedule: FaultSchedule | FaultModel | None,
+) -> FaultSchedule | None:
+    """Normalise a ``fault_schedule`` argument to an active schedule or None.
+
+    Accepts a schedule, a bare model (wrapped with seed 0) or None.  A null
+    model comes back as None, so a rate-0 fault spec takes the unchanged
+    fail-free code path (plain programs, no ack traffic) and reproduces
+    fail-free results exactly.
+    """
+    if fault_schedule is None:
+        return None
+    if not isinstance(fault_schedule, FaultSchedule):
+        fault_schedule = FaultSchedule(fault_schedule)
+    return fault_schedule if fault_schedule.active else None
 
 
 class FaultQueue:

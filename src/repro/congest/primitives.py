@@ -19,12 +19,19 @@ translate the caller-facing labels at the boundary (the root argument in,
 parent pointers and leaders out), so results are label-keyed and equal for
 a graph and its view.
 
-Each primitive's program factory is a small class that builds the per-node
-:class:`NodeProgram` when called with a context *and* carries the
-``compile_runtime`` hook the runtime mode asks for -- the hook returns the
-program family's batch twin from :mod:`repro.congest.runtime`.  The
-per-node class stays the semantic definition; the compiled twin must
-reproduce it exactly (see ``docs/simulator.md`` for the contract).
+Every primitive hands the simulator one factory, :class:`_Programs`, which
+builds ``program(context, *args)`` at every node.  A program class names
+its batch twin from :mod:`repro.congest.runtime` in its ``runtime`` class
+attribute, and the factory's ``compile_runtime`` hook builds that twin from
+the same arguments.  The robust programs set ``runtime = None``: they only
+run under an active fault schedule, where the runtime mode runs the
+per-node loop.  The per-node class stays the semantic definition; the
+compiled twin must reproduce it exactly (see ``docs/simulator.md`` for the
+contract).
+
+Under faults, BFS and broadcast run one retry/ack flood,
+:class:`_RetryFlood`, whose per-neighbour send budget is
+:data:`RETRY_BUDGET`.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import networkx as nx
 from ..core import GraphView, view_of
 from ..errors import InvalidGraphError, SimulationError
 from ..structure.spanning import RootedTree
-from .faults import FaultModel, FaultSchedule
+from .faults import FaultModel, FaultSchedule, active_schedule
 from .node import NodeContext, NodeProgram
 from .runtime import (
     BfsRuntime,
@@ -46,6 +53,33 @@ from .runtime import (
     RuntimeProgram,
 )
 from .simulator import CongestSimulator, SimulationResult
+
+# Sends a robust program makes to one neighbour before giving up on it.
+RETRY_BUDGET = 5
+
+
+class _Programs:
+    """The program factory: ``program(context, *args)`` at every node.
+
+    ``args`` are index-keyed (the primitives convert labels at the
+    boundary) and are handed unchanged to the program's batch twin, so
+    both read the same state.
+    """
+
+    __slots__ = ("program", "args")
+
+    def __init__(self, program: type[NodeProgram], *args: object) -> None:
+        self.program = program
+        self.args = args
+
+    def __call__(self, context: NodeContext) -> NodeProgram:
+        return self.program(context, *self.args)
+
+    def compile_runtime(self, simulator: CongestSimulator) -> RuntimeProgram | None:
+        runtime = self.program.runtime
+        if runtime is None:
+            return None
+        return runtime(simulator._view, simulator.bandwidth_words, *self.args)
 
 
 class _BfsProgram(NodeProgram):
@@ -57,6 +91,8 @@ class _BfsProgram(NodeProgram):
     The message pattern -- and therefore rounds, messages and words -- is
     unchanged; only the executed-node telemetry tightens.
     """
+
+    runtime = BfsRuntime
 
     def __init__(self, context: NodeContext, root: Hashable) -> None:
         super().__init__(context)
@@ -91,40 +127,180 @@ class _BfsProgram(NodeProgram):
         return self.parent
 
 
-class _BfsFactory:
-    """Factory for :class:`_BfsProgram` with its vectorized twin.
+class _RetryFlood(NodeProgram):
+    """A flood with bounded retry and acknowledgement (fault-tolerant).
 
-    ``root`` is already an index -- :func:`distributed_bfs_tree` converts
-    at the boundary.
+    Under message loss a single offer can vanish, so a joined node keeps a
+    ``pending`` map of neighbours it has no proof about and re-offers its
+    ``message`` every round until proof arrives or the per-neighbour send
+    budget (:data:`RETRY_BUDGET`) expires (give-up, bounded termination).
+    Proof is mostly *implicit*: an offer from a neighbour shows that it has
+    joined.  Explicit ``("ok",)`` replies cover the remaining case (a node
+    offered to someone who had already joined and so will never offer
+    back).  A node that is not joined joins on the first round it receives
+    offers, through the subclass's :meth:`join`, which returns the message
+    it floods from then on; ``message`` is None until then.
     """
 
-    __slots__ = ("root",)
+    runtime = None
 
-    def __init__(self, root: Hashable) -> None:
-        self.root = root
+    def __init__(self, context: NodeContext, message: tuple | None) -> None:
+        super().__init__(context)
+        self.message = message
+        self.pending: dict[Hashable, int] = {}
 
-    def __call__(self, context: NodeContext) -> NodeProgram:
-        return _BfsProgram(context, self.root)
+    def join(self, inbox: dict[Hashable, object], senders: list[Hashable]) -> tuple:
+        raise NotImplementedError
 
-    def compile_runtime(self, simulator: CongestSimulator) -> RuntimeProgram:
-        return BfsRuntime(simulator._view, simulator.bandwidth_words, self.root)
+    def on_start(self) -> dict[Hashable, object]:
+        if self.message is None:
+            self.halted = True  # sleep until an offer (or retry) wakes us
+            return {}
+        neighbours = self.context.neighbours
+        self.pending = dict.fromkeys(neighbours, RETRY_BUDGET)
+        self.halted = not self.pending
+        return dict.fromkeys(neighbours, self.message)
+
+    def on_round(self, round_number: int, inbox: dict[Hashable, object]) -> dict[Hashable, object]:
+        pending = self.pending
+        senders = []
+        for sender, message in inbox.items():
+            pending.pop(sender, None)  # an offer or an ack: sender has joined
+            if message[0] != "ok":
+                senders.append(sender)
+        if self.message is None:
+            if not senders:
+                self.halted = True
+                return {}
+            self.message = self.join(inbox, senders)
+            known = set(senders)
+            self.pending = pending = {
+                neighbour: RETRY_BUDGET + 1
+                for neighbour in self.context.neighbours
+                if neighbour not in known
+            }
+        out: dict[Hashable, object] = {}
+        for neighbour in list(pending):
+            out[neighbour] = self.message
+            remaining = pending[neighbour] - 1
+            if remaining <= 0:
+                del pending[neighbour]  # budget exhausted: give up
+            else:
+                pending[neighbour] = remaining
+        # Explicitly ack offers we will not answer with an offer of our own
+        # (the sender is waiting for proof we joined).
+        for sender in senders:
+            if sender not in out:
+                out[sender] = ("ok",)
+        self.halted = not pending
+        return out
 
 
-def _resolve_schedule(
-    fault_schedule: FaultSchedule | FaultModel | None,
-) -> FaultSchedule | None:
-    """Normalise the primitives' ``fault_schedule`` argument.
+class _RobustBfsProgram(_RetryFlood):
+    """BFS over :class:`_RetryFlood`: the offer is ``("bfs", depth)``.
 
-    Accepts a schedule, a bare model (wrapped with seed 0) or None, and
-    returns an *active* schedule or None -- null models come back as None,
-    so a rate-0 fault spec takes the unchanged fail-free code path (plain
-    programs, no ack traffic) and reproduces fail-free results exactly.
+    The join rule is :class:`_BfsProgram`'s -- minimum ``(depth, id)`` over
+    the round's offers -- so fault-free prefixes of the execution pick the
+    same parents.
     """
-    if fault_schedule is None:
-        return None
-    if not isinstance(fault_schedule, FaultSchedule):
-        fault_schedule = FaultSchedule(fault_schedule)
-    return fault_schedule if fault_schedule.active else None
+
+    def __init__(self, context: NodeContext, root: Hashable) -> None:
+        super().__init__(context, ("bfs", 0) if context.node == root else None)
+        self.parent: Hashable | None = None
+
+    def join(self, inbox: dict[Hashable, object], senders: list[Hashable]) -> tuple:
+        id_key = self.context.id_key
+        self.parent = min(senders, key=lambda sender: (inbox[sender][1], id_key(sender)))
+        return ("bfs", inbox[self.parent][1] + 1)
+
+    def result(self) -> object:
+        return self.parent
+
+
+def _graft_unreached(
+    view: GraphView,
+    parent: dict[Hashable, Hashable | None],
+    root: Hashable,
+) -> int:
+    """Deterministically repair a partial BFS parent map in place.
+
+    ``parent`` may be missing nodes (crashed, or never reached before every
+    offerer's budget expired) and surviving pointers may dangle into such
+    holes.  The repair keeps every pointer whose chain provably reaches the
+    root and repeatedly attaches, in canonical node order (the view's label
+    list: index order is repr order), each remaining node to its first
+    (minimum canonical) neighbour with a proven chain -- the tree a
+    recovery protocol would rebuild from the survivors.  Returns the number
+    of reassigned/added parent pointers; terminates on every connected
+    graph.
+    """
+    node_of = view.nodes
+    core = view.core
+    index_of = view.index_of
+    children: dict[Hashable, list[Hashable]] = {}
+    for node, up in parent.items():
+        if up is not None:
+            children.setdefault(up, []).append(node)
+    safe = {root}
+    stack = [root]
+    while stack:
+        for child in children.get(stack.pop(), ()):
+            if child not in safe:
+                safe.add(child)
+                stack.append(child)
+    repaired = 0
+    unsafe = [node for node in node_of if node not in safe]
+    while unsafe:
+        progress = False
+        still = []
+        for node in unsafe:
+            up = parent.get(node)
+            if up is not None and up in safe:
+                safe.add(node)  # dangling chain reattached upstream of us
+                progress = True
+                continue
+            anchors = [
+                node_of[index] for index in core.neighbors(index_of(node))
+                if node_of[index] in safe
+            ]
+            if anchors:
+                parent[node] = anchors[0]
+                safe.add(node)
+                repaired += 1
+                progress = True
+            else:
+                still.append(node)
+        unsafe = still
+        if unsafe and not progress:  # unreachable: the network is connected
+            raise SimulationError("partial BFS tree could not be repaired")
+    return repaired
+
+
+def _bfs_tree(
+    graph: nx.Graph | GraphView,
+    root: Hashable,
+    simulator_cls: type[CongestSimulator],
+    schedule: FaultSchedule | None,
+) -> tuple[RootedTree, SimulationResult, int]:
+    """The body of both BFS entry points; ``schedule`` is already normalised.
+
+    Both public names call this, never each other: a tracer that wraps both
+    module attributes would otherwise count one build twice.
+    """
+    view = view_of(graph)
+    program = _BfsProgram if schedule is None else _RobustBfsProgram
+    factory = _Programs(program, view.index_of(root))
+    result = simulator_cls(view, factory, fault_schedule=schedule).run()
+    node_of = view.nodes
+    parent = {
+        node: (None if output is None else node_of[output])
+        for node, output in result.outputs.items()
+    }
+    parent[root] = None
+    repaired = 0 if schedule is None else _graft_unreached(view, parent, root)
+    tree = RootedTree(parent, root)
+    tree.validate(view)
+    return tree, result, repaired
 
 
 def distributed_bfs_tree(
@@ -132,7 +308,6 @@ def distributed_bfs_tree(
     root: Hashable,
     simulator_cls: type[CongestSimulator] = CongestSimulator,
     fault_schedule: FaultSchedule | FaultModel | None = None,
-    retry_budget: int = 5,
 ) -> tuple[RootedTree, SimulationResult]:
     """Build a BFS tree with a genuine flooding execution; return tree + stats.
 
@@ -150,171 +325,8 @@ def distributed_bfs_tree(
     layer disconnected it -- see :func:`robust_bfs_tree`, which also
     reports the repair count.
     """
-    schedule = _resolve_schedule(fault_schedule)
-    if schedule is not None:
-        tree, result, _ = robust_bfs_tree(
-            graph, root, schedule, simulator_cls=simulator_cls, retry_budget=retry_budget
-        )
-        return tree, result
-    view = view_of(graph)
-    result = simulator_cls(view, _BfsFactory(view.index_of(root))).run()
-    node_of = view.nodes
-    parent = {
-        node: (None if output is None else node_of[output])
-        for node, output in result.outputs.items()
-    }
-    parent[root] = None
-    tree = RootedTree(parent, root)
-    tree.validate(view)
+    tree, result, _ = _bfs_tree(graph, root, simulator_cls, active_schedule(fault_schedule))
     return tree, result
-
-
-class _RobustBfsProgram(NodeProgram):
-    """BFS flood with bounded retry and acknowledgement (fault-tolerant).
-
-    Under message loss a single ``("bfs", depth)`` offer can vanish, so a
-    joined node keeps a ``pending`` map of neighbours it has not yet heard
-    from and re-offers every round until an acknowledgement arrives or a
-    per-neighbour send budget expires (give-up, bounded termination).
-    Acknowledgements are mostly *implicit*: receiving ``("bfs", _)`` from a
-    neighbour proves that neighbour has joined, which is all the sender
-    wanted to know.  Explicit ``("ok",)`` replies cover the remaining case
-    (a node offered to someone who was already joined and therefore will
-    never offer back).  The join rule is the plain program's -- minimum
-    ``(depth, id)`` over the round's offers -- so fault-free prefixes of
-    the execution pick the same parents.
-    """
-
-    def __init__(self, context: NodeContext, root: Hashable, retry_budget: int) -> None:
-        super().__init__(context)
-        self.root = root
-        self.retry_budget = retry_budget
-        self.parent: Hashable | None = None
-        self.joined = context.node == root
-        self.depth = 0 if self.joined else None
-        self.pending: dict[Hashable, int] = {}
-
-    def on_start(self) -> dict[Hashable, object]:
-        if self.joined:
-            self.pending = {
-                neighbour: self.retry_budget for neighbour in self.context.neighbours
-            }
-            self.halted = not self.pending
-            return {neighbour: ("bfs", 0) for neighbour in self.context.neighbours}
-        self.halted = True  # sleep until an offer (or retry) wakes us
-        return {}
-
-    def on_round(self, round_number: int, inbox: dict[Hashable, object]) -> dict[Hashable, object]:
-        pending = self.pending
-        offers = []
-        for sender, message in inbox.items():
-            if message[0] == "ok":
-                pending.pop(sender, None)
-            else:  # ("bfs", depth): an offer, and implicit proof sender joined
-                pending.pop(sender, None)
-                offers.append((message[1], sender))
-        out: dict[Hashable, object] = {}
-        if not self.joined and offers:
-            id_key = self.context.id_key
-            depth, parent = min(offers, key=lambda item: (item[0], id_key(item[1])))
-            self.parent = parent
-            self.joined = True
-            self.depth = depth + 1
-            offer_senders = {sender for _, sender in offers}
-            self.pending = pending = {
-                neighbour: self.retry_budget + 1
-                for neighbour in self.context.neighbours
-                if neighbour != parent and neighbour not in offer_senders
-            }
-        if self.joined:
-            payload = ("bfs", self.depth)
-            for neighbour in list(pending):
-                out[neighbour] = payload
-                remaining = pending[neighbour] - 1
-                if remaining <= 0:
-                    del pending[neighbour]  # budget exhausted: give up
-                else:
-                    pending[neighbour] = remaining
-            # Explicitly ack offers we will not answer with an offer of our
-            # own (the sender is waiting for proof we joined).
-            for _, sender in offers:
-                if sender not in out:
-                    out[sender] = ("ok",)
-        self.halted = (not pending) if self.joined else True
-        return out
-
-    def result(self) -> object:
-        return self.parent
-
-
-class _RobustBfsFactory:
-    """Factory for :class:`_RobustBfsProgram` (fault schedules only).
-
-    No ``compile_runtime`` hook: under an active schedule the runtime mode
-    runs the active-set loop on genuine node programs and needs no twin.
-    """
-
-    __slots__ = ("root", "retry_budget")
-
-    def __init__(self, root: Hashable, retry_budget: int) -> None:
-        self.root = root
-        self.retry_budget = retry_budget
-
-    def __call__(self, context: NodeContext) -> NodeProgram:
-        return _RobustBfsProgram(context, self.root, self.retry_budget)
-
-
-def _graft_unreached(
-    nodes: list[Hashable],
-    parent: dict[Hashable, Hashable | None],
-    root: Hashable,
-    neighbours_of: Callable[[Hashable], list[Hashable]],
-) -> int:
-    """Deterministically repair a partial BFS parent map in place.
-
-    ``parent`` may be missing nodes (crashed, or never reached before every
-    offerer's budget expired) and surviving pointers may dangle into such
-    holes.  The repair keeps every pointer whose chain provably reaches the
-    root and repeatedly attaches, in canonical node order, each remaining
-    node to its first (minimum canonical) neighbour with a proven chain --
-    the tree a recovery protocol would rebuild from the survivors.  Returns
-    the number of reassigned/added parent pointers; terminates on every
-    connected graph.
-    """
-    children: dict[Hashable, list[Hashable]] = {}
-    for node, up in parent.items():
-        if up is not None:
-            children.setdefault(up, []).append(node)
-    safe = {root}
-    stack = [root]
-    while stack:
-        for child in children.get(stack.pop(), ()):
-            if child not in safe:
-                safe.add(child)
-                stack.append(child)
-    repaired = 0
-    unsafe = [node for node in nodes if node not in safe]
-    while unsafe:
-        progress = False
-        still = []
-        for node in unsafe:
-            up = parent.get(node)
-            if up is not None and up in safe:
-                safe.add(node)  # dangling chain reattached upstream of us
-                progress = True
-                continue
-            anchors = [nb for nb in neighbours_of(node) if nb in safe]
-            if anchors:
-                parent[node] = anchors[0]
-                safe.add(node)
-                repaired += 1
-                progress = True
-            else:
-                still.append(node)
-        unsafe = still
-        if unsafe and not progress:  # unreachable: the network is connected
-            raise SimulationError("partial BFS tree could not be repaired")
-    return repaired
 
 
 def robust_bfs_tree(
@@ -322,7 +334,6 @@ def robust_bfs_tree(
     root: Hashable,
     fault_schedule: FaultSchedule | FaultModel | None,
     simulator_cls: type[CongestSimulator] = CongestSimulator,
-    retry_budget: int = 5,
 ) -> tuple[RootedTree, SimulationResult, int]:
     """BFS tree under faults; return ``(tree, stats, repaired_edges)``.
 
@@ -334,42 +345,19 @@ def robust_bfs_tree(
     *every* edge is a repair and the simulation result's outputs are empty
     of the root (the documented partial-output contract).  ``repaired``
     counts the grafted parent pointers (0 = the flood survived intact).
-    A null/None schedule falls back to the fail-free primitive with
-    ``repaired = 0``.
+    A null/None schedule runs the fail-free flood with ``repaired = 0``.
     """
-    schedule = _resolve_schedule(fault_schedule)
-    if schedule is None:
-        tree, result = distributed_bfs_tree(graph, root, simulator_cls=simulator_cls)
-        return tree, result, 0
-    view = view_of(graph)
-    factory = _RobustBfsFactory(view.index_of(root), retry_budget)
-    result = simulator_cls(view, factory, fault_schedule=schedule).run()
-    node_of = view.nodes
-    core = view.core
-    index_of = view.index_of
-    parent = {
-        node: (None if output is None else node_of[output])
-        for node, output in result.outputs.items()
-    }
-
-    def neighbours_of(node):
-        return [node_of[index] for index in core.neighbors(index_of(node))]
-
-    parent[root] = None
-    # Index order == repr order, so the view's label list is canonical.
-    repaired = _graft_unreached(node_of, parent, root, neighbours_of)
-    tree = RootedTree(parent, root)
-    tree.validate(view)
-    return tree, result, repaired
+    return _bfs_tree(graph, root, simulator_cls, active_schedule(fault_schedule))
 
 
 class _FloodMaxProgram(NodeProgram):
     """Every node learns the maximum node identifier (leader election by flooding)."""
 
+    runtime = FloodMaxRuntime
+
     def __init__(self, context: NodeContext) -> None:
         super().__init__(context)
         self.best = context.node
-        self.rounds_quiet = 0
 
     def on_start(self) -> dict[Hashable, object]:
         return {neighbour: self.best for neighbour in self.context.neighbours}
@@ -383,25 +371,13 @@ class _FloodMaxProgram(NodeProgram):
                 improved = True
         if improved:
             return {neighbour: self.best for neighbour in self.context.neighbours}
-        # A node halts once it has been quiet for one round past the diameter
-        # bound; the simulator also terminates on global quiescence.
+        # A node halts on its first round without an improvement; later mail
+        # wakes it again.
         self.halted = True
         return {}
 
     def result(self) -> object:
         return self.best
-
-
-class _FloodMaxFactory:
-    """Factory for :class:`_FloodMaxProgram` with its vectorized twin."""
-
-    __slots__ = ()
-
-    def __call__(self, context: NodeContext) -> NodeProgram:
-        return _FloodMaxProgram(context)
-
-    def compile_runtime(self, simulator: CongestSimulator) -> RuntimeProgram:
-        return FloodMaxRuntime(simulator._view, simulator.bandwidth_words)
 
 
 def flood_max_id(
@@ -421,14 +397,14 @@ def flood_max_id(
     documented partial contract returns the maximum *claimed* leader among
     the survivors instead of raising.
     """
-    schedule = _resolve_schedule(fault_schedule)
+    schedule = active_schedule(fault_schedule)
     view = view_of(graph)
-    result = simulator_cls(view, _FloodMaxFactory(), fault_schedule=schedule).run()
+    result = simulator_cls(view, _Programs(_FloodMaxProgram), fault_schedule=schedule).run()
     leaders = set(result.outputs.values())
     if len(leaders) == 1:
         leader = next(iter(leaders))
     elif schedule is None:
-        raise RuntimeError(f"leader election did not converge: {leaders}")
+        raise SimulationError(f"leader election did not converge: {leaders}")
     elif leaders:
         leader = max(leaders)  # survivors disagree: report the strongest claim
     else:
@@ -442,6 +418,8 @@ class _BroadcastProgram(NodeProgram):
     Like :class:`_BfsProgram`, uninformed nodes halt and are woken by the
     flood's messages, so the per-round active set is the flood frontier.
     """
+
+    runtime = BroadcastRuntime
 
     def __init__(self, context: NodeContext, source: Hashable, value: object) -> None:
         super().__init__(context)
@@ -475,109 +453,22 @@ class _BroadcastProgram(NodeProgram):
         return self.value
 
 
-class _BroadcastFactory:
-    """Factory for :class:`_BroadcastProgram` with its vectorized twin.
+class _RobustBroadcastProgram(_RetryFlood):
+    """Broadcast over :class:`_RetryFlood`: the offer is ``("bc", value)``.
 
-    ``source`` is an index, like :class:`_BfsFactory`'s root.
+    An uninformed node adopts the value of its first announcer.  Nodes
+    still uninformed when every budget expired are a documented partial
+    output (``result() is None``), including the case of a crashed source.
     """
 
-    __slots__ = ("source", "value")
+    def __init__(self, context: NodeContext, source: Hashable, value: object) -> None:
+        super().__init__(context, ("bc", value) if context.node == source else None)
 
-    def __init__(self, source: Hashable, value: object) -> None:
-        self.source = source
-        self.value = value
-
-    def __call__(self, context: NodeContext) -> NodeProgram:
-        return _BroadcastProgram(context, self.source, self.value)
-
-    def compile_runtime(self, simulator: CongestSimulator) -> RuntimeProgram:
-        return BroadcastRuntime(
-            simulator._view, simulator.bandwidth_words, self.source, self.value
-        )
-
-
-class _RobustBroadcastProgram(NodeProgram):
-    """Broadcast with bounded retry and acknowledgement (fault-tolerant).
-
-    Same protocol shape as :class:`_RobustBfsProgram`: an informed node
-    keeps re-announcing ``("bc", value)`` to every neighbour it has no
-    proof about, where proof is an implicit ack (the neighbour announced
-    back) or an explicit ``("ok",)``; per-neighbour budgets bound the
-    retries, so the flood always terminates and uninformed nodes are a
-    documented partial output (``result() is None``), including the case
-    of a crashed source.
-    """
-
-    def __init__(
-        self, context: NodeContext, source: Hashable, value: object, retry_budget: int
-    ) -> None:
-        super().__init__(context)
-        self.source = source
-        self.retry_budget = retry_budget
-        self.value: object = value if context.node == source else None
-        self.informed = context.node == source
-        self.pending: dict[Hashable, int] = {}
-
-    def on_start(self) -> dict[Hashable, object]:
-        if self.informed:
-            self.pending = {
-                neighbour: self.retry_budget for neighbour in self.context.neighbours
-            }
-            self.halted = not self.pending
-            return {neighbour: ("bc", self.value) for neighbour in self.context.neighbours}
-        self.halted = True
-        return {}
-
-    def on_round(self, round_number: int, inbox: dict[Hashable, object]) -> dict[Hashable, object]:
-        pending = self.pending
-        announcers = []
-        for sender, message in inbox.items():
-            if message[0] == "ok":
-                pending.pop(sender, None)
-            else:  # ("bc", value): the announcement, and an implicit ack
-                pending.pop(sender, None)
-                announcers.append(sender)
-        out: dict[Hashable, object] = {}
-        if not self.informed and announcers:
-            self.value = inbox[announcers[0]][1]
-            self.informed = True
-            known = set(announcers)
-            self.pending = pending = {
-                neighbour: self.retry_budget + 1
-                for neighbour in self.context.neighbours
-                if neighbour not in known
-            }
-        if self.informed:
-            payload = ("bc", self.value)
-            for neighbour in list(pending):
-                out[neighbour] = payload
-                remaining = pending[neighbour] - 1
-                if remaining <= 0:
-                    del pending[neighbour]
-                else:
-                    pending[neighbour] = remaining
-            for sender in announcers:
-                if sender not in out:
-                    out[sender] = ("ok",)
-        self.halted = (not pending) if self.informed else True
-        return out
+    def join(self, inbox: dict[Hashable, object], senders: list[Hashable]) -> tuple:
+        return inbox[senders[0]]
 
     def result(self) -> object:
-        return self.value
-
-
-class _RobustBroadcastFactory:
-    """Factory for :class:`_RobustBroadcastProgram` (fault schedules only)."""
-
-    __slots__ = ("source", "value", "retry_budget")
-
-    def __init__(self, source: Hashable, value: object, retry_budget: int) -> None:
-        self.source = source
-        self.value = value
-        self.retry_budget = retry_budget
-
-    def __call__(self, context: NodeContext) -> NodeProgram:
-        return _RobustBroadcastProgram(context, self.source, self.value, self.retry_budget)
+        return None if self.message is None else self.message[1]
 
 
 def broadcast_value(
@@ -586,7 +477,6 @@ def broadcast_value(
     value: object,
     simulator_cls: type[CongestSimulator] = CongestSimulator,
     fault_schedule: FaultSchedule | FaultModel | None = None,
-    retry_budget: int = 5,
 ) -> SimulationResult:
     """Broadcast ``value`` from ``source`` to every node; return the run stats.
 
@@ -603,15 +493,14 @@ def broadcast_value(
     ``result.outputs`` rather than expecting an exception.
     """
     view = view_of(graph)
-    program_source = view.index_of(source)
-    schedule = _resolve_schedule(fault_schedule)
-    if schedule is not None:
-        factory = _RobustBroadcastFactory(program_source, value, retry_budget)
-        return simulator_cls(view, factory, fault_schedule=schedule).run()
-    result = simulator_cls(view, _BroadcastFactory(program_source, value)).run()
-    wrong = [node for node, output in result.outputs.items() if output != value]
-    if wrong:
-        raise RuntimeError(f"broadcast did not reach nodes {wrong[:5]}")
+    schedule = active_schedule(fault_schedule)
+    program = _BroadcastProgram if schedule is None else _RobustBroadcastProgram
+    factory = _Programs(program, view.index_of(source), value)
+    result = simulator_cls(view, factory, fault_schedule=schedule).run()
+    if schedule is None:
+        wrong = [node for node, output in result.outputs.items() if output != value]
+        if wrong:
+            raise SimulationError(f"broadcast did not reach nodes {wrong[:5]}")
     return result
 
 
@@ -626,21 +515,25 @@ class _ConvergecastProgram(NodeProgram):
     ``combine``s are deterministic -- and reports upward the round its last
     child arrives.  All waiting is mail-driven (nodes halt, the simulator
     wakes them on delivery), so the active set per round is exactly the set
-    of nodes receiving reports.
+    of nodes receiving reports.  ``parent`` / ``num_children`` / ``values``
+    are per-index lists; each node reads its own entry.
     """
+
+    runtime = ConvergecastRuntime
 
     def __init__(
         self,
         context: NodeContext,
-        parent: Hashable | None,
-        num_children: int,
-        value: object,
+        parent: list[int | None],
+        num_children: list[int],
+        values: list[object],
         combine: Callable[[object, object], object],
     ) -> None:
         super().__init__(context)
-        self.parent = parent
-        self.remaining = num_children
-        self.acc = value
+        node = context.node
+        self.parent = parent[node]
+        self.remaining = num_children[node]
+        self.acc = values[node]
         self.combine = combine
         self.aggregate: object | None = None
 
@@ -670,83 +563,34 @@ class _ConvergecastProgram(NodeProgram):
         return self.aggregate
 
 
-class _ConvergecastFactory:
-    """Factory for :class:`_ConvergecastProgram` with its vectorized twin.
-
-    ``parent`` / ``num_children`` / ``values`` are keyed by index;
-    :func:`convergecast_aggregate` converts at the boundary.
-    """
-
-    __slots__ = ("parent", "num_children", "values", "combine")
-
-    def __init__(
-        self,
-        parent: Mapping[Hashable, Hashable | None],
-        num_children: Mapping[Hashable, int],
-        values: Mapping[Hashable, object],
-        combine: Callable[[object, object], object],
-    ) -> None:
-        self.parent = parent
-        self.num_children = num_children
-        self.values = values
-        self.combine = combine
-
-    def __call__(self, context: NodeContext) -> NodeProgram:
-        node = context.node
-        return _ConvergecastProgram(
-            context,
-            self.parent[node],
-            self.num_children[node],
-            self.values[node],
-            self.combine,
-        )
-
-    def compile_runtime(self, simulator: CongestSimulator) -> RuntimeProgram:
-        view = simulator._view
-        n = len(view.nodes)
-        parent = [-1] * n
-        values = [None] * n
-        for node, up in self.parent.items():
-            parent[node] = -1 if up is None else up
-            values[node] = self.values[node]
-        return ConvergecastRuntime(
-            view, simulator.bandwidth_words, parent, values, self.combine
-        )
-
-
-class _RobustConvergecastProgram(NodeProgram):
+class _RobustConvergecastProgram(_ConvergecastProgram):
     """Tree convergecast with acked, retried reports and a round timeout.
 
     A child re-sends ``("cc", acc)`` to its parent every round until the
     parent's ``("ok",)`` arrives or the send budget expires; the parent
     acks every report and folds each child's *first* one (retries dedupe
     on the reporting child).  Because a crashed or cut-off child would
-    leave ``remaining`` forever positive, every node also carries a
-    ``timeout_round`` at which it fires its partial accumulator upward
+    leave ``remaining`` forever positive, every node also reads a
+    ``timeouts`` round at which it fires its partial accumulator upward
     regardless -- timeouts are staggered by tree depth (deeper nodes fire
     earlier), so even under heavy crashes the surviving partial aggregates
     still propagate to the root.  Reports arriving after the fold closed
     are acked and discarded (the documented partial contract).
     """
 
+    runtime = None
+
     def __init__(
         self,
         context: NodeContext,
-        parent: Hashable | None,
-        num_children: int,
-        value: object,
+        parent: list[int | None],
+        num_children: list[int],
+        values: list[object],
         combine: Callable[[object, object], object],
-        retry_budget: int,
-        timeout_round: int,
+        timeouts: list[int],
     ) -> None:
-        super().__init__(context)
-        self.parent = parent
-        self.remaining = num_children
-        self.acc = value
-        self.combine = combine
-        self.retry_budget = retry_budget
-        self.timeout_round = timeout_round
-        self.aggregate: object | None = None
+        super().__init__(context, parent, num_children, values, combine)
+        self.timeout_round = timeouts[context.node]
         self.reported: set[Hashable] = set()
         self.fired = False
         self.acked = False
@@ -759,11 +603,9 @@ class _RobustConvergecastProgram(NodeProgram):
                 self.aggregate = self.acc
                 self.halted = True
                 return {}
-            self.sends_left = self.retry_budget
-            self.halted = self.sends_left == 0
+            self.sends_left = RETRY_BUDGET
             return {self.parent: ("cc", self.acc)}
-        self.halted = False  # stay live: the timeout clock must tick
-        return {}
+        return {}  # stay live either way: retries and the timeout clock tick
 
     def on_round(self, round_number: int, inbox: dict[Hashable, object]) -> dict[Hashable, object]:
         out: dict[Hashable, object] = {}
@@ -785,13 +627,8 @@ class _RobustConvergecastProgram(NodeProgram):
             if self.parent is None:
                 self.aggregate = self.acc
             else:
-                self.sends_left = self.retry_budget + 1
-        if (
-            self.fired
-            and self.parent is not None
-            and not self.acked
-            and self.sends_left > 0
-        ):
+                self.sends_left = RETRY_BUDGET + 1
+        if self.fired and self.parent is not None and not self.acked and self.sends_left > 0:
             out[self.parent] = ("cc", self.acc)
             self.sends_left -= 1
         if self.parent is None:
@@ -799,48 +636,6 @@ class _RobustConvergecastProgram(NodeProgram):
         else:
             self.halted = self.fired and (self.acked or self.sends_left == 0)
         return out
-
-    def result(self) -> object:
-        return self.aggregate
-
-
-class _RobustConvergecastFactory:
-    """Factory for :class:`_RobustConvergecastProgram` (fault schedules only).
-
-    Like :class:`_ConvergecastFactory` plus per-node timeout rounds (all
-    keyed by index); :func:`convergecast_aggregate` computes the
-    depth-staggered timeouts at the boundary.
-    """
-
-    __slots__ = ("parent", "num_children", "values", "timeouts", "combine", "retry_budget")
-
-    def __init__(
-        self,
-        parent: Mapping[Hashable, Hashable | None],
-        num_children: Mapping[Hashable, int],
-        values: Mapping[Hashable, object],
-        timeouts: Mapping[Hashable, int],
-        combine: Callable[[object, object], object],
-        retry_budget: int,
-    ) -> None:
-        self.parent = parent
-        self.num_children = num_children
-        self.values = values
-        self.timeouts = timeouts
-        self.combine = combine
-        self.retry_budget = retry_budget
-
-    def __call__(self, context: NodeContext) -> NodeProgram:
-        node = context.node
-        return _RobustConvergecastProgram(
-            context,
-            self.parent[node],
-            self.num_children[node],
-            self.values[node],
-            self.combine,
-            self.retry_budget,
-            self.timeouts[node],
-        )
 
 
 def convergecast_aggregate(
@@ -850,7 +645,6 @@ def convergecast_aggregate(
     combine: Callable[[object, object], object] = min,
     simulator_cls: type[CongestSimulator] = CongestSimulator,
     fault_schedule: FaultSchedule | FaultModel | None = None,
-    retry_budget: int = 5,
 ) -> tuple[object, SimulationResult]:
     """Aggregate ``values`` up ``tree`` to its root; return (aggregate, stats).
 
@@ -876,31 +670,29 @@ def convergecast_aggregate(
     missing = [node for node in tree.parent if node not in values]
     if missing:
         raise SimulationError(f"no input value for vertex {missing[0]}")
-    schedule = _resolve_schedule(fault_schedule)
+    schedule = active_schedule(fault_schedule)
     index_of = view.index_of
-    parent = {}
-    num_children = {}
-    node_values = {}
+    n = len(view)
+    parent: list[int | None] = [None] * n
+    num_children = [0] * n
+    node_values: list[object] = [None] * n
     for node, up in tree.parent.items():
         index = index_of(node)
         parent[index] = None if up is None else index_of(up)
         num_children[index] = len(tree.children[node])
         node_values[index] = values[node]
-    if schedule is not None:
-        # Depth-staggered timeouts: deeper nodes give up earlier, so a
-        # partial accumulator still has time to climb to the root before
-        # *its* timeout.  The stride covers one retry burst per tree level.
-        max_depth = tree.height
-        stride = retry_budget + 4
-        timeouts = {
-            index_of(node): 2 * (max_depth + 1) + (max_depth - level) * stride + 4
-            for node, level in tree.depth.items()
-        }
-        factory = _RobustConvergecastFactory(
-            parent, num_children, node_values, timeouts, combine, retry_budget
-        )
-        result = simulator_cls(view, factory, fault_schedule=schedule).run()
-        return result.outputs.get(tree.root), result
-    factory = _ConvergecastFactory(parent, num_children, node_values, combine)
-    result = simulator_cls(view, factory).run()
-    return result.outputs[tree.root], result
+    args = (parent, num_children, node_values, combine)
+    if schedule is None:
+        result = simulator_cls(view, _Programs(_ConvergecastProgram, *args)).run()
+        return result.outputs[tree.root], result
+    # Depth-staggered timeouts: deeper nodes give up earlier, so a partial
+    # accumulator still has time to climb to the root before *its* timeout.
+    # The stride covers one retry burst per tree level.
+    max_depth = tree.height
+    stride = RETRY_BUDGET + 4
+    timeouts = [0] * n
+    for node, level in tree.depth.items():
+        timeouts[index_of(node)] = 2 * (max_depth + 1) + (max_depth - level) * stride + 4
+    factory = _Programs(_RobustConvergecastProgram, *args, timeouts)
+    result = simulator_cls(view, factory, fault_schedule=schedule).run()
+    return result.outputs.get(tree.root), result

@@ -35,13 +35,17 @@ never-halted program).  ``tests/test_runtime.py`` pins this on every
 registered scenario family; ``docs/simulator.md`` spells the contract out.
 
 Only programs with a compiled twin can run here:
-:class:`RuntimeSimulator` asks the program factory for a
-``compile_runtime`` hook (attached by the factories in
-:mod:`repro.congest.primitives`) and refuses factories without one --
-arbitrary user ``NodeProgram`` subclasses keep running under the per-node
-loop, which remains the semantic reference.  The twins assume fail-free
-delivery, so under an active fault schedule :class:`RuntimeSimulator` runs
-the per-node loop instead (with any factory).
+:class:`RuntimeSimulator` asks the program factory's ``compile_runtime``
+hook for the twin and refuses factories without a hook or whose hook
+returns None.  The primitives' one factory,
+:class:`repro.congest.primitives._Programs`, builds the twin its program
+class names in a ``runtime`` class attribute, from the same arguments the
+per-node program reads; arbitrary user ``NodeProgram`` subclasses keep
+running under the per-node loop, which remains the semantic reference.
+The twins assume fail-free delivery, so under an active fault schedule
+:class:`RuntimeSimulator` runs the per-node loop instead (with any
+factory); the robust programs, which only run there, set ``runtime =
+None``.
 """
 
 from __future__ import annotations
@@ -176,28 +180,28 @@ class RuntimeProgram:
         total_words = words
         last_active_round = 1 if sent else 0
 
+        def result() -> SimulationResult:
+            node_of = self.view.nodes
+            return SimulationResult(
+                rounds=last_active_round,
+                messages=total_messages,
+                words=total_words,
+                outputs={node_of[index]: value for index, value in enumerate(self.outputs())},
+                telemetry=[
+                    RoundTelemetry(index + 1, executed, sent, words)
+                    for index, (executed, sent, words) in enumerate(
+                        zip(executed_column, sent_column, words_column)
+                    )
+                ],
+            )
+
         round_number = 1
         while self.has_work():
             round_number += 1
             if round_number > max_rounds + 1:
-                node_of = self.view.nodes
                 raise RoundLimitError(
                     f"simulation did not converge within {max_rounds} rounds",
-                    partial=SimulationResult(
-                        rounds=last_active_round,
-                        messages=total_messages,
-                        words=total_words,
-                        outputs={
-                            node_of[index]: value
-                            for index, value in enumerate(self.outputs())
-                        },
-                        telemetry=[
-                            RoundTelemetry(index + 1, executed, sent, words)
-                            for index, (executed, sent, words) in enumerate(
-                                zip(executed_column, sent_column, words_column)
-                            )
-                        ],
-                    ),
+                    partial=result(),
                 )
             executed, sent, words, delivered = self.on_round(round_number)
             total_messages += sent
@@ -207,22 +211,7 @@ class RuntimeProgram:
             words_column.append(words)
             if sent or delivered:
                 last_active_round = round_number
-
-        node_of = self.view.nodes
-        outputs = {node_of[index]: value for index, value in enumerate(self.outputs())}
-        telemetry = [
-            RoundTelemetry(index + 1, executed, sent, words)
-            for index, (executed, sent, words) in enumerate(
-                zip(executed_column, sent_column, words_column)
-            )
-        ]
-        return SimulationResult(
-            rounds=last_active_round,
-            messages=total_messages,
-            words=total_words,
-            outputs=outputs,
-            telemetry=telemetry,
-        )
+        return result()
 
 
 class BfsRuntime(RuntimeProgram):
@@ -465,26 +454,25 @@ class ConvergecastRuntime(RuntimeProgram):
     acc)`` to its parent in the round its last child's report arrives.
     Mail folds in ascending child order (the per-node program sorts its
     inbox the same way), so non-commutative float ``combine``s still match
-    bit for bit.
+    bit for bit.  It reads the per-node program's index-keyed ``parent`` (None
+    at the root), ``num_children`` and ``values`` lists.
     """
 
     def __init__(
         self,
         view,
         bandwidth_words: int,
-        parent: Sequence[int],
+        parent: Sequence[int | None],
+        num_children: Sequence[int],
         values: Sequence,
         combine: Callable,
     ) -> None:
         super().__init__(view, bandwidth_words)
         n = self.core.num_nodes
-        self._parent = list(parent)
+        self._parent = [-1 if up is None else up for up in parent]
         self._acc = list(values)
         self._combine = combine
-        self._remaining = [0] * n
-        for node_parent in self._parent:
-            if node_parent >= 0:
-                self._remaining[node_parent] += 1
+        self._remaining = list(num_children)
         self._root = self._parent.index(-1) if n else -1
         self._result = None
         self._inbox = _Inbox(n)
@@ -561,9 +549,9 @@ class RuntimeSimulator(CongestSimulator):
     this class where :class:`CongestSimulator` is accepted runs the same
     workload on compiled batch programs.  The network must be a
     :class:`repro.core.GraphView` (the runtime is index-native; the
-    primitives view their input themselves) and the program factory must
-    carry a ``compile_runtime`` hook -- both enforced at construction with
-    the same exception contract as the per-node loop
+    primitives view their input themselves) and the program factory's
+    ``compile_runtime`` hook must return a twin -- both enforced at
+    construction with the same exception contract as the per-node loop
     (:class:`~repro.errors.InvalidGraphError` for empty/disconnected/
     label-space networks, :class:`~repro.errors.SimulationError` for
     factories without a compiled twin).  The twins assume fail-free
@@ -597,7 +585,7 @@ class RuntimeSimulator(CongestSimulator):
     def _init_programs(self, core, program_factory) -> None:
         """No per-node programs: ask the factory for its compiled twin.
 
-        The factories of :mod:`repro.congest.primitives` attach the
+        The factory of :mod:`repro.congest.primitives` carries the
         ``compile_runtime`` hook; the batch programs are index-native and
         their outputs are mapped back to labels through the view.
         """
@@ -605,12 +593,13 @@ class RuntimeSimulator(CongestSimulator):
             super()._init_programs(core, program_factory)
             return
         compile_hook = getattr(program_factory, "compile_runtime", None)
-        if compile_hook is None:
+        if compile_hook is not None:
+            self._runtime_program = compile_hook(self)
+        if self._runtime_program is None:
             raise SimulationError(
                 f"program factory {program_factory!r} has no vectorized runtime "
-                "(no compile_runtime hook); run it under the per-node loop instead"
+                "(compile_runtime gave no twin); run it under the per-node loop instead"
             )
-        self._runtime_program = compile_hook(self)
 
     def run(self, max_rounds: int = 10_000) -> SimulationResult:
         """Drive the compiled batch program (the per-node loop under faults)."""

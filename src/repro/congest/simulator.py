@@ -62,7 +62,7 @@ import networkx as nx
 
 from ..core import GraphView, view_of
 from ..errors import InvalidGraphError, RoundLimitError, SimulationError
-from .faults import FaultModel, FaultQueue, FaultSchedule
+from .faults import FaultModel, FaultQueue, FaultSchedule, active_schedule
 from .node import NodeContext, NodeProgram, message_size_in_words
 
 
@@ -186,11 +186,7 @@ class CongestSimulator:
             )
         self.bandwidth_words = bandwidth_words
         self._diameter_bound = diameter_bound
-        if fault_schedule is not None and not isinstance(fault_schedule, FaultSchedule):
-            fault_schedule = FaultSchedule(fault_schedule)
-        self._fault_schedule = (
-            fault_schedule if fault_schedule is not None and fault_schedule.active else None
-        )
+        self._fault_schedule = active_schedule(fault_schedule)
         core = _require_connected_core(view)
         self._graph = None  # lazy: materialised only if .graph is read
         # Index order == repr order of the labels, so this *is* the canonical
@@ -312,6 +308,19 @@ class CongestSimulator:
         telemetry: list[RoundTelemetry] = []
         last_active_round = 0
 
+        def result() -> SimulationResult:
+            return SimulationResult(
+                rounds=last_active_round,
+                messages=total_messages,
+                words=total_words,
+                outputs=self._final_outputs(exclude=crashed),
+                telemetry=telemetry,
+                dropped=total_dropped,
+                delayed=total_delayed,
+                duplicated=total_duplicated,
+                crashed_nodes=len(crashed),
+            )
+
         # Round 1: on_start for every program that has not already crashed.
         newly = crash_by_round.get(1, ())
         crashed.update(newly)
@@ -354,17 +363,7 @@ class CongestSimulator:
             if round_number > max_rounds + 1:
                 raise RoundLimitError(
                     f"simulation did not converge within {max_rounds} rounds",
-                    partial=SimulationResult(
-                        rounds=last_active_round,
-                        messages=total_messages,
-                        words=total_words,
-                        outputs=self._final_outputs(exclude=crashed),
-                        telemetry=telemetry,
-                        dropped=total_dropped,
-                        delayed=total_delayed,
-                        duplicated=total_duplicated,
-                        crashed_nodes=len(crashed),
-                    ),
+                    partial=result(),
                 )
             inboxes = queue.deliveries(round_number)
             delivered = bool(inboxes)
@@ -406,17 +405,7 @@ class CongestSimulator:
             if sent or delivered:
                 last_active_round = round_number
 
-        return SimulationResult(
-            rounds=last_active_round,
-            messages=total_messages,
-            words=total_words,
-            outputs=self._final_outputs(exclude=crashed),
-            telemetry=telemetry,
-            dropped=total_dropped,
-            delayed=total_delayed,
-            duplicated=total_duplicated,
-            crashed_nodes=len(crashed),
-        )
+        return result()
 
 
 class _LabelFactory:

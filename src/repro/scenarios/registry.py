@@ -32,7 +32,7 @@ from ..algorithms.mst import boruvka_mst, native_mst_weight, reference_mst_weigh
 from ..congest.aggregation import partwise_aggregate
 from ..core import GraphView, view_of
 from ..congest.faults import FaultModel, FaultSchedule
-from ..congest.primitives import broadcast_value, distributed_bfs_tree, robust_bfs_tree
+from ..congest.primitives import broadcast_value, robust_bfs_tree
 from ..congest.simulator import CongestSimulator
 from ..graphs.apex_vortex import AlmostEmbeddableGraph, build_almost_embeddable
 from ..graphs.clique_sum import CliqueSumDecomposition, clique_sum_compose
@@ -521,10 +521,11 @@ def _run_mst(
     scenario engine's default) needs to run its compiled programs.
 
     An active ``faults`` model runs both simulated phases under one seeded
-    :class:`~repro.congest.faults.FaultSchedule`: the BFS build switches to
-    the retry-based :func:`~repro.congest.primitives.robust_bfs_tree` (its
-    graft-repair count is reported as ``bfs_repaired``) and the announcement
-    to the fault-tolerant broadcast.  Fault-only record fields appear *only*
+    :class:`~repro.congest.faults.FaultSchedule`: the BFS build
+    (:func:`~repro.congest.primitives.robust_bfs_tree`, the fail-free flood
+    with no schedule) switches to its retry/ack flood (its graft-repair
+    count is reported as ``bfs_repaired``) and the announcement to the
+    fault-tolerant broadcast.  Fault-only record fields appear *only*
     in that case, so fail-free records are unchanged.
     """
     weighted = instance.weighted_graph(seed)
@@ -534,13 +535,9 @@ def _run_mst(
     if faults is not None and not faults.is_null:
         schedule = FaultSchedule(faults, seed=fault_seed)
     started = time.perf_counter()
-    if schedule is None:
-        sim_tree, bfs_stats = distributed_bfs_tree(network, root, simulator_cls=simulator_cls)
-        repaired = 0
-    else:
-        sim_tree, bfs_stats, repaired = robust_bfs_tree(
-            network, root, schedule, simulator_cls=simulator_cls
-        )
+    sim_tree, bfs_stats, repaired = robust_bfs_tree(
+        network, root, schedule, simulator_cls=simulator_cls
+    )
     sim_seconds = time.perf_counter() - started
     result = boruvka_mst(weighted, shortcut_builder=builder, tree=sim_tree)
     started = time.perf_counter()

@@ -75,6 +75,15 @@ RETIRED_NAMES = (
     "decomposition_for_parts",
     "enqueue",
     "_int_array",
+    "_BfsFactory",
+    "_RobustBfsFactory",
+    "_FloodMaxFactory",
+    "_BroadcastFactory",
+    "_RobustBroadcastFactory",
+    "_ConvergecastFactory",
+    "_RobustConvergecastFactory",
+    "retry_budget",
+    "_resolve_schedule",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.

@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy and the top-level public API surface."""
 
+import pytest
+
 import repro
 from repro.errors import (
     ConvergenceError,
@@ -45,3 +47,20 @@ def test_quickstart_snippet_from_readme_works():
     repro.assign_random_weights(sample.graph, seed=3)
     result = repro.boruvka_mst(sample.graph)
     assert abs(result.weight - repro.reference_mst_weight(sample.graph)) < 1e-6
+
+
+
+def test_broadcast_that_misses_nodes_raises_a_simulation_error(monkeypatch):
+    from repro.congest.primitives import _BroadcastProgram
+
+    monkeypatch.setattr(_BroadcastProgram, "result", lambda self: None)
+    with pytest.raises(SimulationError, match="did not reach"):
+        repro.broadcast_value(repro.grid_graph(3, 3), 0, 7)
+
+
+def test_leader_election_that_disagrees_raises_a_simulation_error(monkeypatch):
+    from repro.congest.primitives import _FloodMaxProgram
+
+    monkeypatch.setattr(_FloodMaxProgram, "result", lambda self: self.context.node)
+    with pytest.raises(SimulationError, match="did not converge"):
+        repro.flood_max_id(repro.grid_graph(3, 3))

@@ -215,10 +215,10 @@ def test_runtime_rejects_empty_network():
 
 def test_runtime_requires_a_graph_view():
     """The simulator itself stays index-native; the primitives view their input."""
-    from repro.congest.primitives import _BfsFactory
+    from repro.congest.primitives import _BfsProgram, _Programs
 
     with pytest.raises(InvalidGraphError, match="GraphView"):
-        RuntimeSimulator(grid_graph(3, 3), _BfsFactory(0))
+        RuntimeSimulator(grid_graph(3, 3), _Programs(_BfsProgram, 0))
 
 
 def test_runtime_rejects_factories_without_compiled_twin():
@@ -256,9 +256,9 @@ def test_runtime_builds_no_per_node_programs():
     """The speedup exists because runtime mode skips per-node set-up."""
     view = view_of(grid_graph(5, 5))
     root_index = view.index_of(0)
-    from repro.congest.primitives import _BfsFactory
+    from repro.congest.primitives import _BfsProgram, _Programs
 
-    simulator = RuntimeSimulator(view, _BfsFactory(root_index))
+    simulator = RuntimeSimulator(view, _Programs(_BfsProgram, root_index))
     assert simulator.programs == {}
     result = simulator.run()
     assert result.rounds > 0
