@@ -11,12 +11,12 @@ algorithms here are:
   ``O~(D + sqrt n)`` general-graph reference model;
 * :mod:`repro.algorithms.mincut`   -- (1 + eps)-approximate minimum cut by
   greedy spanning-tree packing and 1-/2-respecting tree cuts;
-* :mod:`repro.algorithms.partwise` -- label-space conveniences over the
-  aggregation primitive.
+* :mod:`repro.algorithms.partwise` -- conveniences over the aggregation
+  primitive, the MWOE step among them.
 
 This layer is **array-native**: :func:`boruvka_mst` and
 :func:`approximate_min_cut` run on the CSR kernel
-(:class:`~repro.core.GraphView` indices, flat union-find fragments,
+(:class:`~repro.core.GraphView` indices, edge-rank Boruvka fragments,
 engine-built per-phase shortcuts, Euler-interval cut sweeps).
 ``tests/test_algorithms_core.py`` pins them, field for field, to the seed
 implementations kept in ``tests/oracles/``.  See ``docs/architecture.md``

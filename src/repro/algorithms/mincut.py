@@ -98,7 +98,6 @@ def approximate_min_cut(
     shortcut_builder: ShortcutBuilder | None = None,
     tree: RootedTree | None = None,
     max_trees: int | None = None,
-    seed: int = 0,
 ) -> MinCutResult:
     """Compute a (1 + eps)-approximate minimum cut with CONGEST round accounting.
 
@@ -111,8 +110,6 @@ def approximate_min_cut(
         tree: the global spanning tree for T-restriction (defaults to BFS).
         max_trees: optional cap on the packing size (keeps small experiments
             fast); the default cap is 12.
-        seed: reserved for future randomised variants (the greedy packing is
-            deterministic).
 
     Returns:
         A :class:`MinCutResult`; the tests assert ``approximation_ratio <=

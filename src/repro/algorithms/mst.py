@@ -38,21 +38,19 @@ exactly the same rounds, messages and telemetry as the per-node modes
 Implementation
 --------------
 
-Fragments live in a flat union-find owner array over the graph's
-:class:`~repro.core.GraphView` indices.  Each phase's family is handed to
-the shortcut machinery as an incremental
-:meth:`~repro.core.PartSet.from_member_lists` part set (no per-phase
-label-frozenset materialisation).  The MWOE search is one scan over the CSR
-adjacency slices; a candidate is ``(weight, lo * n + hi)``, so equal
-weights break ties in the canonical index-pair edge order that
-:class:`~repro.core.GraphView` defines, and the part-wise aggregation
-folds the candidates with plain ``min``.  Shortcuts for the default
-oblivious builder are built by driving
-:class:`~repro.shortcuts.engine.ConstructionEngine` directly: each phase is
-a few whole-family array passes over the tree's cached Euler-tour index and
-binary-lifting table.  The aggregation runs through
-:func:`~repro.congest.aggregation.partwise_aggregate_indexed` on flat value
-arrays; its per-part trees come from one slot-graph BFS per phase.
+Every edge is ranked once by ``(weight, lo * n + hi)``
+(:class:`~repro.core.fragments.EdgeRanks`), so equal weights break ties in
+the canonical index-pair edge order of :class:`~repro.core.GraphView`.
+Fragments are one owner array naming each vertex's fragment by its minimum
+vertex index, and each phase's family is handed to the shortcut machinery
+as a :meth:`~repro.core.PartSet.from_member_lists` part set.  Every vertex
+offers the rank of its lightest outgoing edge (one masked segment minimum
+over the CSR rows), the part-wise aggregation folds the ranks with plain
+``min``, and a hook-and-compress pass over the chosen edges merges and
+renames the fragments.  Shortcuts for the default oblivious builder are
+built by driving :class:`~repro.shortcuts.engine.ConstructionEngine`
+directly; the aggregation runs through
+:func:`~repro.congest.aggregation.partwise_aggregate_indexed`.
 
 ``tests/test_algorithms_core.py`` pins the result -- MST edge set, weight,
 total rounds, phases, per-phase rounds and qualities -- to the seed
@@ -69,8 +67,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from ..core import GraphView, PartSet, view_of
+from ..core.fragments import EdgeRanks, fragments
 from ..errors import ConvergenceError
 from ..graphs.weights import WEIGHT
 from ..congest.aggregation import partwise_aggregate_indexed
@@ -78,7 +78,6 @@ from ..shortcuts.congestion_capped import oblivious_shortcut, oblivious_sweep
 from ..shortcuts.engine import ConstructionEngine
 from ..shortcuts.shortcut import Shortcut
 from ..structure.spanning import RootedTree, bfs_spanning_tree
-from ..utils import canonical_edge
 
 # A shortcut builder receives (graph, tree, parts) and returns a Shortcut; the
 # distributed algorithm is oblivious to how the shortcut was obtained.
@@ -200,47 +199,20 @@ def boruvka_mst(
     use_engine = bool(getattr(builder, "uses_engine", False))
     view = view_of(graph)
     tree = tree if tree is not None else bfs_spanning_tree(view)
-    n = len(view)
     if max_phases is None:
-        max_phases = 2 + max(1, n).bit_length()
-
-    core = view.core
-    indptr, indices = core._indptr_list, core._indices_list
+        max_phases = 2 + max(1, len(view)).bit_length()
     node_of = view.nodes
-
-    # Weights are re-read from the nx graph per run rather than taken from
-    # the CSR cache: the frozen-once-viewed convention covers topology, but
-    # callers legitimately reassign *weights* between runs over one graph
-    # (the README quickstart does), and each run must see the live weights.
-    # Native instances carry their weights in the CSR arrays themselves.
-    if isinstance(graph, GraphView):
-        edge_weights = core._weights_list
-    else:
-        edge_weights = []
-        for u in range(n):
-            adjacency = graph.adj[node_of[u]]
-            edge_weights += [
-                adjacency[node_of[v]].get(WEIGHT, 1.0) for v in indices[indptr[u] : indptr[u + 1]]
-            ]
-
-    # Fragment state: a flat owner array (vertex index -> fragment root) and
-    # incrementally merged member lists.  Roots are the minimum vertex index
-    # of their fragment (merges always point the larger root at the smaller,
-    # exactly like the seed oracle's union), so the ascending roots list is
-    # also the oracle's ascending-fragment-id part order.
-    frag = list(range(n))
-    members: list[list[int]] = [[index] for index in range(n)]
-    roots = list(range(n))
+    ranks = EdgeRanks(graph)
+    owner = np.arange(len(view))
 
     mst_edges: set[tuple[Hashable, Hashable]] = set()
     # Weight of each accepted MWOE, recorded at merge time; the final weight
-    # is their sum (GraphView inputs have no nx adjacency to re-read).
+    # is their sum over the edge set.
     merge_weight: dict[tuple[Hashable, Hashable], float] = {}
     total_rounds = 0
     phase_rounds: list[int] = []
     phase_qualities: list[int] = []
     sync_cost = max(1, tree.height)
-    infinity = (float("inf"), -1)
 
     def result_so_far() -> MstResult:
         return MstResult(
@@ -252,10 +224,18 @@ def boruvka_mst(
             phase_qualities=phase_qualities,
         )
 
-    for _phase in range(max_phases):
-        if len(roots) <= 1:
-            break
-        part_set = PartSet.from_member_lists(view, [members[root] for root in roots])
+    while True:
+        members, offsets = fragments(owner)
+        if len(offsets) <= 2:
+            return result_so_far()
+        if len(phase_rounds) == max_phases:
+            raise ConvergenceError(
+                "Boruvka did not converge within the phase budget", partial=result_so_far()
+            )
+        members, offsets = members.tolist(), offsets.tolist()
+        part_set = PartSet.from_member_lists(
+            view, [members[start:end] for start, end in zip(offsets, offsets[1:])]
+        )
         if use_engine:
             engine = ConstructionEngine(graph, tree, part_set=part_set)
             shortcut = oblivious_sweep(engine)
@@ -266,27 +246,11 @@ def boruvka_mst(
         quality = shortcut.chosen_quality
         phase_qualities.append(quality if quality is not None else shortcut.quality())
 
-        # Every vertex's best outgoing edge (1 round of neighbour exchange
-        # lets every node learn its neighbours' fragment ids): one scan over
-        # the CSR slices against the owner array.  A candidate is
-        # ``(weight, lo * n + hi)``, so ties break in canonical edge order.
-        candidate: list[tuple[float, int]] = [infinity] * n
-        for u in range(n):
-            fragment_u = frag[u]
-            best = infinity
-            for offset in range(indptr[u], indptr[u + 1]):
-                v = indices[offset]
-                if frag[v] == fragment_u:
-                    continue
-                w = edge_weights[offset]
-                if w > best[0]:
-                    continue
-                option = (w, u * n + v if u < v else v * n + u)
-                if option < best:
-                    best = option
-            candidate[u] = best
-
-        aggregation = partwise_aggregate_indexed(shortcut, values=candidate, combine=min)
+        # 1 round of neighbour exchange lets every vertex learn which incident
+        # edges leave its fragment; each vertex offers its lightest one's rank.
+        aggregation = partwise_aggregate_indexed(
+            shortcut, values=ranks.lightest(owner).tolist(), combine=min
+        )
         # Fragment leaders now know the MWOE; a second aggregation round trip
         # (merge coordination: agreeing on the merged fragment identifier) is
         # charged at the same measured cost.
@@ -295,49 +259,17 @@ def boruvka_mst(
         phase_rounds.append(rounds_this_phase)
 
         # Apply the merges centrally (the simulation already charged the
-        # communication); union-find over the pre-phase roots with the MWOEs
-        # as merge edges.
-        union: dict[int, int] = {root: root for root in roots}
-
-        def find(root: int) -> int:
-            while union[root] != root:
-                union[root] = union[union[root]]
-                root = union[root]
-            return root
-
-        merged_any = False
-        for weight, key in aggregation.values:
-            if key < 0:
-                continue
-            u, v = divmod(key, n)
-            ru, rv = find(frag[u]), find(frag[v])
-            if ru == rv:
-                continue
-            union[max(ru, rv)] = min(ru, rv)
-            edge = canonical_edge(node_of[u], node_of[v])
-            mst_edges.add(edge)
-            merge_weight[edge] = weight
-            merged_any = True
-        if not merged_any:
+        # communication).  Fragments choosing one edge from both sides add
+        # it once; the part order of insertion fixes the set's sum order.
+        chosen = np.asarray(aggregation.values)
+        found = chosen[chosen < ranks.none]
+        if not len(found):
             raise ConvergenceError(
                 "Boruvka phase made no progress; graph may be disconnected",
                 partial=result_so_far(),
             )
-        surviving: list[int] = []
-        for root in roots:
-            winner = find(root)
-            if winner == root:
-                surviving.append(root)
-            else:
-                moved = members[root]
-                for vertex in moved:
-                    frag[vertex] = winner
-                members[winner].extend(moved)
-                members[root] = []
-        roots = surviving
-    else:
-        if len(roots) > 1:
-            raise ConvergenceError(
-                "Boruvka did not converge within the phase budget", partial=result_so_far()
-            )
-    return result_so_far()
+        pairs = zip(ranks.lo[found].tolist(), ranks.hi[found].tolist())
+        edges = [(node_of[lo], node_of[hi]) for lo, hi in pairs]
+        mst_edges.update(edges)
+        merge_weight.update(zip(edges, ranks.weight[found].tolist()))
+        owner = ranks.merge(owner, found)

@@ -49,9 +49,9 @@ delivery of the round: its up message once every child has reported,
 its children's down messages (in discovery order) once it has the
 result.  Sends on one edge queue in the order of the deliveries that
 triggered them.  The loop runs once per round, not once per message:
-each directed edge has a compact id (in key order) and a linked-list
-FIFO, a round is a handful of numpy passes over the active edges and
-the messages they deliver, and what a slot sends when it fires is one
+each directed edge's id is its CSR arc position (in key order) and it
+has a linked-list FIFO, a round is a handful of numpy passes over the
+active edges and the messages they deliver, and what a slot sends when it fires is one
 gather from a per-event emission CSR.  A part's aggregate is then one
 fold of ``combine`` over its members in ascending index order, which
 equals the value the convergecast would deliver for any exact,
@@ -174,11 +174,11 @@ class _Trees(NamedTuple):
 
     A *task* is one message: ``c`` for the up message of the tree edge
     whose child slot is ``c``, ``num_slots + c`` for its down message.
-    ``task_edge[t]`` is the compact id of the directed edge ``t`` crosses
-    (ids in ``u * n + v`` order; ``num_edges`` of them).  An *event* is a
-    slot firing: event ``r`` when slot ``r`` has heard from all its
-    children, event ``num_slots + c`` when slot ``c`` receives its down
-    message.  ``event_of[t]`` is the event a delivery of task ``t`` counts
+    ``task_edge[t]`` is the CSR arc position of the directed edge ``t``
+    crosses (ids in ``u * n + v`` order; ``num_edges`` of them, one per
+    arc of the graph).  An *event* is a slot firing: event ``r`` when slot
+    ``r`` has heard from all its children, event ``num_slots + c`` when
+    slot ``c`` receives its down message.  ``event_of[t]`` is the event a delivery of task ``t`` counts
     towards, and ``pending[e]`` the number of deliveries event ``e`` still
     awaits (a child count, or one down message).
     ``emitted[emit_start[e] : emit_start[e + 1]]`` are the tasks event
@@ -211,8 +211,9 @@ def _aggregation_trees(shortcut: Shortcut) -> _Trees:
     per-part ones.
 
     The tree is then recast as the tables :func:`_schedule` reads (see
-    :class:`_Trees`): tasks, their compact edge ids (one ``np.unique``
-    over the up and down keys) and the per-event emission CSR.
+    :class:`_Trees`): tasks, the CSR arc positions of their directed edges
+    (one ``searchsorted`` into the graph's arc keys) and the per-event
+    emission CSR.
     """
     part_set = shortcut.part_set()
     view = part_set.view
@@ -296,14 +297,11 @@ def _aggregation_trees(shortcut: Shortcut) -> _Trees:
     del keys
     below, above = vertex[tree_slots], vertex[parent[tree_slots]]
     del vertex
-    edge_keys, inverse = np.unique(
-        np.concatenate((below * n + above, above * n + below)), return_inverse=True
-    )
-    del below, above
+    arc_keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
     task_edge = np.zeros(2 * num_slots, dtype=np.int64)
-    task_edge[tree_slots] = inverse[: len(tree_slots)]
-    task_edge[num_slots + tree_slots] = inverse[len(tree_slots) :]
-    del inverse
+    task_edge[tree_slots] = np.searchsorted(arc_keys, below * n + above)
+    task_edge[num_slots + tree_slots] = np.searchsorted(arc_keys, above * n + below)
+    del below, above, arc_keys
 
     # Event r sends r's up task below an anchor and, at an anchor (or an
     # unreached slot, which has no children), its children's down tasks;
@@ -325,7 +323,7 @@ def _aggregation_trees(shortcut: Shortcut) -> _Trees:
         emit_start=emit_start,
         emitted=np.concatenate((up_emitted, num_slots + children)),
         task_edge=task_edge,
-        num_edges=len(edge_keys),
+        num_edges=len(indices),
         leaves=leaves,
         part=slot_part,
     )

@@ -16,10 +16,11 @@ import random
 from typing import Hashable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from ..core import GraphView, part_connected, part_set_of, view_of
+from ..core.fragments import EdgeRanks, fragments
 from ..errors import InvalidPartitionError
-from ..graphs.weights import WEIGHT
 from ..structure.spanning import RootedTree, bfs_spanning_tree
 from ..utils import canonical_edge, ensure_rng
 
@@ -189,56 +190,32 @@ def path_parts(
     return parts
 
 
-def boruvka_parts(
-    graph: nx.Graph,
-    phases: int = 1,
-    seed: int | random.Random | None = None,
-) -> list[frozenset]:
+def boruvka_parts(graph: nx.Graph | GraphView, phases: int = 1) -> list[frozenset]:
     """Return the MST fragments after a number of Boruvka phases.
 
     Starting from singleton fragments, each phase merges every fragment with
     the fragment across its minimum-weight outgoing edge (using the edge
-    ``weight`` attribute, defaulting to 1 with deterministic tie-breaking by
-    edge id).  After ``phases`` rounds the fragments are exactly the parts
-    the distributed MST algorithm would hand to the shortcut framework next.
+    ``weight`` attribute, defaulting to 1, with ties broken in canonical
+    edge order).  After ``phases`` rounds the fragments are exactly the parts
+    the distributed MST algorithm would hand to the shortcut framework next,
+    in the same order (by minimum vertex index).
     """
     if phases < 0:
         raise InvalidPartitionError("phases must be non-negative")
-    fragment: dict[Hashable, int] = {v: i for i, v in enumerate(sorted(graph.nodes(), key=repr))}
-
-    def weight_of(u: Hashable, v: Hashable) -> tuple[float, str]:
-        return (graph[u][v].get(WEIGHT, 1.0), repr((min(repr(u), repr(v)), max(repr(u), repr(v)))))
-
+    node_of = view_of(graph).nodes
+    ranks = EdgeRanks(graph)
+    owner = np.arange(len(node_of))
+    members, offsets = fragments(owner)
     for _ in range(phases):
-        if len(set(fragment.values())) <= 1:
-            break
-        best_edge: dict[int, tuple[tuple[float, str], Hashable, Hashable]] = {}
-        for u, v in graph.edges():
-            fu, fv = fragment[u], fragment[v]
-            if fu == fv:
-                continue
-            w = weight_of(u, v)
-            for f in (fu, fv):
-                if f not in best_edge or w < best_edge[f][0]:
-                    best_edge[f] = (w, u, v)
-        union: dict[int, int] = {f: f for f in set(fragment.values())}
-
-        def find(f: int) -> int:
-            while union[f] != f:
-                union[f] = union[union[f]]
-                f = union[f]
-            return f
-
-        for f, (_, u, v) in best_edge.items():
-            ru, rv = find(fragment[u]), find(fragment[v])
-            if ru != rv:
-                union[max(ru, rv)] = min(ru, rv)
-        fragment = {v: find(f) for v, f in fragment.items()}
-
-    groups: dict[int, set[Hashable]] = {}
-    for vertex, f in fragment.items():
-        groups.setdefault(f, set()).add(vertex)
-    parts = [frozenset(group) for _, group in sorted(groups.items())]
+        # Each fragment's MWOE is the minimum over its members' lightest edges.
+        mwoe = np.minimum.reduceat(ranks.lightest(owner)[members], offsets[:-1])
+        owner = ranks.merge(owner, mwoe)
+        members, offsets = fragments(owner)
+    members, offsets = members.tolist(), offsets.tolist()
+    parts = [
+        frozenset(node_of[member] for member in members[start:end])
+        for start, end in zip(offsets, offsets[1:])
+    ]
     validate_parts(graph, parts)
     return parts
 

@@ -33,9 +33,11 @@ from repro.congest.simulator import CongestSimulator
 from repro.core import PartSet, view_of
 from repro.errors import InvalidGraphError
 from repro.graphs.planar import cycle_graph, grid_graph, random_delaunay_triangulation
+from repro.graphs.weights import WEIGHT
 from repro.scenarios import build_instance, family_names
 from repro.scenarios.registry import constructor as scenario_constructor
 from repro.shortcuts.baseline import steiner_shortcut
+from repro.shortcuts.parts import boruvka_parts
 from repro.structure.spanning import bfs_spanning_tree, graph_diameter
 
 from oracles import aggregation as oracle_aggregation
@@ -75,15 +77,53 @@ def _assert_mincut_equal(fast, reference):
 # --------------------------------------------------------------- differential
 
 
+def _unit_weighted(instance):
+    """A copy of the instance graph with every weight 1: ties decide everything."""
+    graph = instance.graph.copy()
+    nx.set_edge_attributes(graph, 1.0, WEIGHT)
+    return graph
+
+
 @pytest.mark.parametrize("family_name", family_names())
 def test_boruvka_fast_path_matches_reference(family_name):
-    """Array-native Boruvka == preserved seed loop on every family."""
+    """Array-native Boruvka == preserved seed loop on every family.
+
+    The unit-weight input makes the canonical edge-order tie-break alone
+    decide every MWOE.
+    """
     instance = _family_instance(family_name)
-    weighted = instance.weighted_graph(3)
     tree = instance.tree
-    fast = boruvka_mst(weighted, tree=tree)
-    reference = oracle_mst.boruvka_mst(weighted, tree=tree)
-    _assert_mst_equal(fast, reference)
+    for weighted in (instance.weighted_graph(3), _unit_weighted(instance)):
+        fast = boruvka_mst(weighted, tree=tree)
+        reference = oracle_mst.boruvka_mst(weighted, tree=tree)
+        _assert_mst_equal(fast, reference)
+
+
+@pytest.mark.parametrize("unit", [False, True], ids=["family-weights", "unit-weights"])
+@pytest.mark.parametrize("family_name", family_names())
+def test_boruvka_parts_are_the_mst_loop_fragments(family_name, unit):
+    """``boruvka_parts(g, k)`` is the part family the MST loop hands to phase ``k``."""
+    instance = _family_instance(family_name)
+    graph = _unit_weighted(instance) if unit else instance.weighted_graph(3)
+    _assert_boruvka_parts_match_loop(graph, instance.tree)
+
+
+@pytest.mark.parametrize("graph", [grid_graph(6, 6), cycle_graph(9)], ids=["grid", "cycle"])
+def test_boruvka_parts_are_the_mst_loop_fragments_on_unit_weights(graph):
+    _assert_boruvka_parts_match_loop(graph, bfs_spanning_tree(graph))
+
+
+def _assert_boruvka_parts_match_loop(graph, tree):
+    seen = []
+
+    def recording(g, t, parts):
+        seen.append(list(parts))
+        return oblivious_builder(g, t, parts)
+
+    boruvka_mst(graph, shortcut_builder=recording, tree=tree)
+    assert seen
+    for phase, parts in enumerate(seen):
+        assert boruvka_parts(graph, phase) == parts
 
 
 @pytest.mark.parametrize("family_name", family_names())

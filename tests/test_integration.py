@@ -27,7 +27,7 @@ def test_full_pipeline_on_lk_sample(lk_sample):
     tree = bfs_spanning_tree(graph)
 
     # Shortcut construction through the Theorem 6 pipeline on Boruvka fragments.
-    parts = boruvka_parts(graph, phases=2, seed=2)
+    parts = boruvka_parts(graph, phases=2)
     shortcut = minor_free_shortcut(lk_sample, tree, parts)
     shortcut.validate()
     measure = shortcut.measure()

@@ -9,6 +9,7 @@ from repro.algorithms.partwise import (
     partwise_minimum,
     partwise_sum,
 )
+from repro.core import view_of
 from repro.graphs.planar import grid_graph
 from repro.graphs.weights import WEIGHT, assign_random_weights
 from repro.shortcuts.congestion_capped import oblivious_shortcut
@@ -80,3 +81,21 @@ def test_minimum_outgoing_edge_none_when_single_part():
     shortcut = oblivious_shortcut(graph, tree, parts)
     edges, _rounds = minimum_outgoing_edges(graph, shortcut)
     assert edges == [None]
+
+
+def test_minimum_outgoing_edges_break_ties_in_index_pair_order():
+    """On unit weights each part's MWOE is its first crossing edge in index-pair order."""
+    graph = grid_graph(5, 5)
+    tree = bfs_spanning_tree(graph)
+    parts = tree_fragment_parts(graph, tree, num_parts=5, seed=12)
+    shortcut = oblivious_shortcut(graph, tree, parts)
+    edges, _rounds = minimum_outgoing_edges(graph, shortcut)
+    view = view_of(graph)
+    for part, edge in zip(parts, edges):
+        crossing = [
+            tuple(sorted((view.index_of(u), view.index_of(v))))
+            for u, v in graph.edges()
+            if (u in part) != (v in part)
+        ]
+        lo, hi = min(crossing)
+        assert edge == (view.nodes[lo], view.nodes[hi])
