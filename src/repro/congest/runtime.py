@@ -14,14 +14,15 @@ entire network's state in preallocated arrays (``parent`` / ``joined`` /
   the previous round's sends, deduplicated with epoch-stamped arrays or a
   double-buffered :class:`_Inbox` instead of per-node dict allocation),
 * CSR-sliced message generation straight off
-  :class:`repro.core.CoreGraph`'s flat adjacency arrays, and
+  :class:`repro.core.CoreGraph`'s adjacency lists, and
 * per-round telemetry accumulated into parallel flat columns (rounds /
   executed / messages / words) that are materialised into
   :class:`~repro.congest.simulator.RoundTelemetry` rows once, at the end.
 
-Like the rest of the kernel (see :mod:`repro.core.graph`), the arrays are
-flat Python lists: the access pattern is element-at-a-time graph
-traversal, where list indexing beats numpy item access.
+The batch steps read the kernel's cached Python-list adjacency
+(:attr:`repro.core.CoreGraph.lists`): the access pattern is
+element-at-a-time graph traversal, where list indexing beats numpy item
+access.
 
 **The equality contract.**  A runtime execution is *observationally
 identical* to the per-node loop (and to the seed full-scan simulator kept
@@ -241,7 +242,7 @@ class BfsRuntime(RuntimeProgram):
         self._root_live = True
 
     def on_start(self) -> tuple[int, int]:
-        indptr, indices = self.core._indptr_list, self.core._indices_list
+        indptr, indices, _ = self.core.lists
         start, end = indptr[self.root], indptr[self.root + 1]
         sent = end - start
         if sent:
@@ -278,7 +279,7 @@ class BfsRuntime(RuntimeProgram):
                 joiners.append(target)
         self._epoch = epoch = self._epoch + 1
         stamp = self._stamp
-        indptr, indices = self.core._indptr_list, self.core._indices_list
+        indptr, indices, _ = self.core.lists
         new_recipients: list[int] = []
         sent = 0
         for source in joiners:
@@ -330,7 +331,7 @@ class BroadcastRuntime(RuntimeProgram):
         self._words_per_message = message_size_in_words(("bc", value))
 
     def on_start(self) -> tuple[int, int]:
-        indptr, indices = self.core._indptr_list, self.core._indices_list
+        indptr, indices, _ = self.core.lists
         start, end = indptr[self.source], indptr[self.source + 1]
         sent = end - start
         if sent:
@@ -352,7 +353,7 @@ class BroadcastRuntime(RuntimeProgram):
             self._source_live = False
         informed = self._informed
         mark = self._mark
-        indptr, indices = self.core._indptr_list, self.core._indices_list
+        indptr, indices, _ = self.core.lists
         next_round = round_number + 1
         sent = 0
         for target in recipients:
@@ -399,7 +400,7 @@ class FloodMaxRuntime(RuntimeProgram):
         self._round = 1
 
     def on_start(self) -> tuple[int, int]:
-        indptr, indices = self.core._indptr_list, self.core._indices_list
+        indptr, indices, _ = self.core.lists
         inbox = self._inbox
         sent = 0
         if self.core.num_edges:
@@ -420,7 +421,7 @@ class FloodMaxRuntime(RuntimeProgram):
         for target in recipients:
             if not live[target]:
                 executed += 1
-        indptr, indices = self.core._indptr_list, self.core._indices_list
+        indptr, indices, _ = self.core.lists
         next_round = round_number + 1
         sent = 0
         for target in recipients:

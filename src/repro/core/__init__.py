@@ -2,9 +2,10 @@
 
 Three classes and two caches:
 
-* :class:`CoreGraph` -- immutable int-indexed CSR adjacency (flat
-  ``indptr`` / ``indices`` / ``weights`` arrays) with BFS, eccentricity,
-  diameter and connectivity primitives;
+* :class:`CoreGraph` -- immutable int-indexed CSR adjacency (numpy
+  ``indptr`` / ``indices`` / ``weights`` arrays, one vectorised assembly,
+  a cached Python-list copy for per-node loops) with BFS, eccentricity,
+  diameter and connectivity primitives on ``scipy.sparse.csgraph``;
 * :class:`GraphView` -- the label <-> index adapter that converts an
   ``nx.Graph`` once at the construction boundary and can round-trip back;
 * :class:`PartSet` -- the int-indexed view of a part/cell family (flat

@@ -2,19 +2,22 @@
 
 A :class:`CoreGraph` is an immutable undirected graph over the integer
 vertex set ``0 .. n-1`` stored in compressed-sparse-row form: three flat
-arrays ``indptr`` (length ``n + 1``), ``indices`` (length ``2 m``) and
-``weights`` (length ``2 m``).  The neighbours of vertex ``u`` are
-``indices[indptr[u]:indptr[u + 1]]`` and the weight of the edge to each of
-them sits at the same offset in ``weights``.
+numpy arrays ``indptr`` (``int64``, length ``n + 1``), ``indices``
+(``int64``, length ``2 m``) and ``weights`` (``float64``, length ``2 m``).
+The neighbours of vertex ``u`` are ``indices[indptr[u]:indptr[u + 1]]``,
+ascending, and the weight of the edge to each of them sits at the same
+offset in ``weights``.
 
 This is the substrate every hot path of the reproduction runs on: BFS
 spanning trees, eccentricities and diameters, connectivity checks, and the
-CONGEST simulator's neighbour iteration.  The arrays are stored as flat
-Python lists of ints/floats -- indexing a Python list is substantially
-faster than item-reading a numpy array element by element, and graph
-traversal is exactly that access pattern -- with numpy ``int64``/
-``float64`` views available on demand through the ``indptr`` / ``indices``
-/ ``weights`` properties for vectorised consumers.
+CONGEST simulator's neighbour iteration.  Every graph is built by one
+vectorised assembly (:meth:`CoreGraph.from_edges`) or adopts prebuilt
+arrays (:meth:`CoreGraph.from_csr`); the traversals run on
+``scipy.sparse.csgraph``.  Per-node Python loops -- the simulator's batch
+steps, part connectivity, the gate validator -- would item-read the numpy
+arrays element by element, which is slow, so they read :attr:`CoreGraph.lists`
+instead: the same three arrays as Python lists, built on first use and
+cached on the graph.
 
 Label management -- mapping an arbitrary ``networkx`` graph's hashable node
 labels onto ``0 .. n-1`` and back -- is the job of
@@ -28,6 +31,8 @@ import bisect
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from ..errors import InvalidGraphError
 
@@ -37,61 +42,38 @@ class CoreGraph:
 
     Args:
         num_nodes: number of vertices; the vertex set is ``0 .. n-1``.
-        edges: iterable of ``(u, v)`` or ``(u, v, weight)`` tuples with
-            ``0 <= u, v < n``; each undirected edge appears once.  Self-loops
-            are rejected (the CONGEST model has none); parallel edges are
-            merged (last weight wins), matching ``nx.Graph`` semantics.
+        edges: iterable of ``(u, v)`` or ``(u, v, weight)`` tuples, the
+            input of :meth:`from_edges` one edge at a time.
 
     Each adjacency slice is stored in ascending index order, the canonical
     layout that :meth:`has_edge`'s binary search and deterministic BFS rely
     on.
     """
 
-    __slots__ = (
-        "num_nodes",
-        "num_edges",
-        "_indptr_list",
-        "_indices_list",
-        "_weights_list",
-    )
+    __slots__ = ("num_nodes", "num_edges", "indptr", "indices", "weights", "_lists")
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple]) -> None:
-        if num_nodes < 0:
-            raise InvalidGraphError("CoreGraph needs a non-negative vertex count")
-        adjacency: list[dict[int, float]] = [dict() for _ in range(num_nodes)]
-        for edge in edges:
-            u, v = edge[0], edge[1]
-            weight = float(edge[2]) if len(edge) > 2 else 1.0
-            if u == v:
-                raise InvalidGraphError(f"CoreGraph rejects self-loop ({u}, {v})")
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise InvalidGraphError(f"edge ({u}, {v}) out of range for n={num_nodes}")
-            adjacency[u][v] = weight
-            adjacency[v][u] = weight
+        rows = [(edge[0], edge[1], edge[2] if len(edge) > 2 else 1.0) for edge in edges]
+        u, v, weights = zip(*rows) if rows else ((), (), ())
+        self._adopt(*_assemble(num_nodes, u, v, weights))
 
-        indptr = [0] * (num_nodes + 1)
-        indices: list[int] = []
-        weights: list[float] = []
-        for u in range(num_nodes):
-            for v, weight in sorted(adjacency[u].items()):
-                indices.append(v)
-                weights.append(weight)
-            indptr[u + 1] = len(indices)
+    @classmethod
+    def from_edges(cls, num_nodes: int, u, v, weights=None) -> "CoreGraph":
+        """Assemble a :class:`CoreGraph` from parallel edge arrays.
 
-        self.num_nodes = num_nodes
-        self.num_edges = len(indices) // 2
-        self._indptr_list = indptr
-        self._indices_list = indices
-        self._weights_list = weights
+        Every undirected edge ``(u[i], v[i])`` may appear in either
+        orientation and more than once: parallel edges merge and the last
+        weight wins, matching ``nx.Graph`` semantics.  ``weights`` defaults
+        to unit weights.  Self-loops (the CONGEST model has none) and
+        endpoints outside ``0 .. n-1`` raise :class:`InvalidGraphError`
+        naming the first offending edge in input order.
+        """
+        return cls.from_csr(*_assemble(num_nodes, u, v, weights))
 
     @classmethod
     def from_csr(cls, indptr, indices, weights=None) -> "CoreGraph":
-        """Build a :class:`CoreGraph` directly from prebuilt CSR arrays.
-
-        This is the fast constructor behind the native generators
-        (:mod:`repro.graphs.native`): assembling a million-node grid
-        through :meth:`__init__`'s dict-of-dicts path costs tens of
-        seconds, while adopting already-symmetric arrays is a copy.
+        """Adopt prebuilt CSR arrays as given (``int64`` / ``float64`` arrays
+        are stored without a copy).
 
         Args:
             indptr: row pointers, length ``n + 1``, ``indptr[0] == 0`` and
@@ -99,168 +81,131 @@ class CoreGraph:
             indices: column indices, length ``indptr[-1]``; the arrays must
                 already be symmetric (every edge present in both rows) with
                 no self-loops, and each row ascending.  Only cheap O(1) shape
-                checks run here -- the vectorised generators guarantee the
+                checks run here -- :meth:`from_edges` guarantees the
                 invariants, and the property tests re-verify them.
             weights: optional weight array parallel to ``indices``
                 (defaults to unit weights).
-
-        Accepts numpy arrays or Python lists; the arrays are stored as
-        flat Python lists (``tolist()``), matching :meth:`__init__`.
         """
-        indptr_list = indptr.tolist() if isinstance(indptr, np.ndarray) else list(indptr)
-        indices_list = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
-        if weights is None:
-            weights_list = [1.0] * len(indices_list)
-        else:
-            weights_list = (
-                weights.tolist() if isinstance(weights, np.ndarray) else list(weights)
-            )
-        num_nodes = len(indptr_list) - 1
-        if num_nodes < 0:
-            raise InvalidGraphError("from_csr needs an indptr of length >= 1")
-        if indptr_list and (indptr_list[0] != 0 or indptr_list[-1] != len(indices_list)):
-            raise InvalidGraphError("from_csr: indptr does not span the indices array")
-        if len(weights_list) != len(indices_list):
-            raise InvalidGraphError("from_csr: weights not parallel to indices")
-        if len(indices_list) % 2:
-            raise InvalidGraphError("from_csr: odd directed-edge count (not symmetric)")
         graph = cls.__new__(cls)
-        graph.num_nodes = num_nodes
-        graph.num_edges = len(indices_list) // 2
-        graph._indptr_list = indptr_list
-        graph._indices_list = indices_list
-        graph._weights_list = weights_list
+        graph._adopt(indptr, indices, weights)
         return graph
+
+    def _adopt(self, indptr, indices, weights) -> None:
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        if weights is None:
+            weights = np.ones(len(indices))
+        weights = np.asarray(weights, dtype=np.float64)
+        if len(indptr) < 1:
+            raise InvalidGraphError("from_csr needs an indptr of length >= 1")
+        if indptr[0] != 0 or indptr[-1] != len(indices):
+            raise InvalidGraphError("from_csr: indptr does not span the indices array")
+        if len(weights) != len(indices):
+            raise InvalidGraphError("from_csr: weights not parallel to indices")
+        if len(indices) % 2:
+            raise InvalidGraphError("from_csr: odd directed-edge count (not symmetric)")
+        self.num_nodes = len(indptr) - 1
+        self.num_edges = len(indices) // 2
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
+        self._lists = None
 
     # -- accessors ---------------------------------------------------------
 
     @property
-    def indptr(self) -> np.ndarray:
-        """The CSR row-pointer array as ``int64`` (derived on demand)."""
-        return np.asarray(self._indptr_list, dtype=np.int64)
+    def lists(self) -> tuple[list[int], list[int], list[float]]:
+        """``(indptr, indices, weights)`` as Python lists, for per-node loops.
 
-    @property
-    def indices(self) -> np.ndarray:
-        """The CSR column-index array as ``int64`` (derived on demand)."""
-        return np.asarray(self._indices_list, dtype=np.int64)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The CSR edge-weight array as ``float64`` (derived on demand)."""
-        return np.asarray(self._weights_list, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return self.num_nodes
-
-    def degree(self, u: int) -> int:
-        return self._indptr_list[u + 1] - self._indptr_list[u]
-
-    def neighbor_slice(self, u: int) -> tuple[int, int]:
-        """Return the ``(start, end)`` offsets of ``u``'s adjacency slice."""
-        return self._indptr_list[u], self._indptr_list[u + 1]
+        Built on first use and cached: indexing a Python list is much faster
+        than item-reading a numpy array element by element.
+        """
+        if self._lists is None:
+            self._lists = (self.indptr.tolist(), self.indices.tolist(), self.weights.tolist())
+        return self._lists
 
     def neighbors(self, u: int) -> list[int]:
         """Return ``u``'s neighbours as a list of Python ints."""
-        start, end = self._indptr_list[u], self._indptr_list[u + 1]
-        return self._indices_list[start:end]
+        indptr, indices, _ = self.lists
+        return indices[indptr[u] : indptr[u + 1]]
 
     def neighbor_weights(self, u: int) -> list[float]:
         """Return the weights parallel to :meth:`neighbors`."""
-        start, end = self._indptr_list[u], self._indptr_list[u + 1]
-        return self._weights_list[start:end]
+        indptr, _, weights = self.lists
+        return weights[indptr[u] : indptr[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (isinstance(u, int) and isinstance(v, int)):
             return False
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             return False
-        start, end = self._indptr_list[u], self._indptr_list[u + 1]
-        position = bisect.bisect_left(self._indices_list, v, start, end)
-        return position < end and self._indices_list[position] == v
-
-    def edge_weight(self, u: int, v: int, default: float = 1.0) -> float:
-        start, end = self._indptr_list[u], self._indptr_list[u + 1]
-        row = self._indices_list[start:end]
-        try:
-            offset = row.index(v)
-        except ValueError:
-            return default
-        return self._weights_list[start + offset]
+        indptr, indices, _ = self.lists
+        start, end = indptr[u], indptr[u + 1]
+        position = bisect.bisect_left(indices, v, start, end)
+        return position < end and indices[position] == v
 
     def edges(self) -> Iterable[tuple[int, int, float]]:
-        """Yield each undirected edge once as ``(u, v, weight)`` with ``u < v``."""
-        indptr, indices, weights = self._indptr_list, self._indices_list, self._weights_list
-        for u in range(self.num_nodes):
-            for offset in range(indptr[u], indptr[u + 1]):
-                v = indices[offset]
-                if u < v:
-                    yield u, v, weights[offset]
+        """Iterate over each undirected edge once as ``(u, v, weight)``, ``u < v``."""
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+        upper = rows < self.indices
+        columns = (rows[upper], self.indices[upper], self.weights[upper])
+        return zip(*(column.tolist() for column in columns))
 
     # -- traversal ---------------------------------------------------------
+
+    def _csgraph(self) -> csr_array:
+        """The unit-weight adjacency matrix the ``csgraph`` traversals read."""
+        n = self.num_nodes
+        return csr_array((np.ones(len(self.indices)), self.indices, self.indptr), shape=(n, n))
+
+    def _check_root(self, root: int) -> None:
+        if not 0 <= root < self.num_nodes:
+            raise InvalidGraphError(f"BFS root {root} out of range for n={self.num_nodes}")
 
     def bfs_parents(self, root: int) -> tuple[list[int], list[int]]:
         """Breadth-first search from ``root`` over the CSR adjacency.
 
         Returns ``(parents, order)`` where ``parents[v]`` is the BFS parent
         of ``v`` (``-1`` for the root, ``-2`` for unreached vertices) and
-        ``order`` is the discovery order starting with ``root``.  With the
+        ``order`` is the discovery order starting with ``root``.  The search
+        is FIFO and scans each row in ascending index order, so with the
         canonical sorted adjacency this is exactly the tree
         ``bfs_spanning_tree`` built on the ``networkx`` side, because index
         order coincides with the repr order used there for tie-breaking.
         """
-        if not 0 <= root < self.num_nodes:
-            raise InvalidGraphError(f"BFS root {root} out of range for n={self.num_nodes}")
-        indptr, indices = self._indptr_list, self._indices_list
-        parents = [-2] * self.num_nodes
+        self._check_root(root)
+        order, predecessors = breadth_first_order(
+            self._csgraph(), root, directed=True, return_predecessors=True
+        )
+        parents = predecessors.astype(np.int64)
+        parents[parents < 0] = -2
         parents[root] = -1
-        order = [root]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for offset in range(indptr[u], indptr[u + 1]):
-                v = indices[offset]
-                if parents[v] == -2:
-                    parents[v] = u
-                    order.append(v)
-        return parents, order
+        return parents.tolist(), order.tolist()
 
     def bfs_depths(self, root: int) -> list[int]:
         """Return hop distances from ``root`` (``-1`` for unreached vertices)."""
-        indptr, indices = self._indptr_list, self._indices_list
-        depths = [-1] * self.num_nodes
-        depths[root] = 0
-        frontier = [root]
-        while frontier:
-            next_frontier = []
-            for u in frontier:
-                du = depths[u] + 1
-                for offset in range(indptr[u], indptr[u + 1]):
-                    v = indices[offset]
-                    if depths[v] < 0:
-                        depths[v] = du
-                        next_frontier.append(v)
-            frontier = next_frontier
-        return depths
+        self._check_root(root)
+        distances = shortest_path(self._csgraph(), "D", unweighted=True, indices=root)
+        distances[np.isinf(distances)] = -1
+        return distances.astype(np.int64).tolist()
 
     def eccentricity(self, root: int) -> int:
         """Return ``max_v dist(root, v)``; raises if the graph is disconnected."""
-        depths = self.bfs_depths(root)
-        lowest = min(depths) if depths else 0
-        if lowest < 0:
-            raise InvalidGraphError("eccentricity undefined on a disconnected graph")
-        return max(depths, default=0)
+        self._check_root(root)
+        return _eccentricity(self._csgraph(), root)
 
     def is_connected(self) -> bool:
         if self.num_nodes == 0:
             return False
-        return min(self.bfs_depths(0)) >= 0
+        # Symmetric adjacency: its strong components are its components.
+        return connected_components(self._csgraph(), connection="strong", return_labels=False) == 1
 
     def exact_diameter(self) -> int:
         """Return the exact diameter by running one BFS per vertex."""
         if self.num_nodes <= 1:
             return 0
-        return max(self.eccentricity(u) for u in range(self.num_nodes))
+        graph = self._csgraph()
+        return max(_eccentricity(graph, u) for u in range(self.num_nodes))
 
     def double_sweep_diameter(self) -> int:
         """Return the double-BFS diameter lower bound (exact on trees).
@@ -271,11 +216,55 @@ class CoreGraph:
         """
         if self.num_nodes <= 1:
             return 0
-        depths = self.bfs_depths(0)
-        if min(depths) < 0:
+        graph = self._csgraph()
+        distances = shortest_path(graph, "D", unweighted=True, indices=0)
+        if np.isinf(distances).any():
             raise InvalidGraphError("diameter undefined on a disconnected graph")
-        far = depths.index(max(depths))
-        return self.eccentricity(far)
+        return _eccentricity(graph, int(np.argmax(distances)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"CoreGraph(n={self.num_nodes}, m={self.num_edges})"
+
+
+def _eccentricity(graph: csr_array, root: int) -> int:
+    # One source per call: an n x n distance matrix would not fit at scale.
+    distances = shortest_path(graph, "D", unweighted=True, indices=root)
+    if np.isinf(distances).any():
+        raise InvalidGraphError("eccentricity undefined on a disconnected graph")
+    return int(distances.max())
+
+
+def _assemble(num_nodes: int, u, v, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetrise, deduplicate, sort and count an edge list into CSR arrays.
+
+    The body of :meth:`CoreGraph.from_edges`: parallel edges merge with the
+    last weight winning, and each row comes out ascending.
+    """
+    if num_nodes < 0:
+        raise InvalidGraphError("CoreGraph needs a non-negative vertex count")
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    weights = np.ones(len(u)) if weights is None else np.asarray(weights, dtype=np.float64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo == hi) | (lo < 0) | (hi >= num_nodes)
+    if bad.any():
+        first = int(np.argmax(bad))
+        a, b = int(u[first]), int(v[first])
+        if a == b:
+            raise InvalidGraphError(f"CoreGraph rejects self-loop ({a}, {b})")
+        raise InvalidGraphError(f"edge ({a}, {b}) out of range for n={num_nodes}")
+    # Undirected keys lo * n + hi; a stable sort puts each key's last
+    # occurrence at the end of its run, and that one's weight wins.
+    keys = lo * num_nodes + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    keep = order[last]
+    lo, hi, weights = lo[keep], hi[keep], weights[keep]
+    source = np.concatenate([lo, hi])
+    target = np.concatenate([hi, lo])
+    order = np.argsort(source * num_nodes + target)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source, minlength=num_nodes), out=indptr[1:])
+    return indptr, target[order], np.concatenate([weights, weights])[order]

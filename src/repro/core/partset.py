@@ -86,9 +86,11 @@ class PartSet:
         and never owns label frozensets -- the label :attr:`parts` of the
         returned set are derived lazily (:meth:`label_parts`) and only if a
         label-space consumer (a structural shortcut constructor, a
-        validator) actually asks.  Each member list is sorted in place of
-        the label path's ``sorted(index_of(node) ...)``; indices must be
-        valid for ``view`` (the caller's contract -- no validation pass).
+        validator) actually asks.  Each member list must be ascending, as
+        the label path's ``sorted(index_of(node) ...)`` is and as
+        :func:`repro.core.fragments.fragments` returns them, and its indices
+        valid for ``view`` (the caller's contract -- no sort and no
+        validation pass).
         """
         part_set = cls.__new__(cls)
         part_set.view = view
@@ -96,7 +98,7 @@ class PartSet:
         offsets = [0]
         members: list[int] = []
         for member_list in member_lists:
-            members.extend(sorted(member_list))
+            members.extend(member_list)
             offsets.append(len(members))
         part_set.offsets = offsets
         part_set.members = members
@@ -183,8 +185,7 @@ class PartSet:
         member_stamp, seen_stamp = self._member_stamp, self._seen_stamp
         for member in members:
             member_stamp[member] = epoch
-        core = self.view.core
-        indptr, indices = core._indptr_list, core._indices_list
+        indptr, indices, _ = self.view.core.lists
         start = members[0]
         seen_stamp[start] = epoch
         stack = [start]

@@ -80,17 +80,10 @@ class GraphView:
         index: dict[Hashable, int] = {label: i for i, label in enumerate(labels)}
         if len(index) != len(labels):
             raise InvalidGraphError("graph has duplicate node labels")
-        has_weights = False
-        edges = []
-        for u, v, data in graph.edges(data=True):
-            if u == v:
-                raise InvalidGraphError(f"GraphView rejects self-loop ({u}, {v})")
-            weight = data.get(WEIGHT)
-            if weight is None:
-                weight = 1.0
-            else:
-                has_weights = True
-            edges.append((index[u], index[v], weight))
+        for u, v in nx.selfloop_edges(graph):
+            raise InvalidGraphError(f"GraphView rejects self-loop ({u}, {v})")
+        edges = list(graph.edges(data=WEIGHT))
+        has_weights = any(weight is not None for _, _, weight in edges)
         self._graph = graph
         self.nodes = labels
         self._index = index
@@ -101,7 +94,12 @@ class GraphView:
         # view's: a cache entry referencing the view would keep a weakly-keyed
         # view alive forever.
         self._part_sets: dict = {}
-        self.core = CoreGraph(len(labels), edges)
+        self.core = CoreGraph.from_edges(
+            len(labels),
+            [index[u] for u, _, _ in edges],
+            [index[v] for _, v, _ in edges],
+            [1.0 if weight is None else weight for _, _, weight in edges],
+        )
 
     @classmethod
     def from_core(

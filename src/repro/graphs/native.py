@@ -5,9 +5,9 @@ Every generator in :mod:`repro.graphs.planar` (and friends) builds an
 which caps practical instance sizes near ``10^4`` nodes.  This module
 inverts that direction: the generators here emit flat edge arrays with a
 vectorised numpy pipeline, assemble the CSR :class:`~repro.core.CoreGraph`
-directly, and wrap it in a *lazy* view
-(:meth:`~repro.core.GraphView.from_core`) whose ``nx.Graph`` is only ever
-materialised if a reference path or validator asks for it.
+from them (:meth:`~repro.core.CoreGraph.from_edges`), and wrap it in a
+*lazy* view (:meth:`~repro.core.GraphView.from_core`) whose ``nx.Graph``
+is only ever materialised if a reference path or validator asks for it.
 
 The native output is pinned **exactly equal** to an ``nx`` twin converted
 via ``GraphView`` -- same canonical node ordering, same edge set, same
@@ -106,44 +106,20 @@ def _assemble_view(
 ) -> GraphView:
     """Assemble a lazy :class:`GraphView` from edge arrays in *label* space.
 
-    Canonicalises and deduplicates the edges, draws hashed weights on the
-    label pairs (matching the ``nx`` twin), bakes in the repr-rank
-    permutation so that CSR index order equals the canonical node order,
-    and builds the symmetric sorted CSR arrays in one vectorised pass.
+    Draws hashed weights on the label pairs (matching the ``nx`` twin; the
+    hash is symmetric, so a repeated edge draws the same weight), maps the
+    labels to their repr ranks so that CSR index order equals the canonical
+    node order, and leaves the rest to :meth:`CoreGraph.from_edges`.
     """
     label_u = np.asarray(label_u, dtype=np.int64)
     label_v = np.asarray(label_v, dtype=np.int64)
-    if label_u.size and (
-        label_u.min() < 0
-        or label_v.min() < 0
-        or label_u.max() >= num_nodes
-        or label_v.max() >= num_nodes
-    ):
-        raise InvalidGraphError(f"edge endpoint out of range for n={num_nodes}")
-    if np.any(label_u == label_v):
-        raise InvalidGraphError("native generator produced a self-loop")
-    a = np.minimum(label_u, label_v)
-    b = np.maximum(label_u, label_v)
-    keys = np.unique(a * np.int64(num_nodes) + b)
-    a = keys // num_nodes
-    b = keys % num_nodes
-    if weight_seed is None:
-        edge_weights = None
-    else:
-        edge_weights = hashed_weights_array(
-            a, b, weight_seed, low=low, high=high, integer=integer
+    weights = None
+    if weight_seed is not None:
+        weights = hashed_weights_array(
+            label_u, label_v, weight_seed, low=low, high=high, integer=integer
         )
     rank = _string_rank(num_nodes)
-    iu, iv = rank[a], rank[b]
-    src = np.concatenate([iu, iv])
-    dst = np.concatenate([iv, iu])
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-    weights = None
-    if edge_weights is not None:
-        weights = np.concatenate([edge_weights, edge_weights])[order]
-    core = CoreGraph.from_csr(indptr, dst[order], weights)
+    core = CoreGraph.from_edges(num_nodes, rank[label_u], rank[label_v], weights)
     perm = string_argsort(num_nodes)
     return GraphView.from_core(
         core, nodes=perm.tolist(), has_weights=weight_seed is not None
@@ -162,8 +138,9 @@ def with_hashed_weights(
     Weights are drawn by :func:`~repro.graphs.weights.hashed_weights_array`
     on the *label* pairs, so the result is exactly the view of the ``nx``
     twin graph after ``assign_hashed_weights(graph, seed, ...)``.  Requires
-    integer node labels (every native generator emits them); the structure
-    arrays are reused, only the weight array is new.
+    integer node labels (every native generator emits them); the result
+    shares the ``indptr`` and ``indices`` arrays, only the weight array is
+    new.
     """
     core = view.core
     try:

@@ -130,10 +130,8 @@ def validate_gates(graph: nx.Graph, collection: GateCollection) -> float:
         fence = gate_pair.fence
         touched: set[int] = set()
         for member in members:
-            start, end = core.neighbor_slice(member)
-            neighbours = core._indices_list[start:end]
             # Property 2: the boundary of the gate is contained in the fence.
-            if any(gate_stamp[v] != epoch for v in neighbours):
+            if any(gate_stamp[v] != epoch for v in core.neighbors(member)):
                 if node_of[member] not in fence:
                     raise InvalidPartitionError(
                         f"gate {index}: boundary vertex {node_of[member]} is not in the "

@@ -10,6 +10,7 @@ one layer of :mod:`repro`, kept as it was before the CSR rewrites:
 * :mod:`oracles.structure` -- the BFS spanning tree, graph diameter, tree
   validation, tree-fragment and singleton part generators, the cell and
   gate validators and the tree contraction `RootedTree.contract_to`;
+* :mod:`oracles.core` -- the dict-of-dicts CSR assembly;
 * :mod:`oracles.graphs` -- the ``nx`` twins of the CSR-native generators
   and their pairing registry ``NATIVE_GENERATORS``;
 * :mod:`oracles.mst` and :mod:`oracles.mincut` -- Boruvka MST and the

@@ -186,7 +186,7 @@ def test_boruvka_reads_weights_assigned_after_viewing():
 def test_part_set_from_member_lists_is_lazy_and_equal():
     graph = grid_graph(4, 4)
     view = view_of(graph)
-    member_lists = [[5, 1, 3], [0, 2], [15]]
+    member_lists = [[1, 3, 5], [0, 2], [15]]
     part_set = PartSet.from_member_lists(view, member_lists)
     assert part_set._parts is None, "labels must not materialise eagerly"
     assert part_set.num_parts == 3

@@ -19,12 +19,16 @@ Three layers:
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.congest.primitives import broadcast_value, distributed_bfs_tree, flood_max_id
 from repro.congest.simulator import CongestSimulator
 from repro.core import CoreGraph, GraphView, view_of
 from repro.errors import InvalidGraphError
+from repro.graphs.native import native_grid, with_hashed_weights
 from repro.graphs.planar import grid_graph
 from repro.graphs.weights import WEIGHT, assign_random_weights
 from repro.scenarios import (
@@ -40,6 +44,7 @@ from repro.shortcuts.parts import singleton_parts, tree_fragment_parts
 from repro.structure.heavy_light import heavy_light_chains
 from repro.structure.spanning import RootedTree, bfs_spanning_tree, graph_diameter
 
+from oracles import core as oracle_core
 from oracles import quality as oracle_quality
 from oracles import seed_paths
 from oracles import structure as oracle_structure
@@ -53,7 +58,7 @@ def test_core_graph_csr_invariants():
     assert core.num_nodes == 4 and core.num_edges == 4
     assert list(core.indptr) == [0, 2, 4, 6, 8]
     assert core.neighbors(0) == [1, 3]
-    assert core.edge_weight(0, 3) == 2.5 and core.edge_weight(0, 1) == 1.0
+    assert core.neighbor_weights(0) == [1.0, 2.5]
     assert core.has_edge(2, 3) and not core.has_edge(0, 2)
     assert not core.has_edge(0, "elsewhere")
     assert core.is_connected()
@@ -75,6 +80,111 @@ def test_core_graph_bfs_and_connectivity():
     assert not core.is_connected()
     with pytest.raises(InvalidGraphError):
         core.eccentricity(0)
+
+    # Disconnected: unreached vertices carry the sentinels.
+    assert parents == [-1, 0, 1, -2, -2]
+    assert core.bfs_depths(3) == [-1, -1, -1, 0, 1]
+    with pytest.raises(InvalidGraphError):
+        core.eccentricity(4)
+    with pytest.raises(InvalidGraphError):
+        core.double_sweep_diameter()
+
+    # A single vertex is connected, with eccentricity and diameter 0.
+    single = CoreGraph(1, [])
+    assert single.bfs_parents(0) == ([-1], [0])
+    assert single.bfs_depths(0) == [0]
+    assert single.eccentricity(0) == 0 and single.exact_diameter() == 0
+    assert single.is_connected()
+
+    # Out-of-range roots raise instead of wrapping around.
+    for root in (-1, 5):
+        with pytest.raises(InvalidGraphError):
+            core.bfs_parents(root)
+        with pytest.raises(InvalidGraphError):
+            core.bfs_depths(root)
+
+
+_EDGE_WEIGHTS = st.sampled_from([1.0, 2.5, 7.0, 0.5])
+
+
+@st.composite
+def edge_lists(draw, valid=True):
+    """``(n, edges)``: weighted edge tuples, repeats (with other weights) and
+    both orientations included; ``valid=False`` may add self-loops and
+    out-of-range endpoints anywhere in the list."""
+    n = draw(st.integers(0, 9))
+    if valid and n < 2:
+        return n, []
+    endpoint = st.integers(0, n - 1) if valid else st.integers(-2, n + 2)
+    edge = st.tuples(endpoint, endpoint, _EDGE_WEIGHTS)
+    if valid:
+        edge = edge.filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, max_size=30))
+    if edges and draw(st.booleans()):
+        u, v, _ = draw(st.sampled_from(edges))
+        edges.append((v, u, draw(_EDGE_WEIGHTS)))  # a repeat, reversed
+    return n, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+@example((0, []))
+@example((1, []))
+@example((4, [(0, 1, 2.5), (2, 1, 1.0), (1, 0, 7.0), (0, 1, 0.5)]))
+def test_core_graph_assembly_matches_dict_of_dicts_oracle(case):
+    n, edges = case
+    indptr, indices, weights = oracle_core.csr_lists(n, edges)
+    for core in (
+        CoreGraph(n, edges),
+        CoreGraph.from_edges(n, [e[0] for e in edges], [e[1] for e in edges],
+                             [e[2] for e in edges]),
+    ):
+        assert core.indptr.dtype == np.int64 and core.indices.dtype == np.int64
+        assert core.weights.dtype == np.float64
+        assert core.indptr.tolist() == indptr
+        assert core.indices.tolist() == indices
+        assert core.weights.tolist() == weights
+        assert core.num_nodes == n and core.num_edges == len(indices) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(valid=False))
+@example((3, [(0, 1, 1.0), (0, 7, 1.0), (1, 1, 1.0)]))
+@example((3, [(0, 1, 1.0), (2, 2, 1.0), (-1, 0, 1.0)]))
+def test_core_graph_assembly_errors_name_the_first_bad_edge(case):
+    n, edges = case
+    try:
+        oracle_core.csr_lists(n, edges)
+    except InvalidGraphError as error:
+        expected = str(error)
+    else:
+        expected = None
+    if expected is None:
+        CoreGraph(n, edges)
+    else:
+        with pytest.raises(InvalidGraphError) as raised:
+            CoreGraph(n, edges)
+        assert str(raised.value) == expected
+
+
+def test_core_graph_arrays_are_stored_not_copied():
+    """The CSR arrays are plain attributes: a weighted copy shares the
+    structure, and building, BFS trees and weights leave the per-node list
+    adjacency unbuilt."""
+    view = native_grid(7, 6)
+    core = view.core
+    assert core.indptr is core.indptr and core.indices is core.indices
+    weighted = with_hashed_weights(view, seed=2)
+    assert np.shares_memory(weighted.core.indptr, core.indptr)
+    assert np.shares_memory(weighted.core.indices, core.indices)
+    bfs_spanning_tree(view)
+    bfs_spanning_tree(weighted)
+    label_view = view_of(grid_graph(4, 5))
+    bfs_spanning_tree(label_view)
+    for built in (core, weighted.core, label_view.core):
+        assert built._lists is None, "the list adjacency must be built lazily"
+    assert core.neighbors(0) == core.indices[: core.indptr[1]].tolist()
+    assert core._lists is not None
 
 
 # ---------------------------------------------------------------- round trip

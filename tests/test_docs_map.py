@@ -84,6 +84,11 @@ RETIRED_NAMES = (
     "_RobustConvergecastFactory",
     "retry_budget",
     "_resolve_schedule",
+    "_indptr_list",
+    "_indices_list",
+    "_weights_list",
+    "neighbor_slice",
+    "edge_weight",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.
