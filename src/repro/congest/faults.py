@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
+_SCALE = float(1 << 64)
 
 # Decision-kind tags: each perturbation draws from its own hash stream so
 # e.g. raising the drop rate never changes which messages get delayed.
@@ -81,6 +82,8 @@ _DUP = 4
 _CRASH = 5
 _CRASH_ROUND = 6
 _SHUFFLE = 7
+# The kinds FaultSchedule caches a per-round hash state for.
+_PER_ROUND_KINDS = (_DROP, _DELAY, _DELAY_K, _DUP, _SHUFFLE)
 
 
 def _mix(*parts: int) -> int:
@@ -96,7 +99,17 @@ def _mix(*parts: int) -> int:
 
 def _u01(*parts: int) -> float:
     """A uniform [0, 1) variate from the pure hash stream."""
-    return _mix(*parts) / float(1 << 64)
+    return _mix(*parts) / _SCALE
+
+
+def _fold(x: int, part: int) -> int:
+    """Resume :func:`_mix` from its state ``x`` with one more part:
+    ``_fold(_mix(*parts), p) == _mix(*parts, p)``.  The part needs no
+    mask: the masked product keeps only bits its low 64 bits decide."""
+    x = ((x ^ part) * 0xBF58476D1CE4E5B9) & _MASK
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)
@@ -248,19 +261,24 @@ def parse_fault_spec(spec: str) -> FaultModel:
 class FaultSchedule:
     """The seeded decision stream: one pure function per perturbation kind.
 
-    Every decision is a hash of ``(seed, kind, round, canonical ids)`` --
-    no mutable state, so decisions can be queried in any order (or from
-    any process) with identical outcomes.  Construct once per model+seed
-    and hand the same schedule to any number of simulator runs.
+    Every decision is a hash of ``(seed, kind, round, canonical ids)``, so
+    decisions can be queried in any order (or from any process) with
+    identical outcomes.  The only mutable state is two caches of pure
+    values: each node's crash round, and per round the hash state after
+    ``(seed, kind, round)`` for the per-message kinds, which :meth:`fate`
+    and :meth:`shuffle_order` resume with the message's ids instead of
+    hashing all five parts again.  Construct once per model+seed and hand
+    the same schedule to any number of simulator runs.
     """
 
-    __slots__ = ("model", "seed", "_crash_pins", "_crash_cache")
+    __slots__ = ("model", "seed", "_crash_pins", "_crash_cache", "_round_states")
 
     def __init__(self, model: FaultModel, seed: int = 0) -> None:
         self.model = model
         self.seed = int(seed) & _MASK
         self._crash_pins = dict(model.crash_at)
         self._crash_cache: dict[int, int | None] = {}
+        self._round_states: dict[int, tuple[int, ...]] = {}
 
     @property
     def active(self) -> bool:
@@ -270,6 +288,17 @@ class FaultSchedule:
 
     def describe(self) -> dict[str, object]:
         return {"seed": self.seed, **self.model.as_dict()}
+
+    def _states(self, round_number: int) -> tuple[int, ...]:
+        """``_mix(seed, kind, round)`` for the drop, delay, delay-length,
+        duplicate and shuffle kinds, in that order (cached per round)."""
+        states = self._round_states.get(round_number)
+        if states is None:
+            seed = self.seed
+            states = self._round_states[round_number] = tuple(
+                _mix(seed, kind, round_number) for kind in _PER_ROUND_KINDS
+            )
+        return states
 
     # -- per-message decisions (send boundary) -----------------------------
 
@@ -281,16 +310,17 @@ class FaultSchedule:
         ``duplicate`` asks for one extra faithful copy a round later
         (never set for dropped messages -- the network lost the send).
         """
-        model, seed = self.model, self.seed
-        if model.drop and _u01(seed, _DROP, round_number, sender, target) < model.drop:
+        drop, delay, delay_k, dup, _ = self._states(round_number)
+        model = self.model
+        if model.drop and _fold(_fold(drop, sender), target) / _SCALE < model.drop:
             return -1, False
-        delay = 0
-        if model.delay and _u01(seed, _DELAY, round_number, sender, target) < model.delay:
-            delay = 1 + _mix(seed, _DELAY_K, round_number, sender, target) % model.max_delay
+        late = 0
+        if model.delay and _fold(_fold(delay, sender), target) / _SCALE < model.delay:
+            late = 1 + _fold(_fold(delay_k, sender), target) % model.max_delay
         duplicate = bool(model.duplicate) and (
-            _u01(seed, _DUP, round_number, sender, target) < model.duplicate
+            _fold(_fold(dup, sender), target) / _SCALE < model.duplicate
         )
-        return delay, duplicate
+        return late, duplicate
 
     # -- per-node decisions ------------------------------------------------
 
@@ -320,9 +350,11 @@ class FaultSchedule:
         """A seeded Fisher-Yates permutation of ``range(count)`` for one
         recipient's inbox in one round (applied to the canonically sorted
         sender list, so the result is mode-independent)."""
+        *_, shuffle = self._states(round_number)
+        state = _fold(shuffle, target)
         order = list(range(count))
         for i in range(count - 1, 0, -1):
-            j = _mix(self.seed, _SHUFFLE, round_number, target, i) % (i + 1)
+            j = _fold(state, i) % (i + 1)
             order[i], order[j] = order[j], order[i]
         return order
 

@@ -141,12 +141,23 @@ def message_size_in_words(message: object) -> int:
     """
     if message is None:
         return 0
+    if isinstance(message, (tuple, list)):
+        # The common message is a flat tuple of a tag and numbers: count its
+        # scalar items here and recurse only into anything else.
+        words = 0
+        for item in message:
+            kind = type(item)
+            if kind is int or kind is float or kind is bool:
+                words += 1
+            elif kind is str:
+                words += (len(item) + 7) // 8 or 1
+            elif item is not None:
+                words += message_size_in_words(item)
+        return words
     if isinstance(message, (int, float, bool)):
         return 1
     if isinstance(message, str):
-        return max(1, (len(message) + 7) // 8)
-    if isinstance(message, (tuple, list)):
-        return sum(message_size_in_words(item) for item in message)
+        return (len(message) + 7) // 8 or 1
     if isinstance(message, dict):
         return sum(
             message_size_in_words(key) + message_size_in_words(value)

@@ -239,18 +239,24 @@ class CongestSimulator:
         """The diameter bound the nodes see (computed on first access)."""
         return self._resolve_diameter_bound()
 
-    def _validate_outgoing(self, sender: int, outgoing: dict[int, object]) -> None:
+    def _validate_outgoing(self, sender: int, outgoing: dict[int, object]) -> int:
+        """Check one node's sends against the topology and the bandwidth;
+        return their total size in words (``None`` messages size 0)."""
         neighbours = self._neighbour_sets[sender]
+        bandwidth = self.bandwidth_words
+        words = 0
         for target, message in outgoing.items():
             if target not in neighbours:  # label mode has already checked
                 raise SimulationError(f"node {sender} attempted to send to non-neighbour {target}")
             size = message_size_in_words(message)
-            if size > self.bandwidth_words:
+            if size > bandwidth:
                 name_of = self._name_of
                 raise SimulationError(
                     f"node {name_of(sender)} sent a {size}-word message to {name_of(target)}, "
-                    f"exceeding the bandwidth of {self.bandwidth_words} words per edge per round"
+                    f"exceeding the bandwidth of {bandwidth} words per edge per round"
                 )
+            words += size
+        return words
 
     def _final_outputs(self, exclude: frozenset | set = frozenset()) -> dict[Hashable, object]:
         """Collect per-node results, keyed by the original labels.
@@ -330,13 +336,12 @@ class CongestSimulator:
                 continue
             executed += 1
             outgoing = programs[node].on_start() or {}
-            self._validate_outgoing(node, outgoing)
+            words += self._validate_outgoing(node, outgoing)
             for target, message in outgoing.items():
                 if message is None:
                     continue
                 send(1, node, target, message)
                 sent += 1
-                words += message_size_in_words(message)
         dropped, delayed, duplicated = queue.take_round_stats()
         total_messages += sent
         total_words += words
@@ -382,13 +387,12 @@ class CongestSimulator:
                     inbox = {}
                 executed += 1
                 outgoing = program.on_round(round_number, inbox) or {}
-                self._validate_outgoing(node, outgoing)
+                words += self._validate_outgoing(node, outgoing)
                 for target, message in outgoing.items():
                     if message is None:
                         continue
                     send(round_number, node, target, message)
                     sent += 1
-                    words += message_size_in_words(message)
                 if program.halted:
                     live.discard(node)
                 else:

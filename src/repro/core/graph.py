@@ -50,7 +50,9 @@ class CoreGraph:
     on.
     """
 
-    __slots__ = ("num_nodes", "num_edges", "indptr", "indices", "weights", "_lists")
+    __slots__ = (
+        "num_nodes", "num_edges", "indptr", "indices", "weights", "_lists", "_connected"
+    )
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple]) -> None:
         rows = [(edge[0], edge[1], edge[2] if len(edge) > 2 else 1.0) for edge in edges]
@@ -110,6 +112,7 @@ class CoreGraph:
         self.indices = indices
         self.weights = weights
         self._lists = None
+        self._connected: bool | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -143,6 +146,24 @@ class CoreGraph:
         start, end = indptr[u], indptr[u + 1]
         position = bisect.bisect_left(indices, v, start, end)
         return position < end and indices[position] == v
+
+    def has_edges(self, u, v) -> np.ndarray:
+        """Vectorised :meth:`has_edge`: whether each ``(u[i], v[i])`` is an
+        edge, for index arrays ``u`` and ``v`` within ``0 .. n-1``.
+
+        One ``searchsorted`` into the arc keys ``row * n + column``, which
+        ascend because every CSR row does.
+        """
+        n = self.num_nodes
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        arc_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(self.indptr))
+        arc_keys += self.indices
+        keys = u * n + v
+        found = np.searchsorted(arc_keys, keys)
+        present = found < len(arc_keys)
+        present[present] = arc_keys[found[present]] == keys[present]
+        return present
 
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """Iterate over each undirected edge once as ``(u, v, weight)``, ``u < v``."""
@@ -195,10 +216,14 @@ class CoreGraph:
         return _eccentricity(self._csgraph(), root)
 
     def is_connected(self) -> bool:
-        if self.num_nodes == 0:
-            return False
-        # Symmetric adjacency: its strong components are its components.
-        return connected_components(self._csgraph(), connection="strong", return_labels=False) == 1
+        """Whether the graph is connected (False when empty); cached, as the
+        graph never changes."""
+        if self._connected is None:
+            # Symmetric adjacency: its strong components are its components.
+            self._connected = self.num_nodes > 0 and bool(connected_components(
+                self._csgraph(), connection="strong", return_labels=False
+            ) == 1)
+        return self._connected
 
     def exact_diameter(self) -> int:
         """Return the exact diameter by running one BFS per vertex."""

@@ -395,8 +395,8 @@ class Shortcut:
         Checks performed:
         * every part is non-empty and connected, and parts are disjoint
           (Definition 9);
-        * every shortcut edge is an edge of the graph: its key
-          ``lo * n + hi`` is one of the view's sorted CSR keys;
+        * every shortcut edge is an edge of the graph (one vectorised
+          :meth:`~repro.core.CoreGraph.has_edges` lookup);
         * (optionally) every shortcut edge is a tree edge (Definition 10).
 
         Note that shortcut edges disconnected from their part are *legal*
@@ -413,31 +413,24 @@ class Shortcut:
             seen.update(members)
             if not part_set.connected(index):
                 raise InvalidShortcutError(f"part {index} is not connected")
-        core = part_set.view.core
-        n = core.num_nodes
-        keys = self._edge_keys()
-        # Ascending: CSR rows are index-sorted.
-        graph_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(core.indptr))
-        graph_keys += core.indices
-        found = np.searchsorted(graph_keys, keys)
-        on_graph = found < len(graph_keys)
-        on_graph[on_graph] = graph_keys[found[on_graph]] == keys[on_graph]
+        offsets, u, v = self._index_edges
+        on_graph = part_set.view.core.has_edges(u, v)
         legal = on_graph & self._on_tree() if require_tree_restricted else on_graph
         if legal.all():
             return
-        offsets = self._index_edges.offsets
         index = int(np.searchsorted(offsets, np.argmin(legal), side="right")) - 1
         start, end = int(offsets[index]), int(offsets[index + 1])
         node_of = part_set.view.nodes
 
         def first_illegal(mask: np.ndarray) -> Edge:
-            key = int(keys[start + np.argmin(mask[start:end])])
-            return node_of[key // n], node_of[key % n]
+            edge = start + int(np.argmin(mask[start:end]))
+            lo, hi = sorted((int(u[edge]), int(v[edge])))
+            return node_of[lo], node_of[hi]
 
         if not on_graph[start:end].all():
-            u, v = first_illegal(on_graph)
+            lo, hi = first_illegal(on_graph)
             raise InvalidShortcutError(
-                f"shortcut edge ({u}, {v}) of part {index} is not a graph edge"
+                f"shortcut edge ({lo}, {hi}) of part {index} is not a graph edge"
             )
         raise InvalidShortcutError(
             f"shortcut edge {first_illegal(legal)} of part {index} is not a tree edge "

@@ -350,27 +350,29 @@ class RootedTree:
         """Check that this is a spanning tree of ``graph`` (if provided).
 
         Checks vertex-set equality and that every tree edge is a graph edge
-        on the graph's view, then the edge count and connectivity from the
-        root over the parent map; no ``nx.Graph`` is built, so the
+        on the graph's view (one vectorised lookup; the first failing edge
+        in parent-map order is named), then the edge count and connectivity
+        from the root over the parent map; no ``nx.Graph`` is built, so the
         million-node native pipeline validates its BFS trees on the arrays.
         """
         parent = self.parent
         view = None if graph is None else view_of(graph)
         if view is not None and set(parent) != set(view.nodes):
             raise InvalidGraphError("tree does not span the graph's vertex set")
-        children: dict[Hashable, list[Hashable]] = {}
-        edge_count = 0
-        for node, par in parent.items():
-            if par is None:
-                continue
-            edge_count += 1
-            if view is not None and not view.core.has_edge(
-                view.index_of(node), view.index_of(par)
-            ):
+        edges = [(node, par) for node, par in parent.items() if par is not None]
+        if view is not None:
+            index_of = view.index_of
+            on_graph = view.core.has_edges(
+                [index_of(node) for node, _ in edges], [index_of(par) for _, par in edges]
+            )
+            if not on_graph.all():
+                node, par = edges[int(np.argmin(on_graph))]
                 raise InvalidGraphError(f"tree edge ({node}, {par}) is not a graph edge")
-            children.setdefault(par, []).append(node)
-        if edge_count != len(parent) - 1:
+        if len(edges) != len(parent) - 1:
             raise InvalidGraphError("rooted tree has the wrong number of edges")
+        children: dict[Hashable, list[Hashable]] = {}
+        for node, par in edges:
+            children.setdefault(par, []).append(node)
         reached = 1
         stack = [self.root]
         while stack:

@@ -15,7 +15,10 @@ one layer of :mod:`repro`, kept as it was before the CSR rewrites:
   and their pairing registry ``NATIVE_GENERATORS``;
 * :mod:`oracles.mst` and :mod:`oracles.mincut` -- Boruvka MST and the
   tree-packing min-cut;
-* :mod:`oracles.simulator` -- the full-scan :class:`ReferenceSimulator`.
+* :mod:`oracles.simulator` -- the full-scan :class:`ReferenceSimulator`
+  and the recursive message word count it sizes messages with;
+* :mod:`oracles.faults` -- the fault decisions that hash all five parts
+  ``(seed, kind, round, sender, target)`` per draw.
 
 The oracles call each other directly, never the production code they pin.
 The differential tests compare the two with exact equality (edge sets,

@@ -7,7 +7,10 @@ implementation faithfully in everything that costs time:
   all-pairs BFS when no bound is supplied);
 * every round scans **every** node and reallocates a fresh inbox dict per
   node per round;
-* global halt status is re-derived by iterating all programs.
+* global halt status is re-derived by iterating all programs;
+* the ``words`` totals size every message again with the seed's
+  recursive word count (:func:`message_size_in_words`), apart from the
+  bandwidth check.
 
 Only the round *counting* follows the fixed, consistent rule of
 :mod:`repro.congest.simulator` (rounds = index of the last round with any
@@ -35,12 +38,30 @@ from typing import Hashable
 import networkx as nx
 
 from repro.congest.faults import FaultQueue
-from repro.congest.node import NodeContext, message_size_in_words
+from repro.congest.node import NodeContext
 from repro.congest.simulator import CongestSimulator, RoundTelemetry, SimulationResult
 from repro.core import GraphView
 from repro.errors import RoundLimitError, SimulationError
 from repro.graphs.weights import WEIGHT
 from repro.utils import require_connected, require_simple
+
+
+def message_size_in_words(message: object) -> int:
+    """The seed word count: one recursive call per item of every container."""
+    if message is None:
+        return 0
+    if isinstance(message, (int, float, bool)):
+        return 1
+    if isinstance(message, str):
+        return max(1, (len(message) + 7) // 8)
+    if isinstance(message, (tuple, list)):
+        return sum(message_size_in_words(item) for item in message)
+    if isinstance(message, dict):
+        return sum(
+            message_size_in_words(key) + message_size_in_words(value)
+            for key, value in message.items()
+        )
+    return 1
 
 
 class ReferenceSimulator(CongestSimulator):

@@ -1,18 +1,27 @@
 """Tests for the CONGEST simulator, its primitives and part-wise aggregation."""
 
+from collections import namedtuple
+
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.congest.aggregation import partwise_aggregate
+from repro.congest.faults import FaultModel, FaultSchedule
 from repro.congest.node import NodeContext, NodeProgram, message_size_in_words
 from repro.congest.primitives import distributed_bfs_tree, flood_max_id
 from repro.congest.simulator import CongestSimulator
+from repro.core import view_of
 from repro.errors import SimulationError
 from repro.graphs.planar import grid_graph, wheel_graph
 from repro.shortcuts.baseline import empty_shortcut, steiner_shortcut, whole_tree_shortcut
 from repro.shortcuts.congestion_capped import oblivious_shortcut
 from repro.shortcuts.parts import path_parts, tree_fragment_parts
 from repro.structure.spanning import bfs_spanning_tree
+
+from oracles import simulator as oracle_simulator
 
 
 # ------------------------------------------------------------------ model basics
@@ -24,6 +33,74 @@ def test_message_size_accounting():
     assert message_size_in_words((1, 2.5, 3)) == 3
     assert message_size_in_words("tag") == 1
     assert message_size_in_words({"a": 1}) == 2
+
+
+_Report = namedtuple("_Report", "tag value")
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True)
+    | st.text(max_size=40)
+)
+_MESSAGES = st.recursive(
+    _SCALARS,
+    lambda items: (
+        st.lists(items, max_size=5)
+        | st.lists(items, max_size=5).map(tuple)
+        | st.dictionaries(st.integers() | st.text(max_size=12), items, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(message=_MESSAGES)
+@example(message=_Report("cc", (3, None)))
+@example(message=(np.int64(5), np.float64(0.5), np.bool_(True)))
+@example(message=("x" * 100, "", "exactly8", "nine char"))
+@example(message=[None, (None, [True, 2.0]), {"k": (1, "v")}])
+@example(message=np.int64(7))
+def test_message_size_matches_the_seed_word_count(message):
+    assert message_size_in_words(message) == oracle_simulator.message_size_in_words(message)
+
+
+class _MixedShapesProgram(NodeProgram):
+    """Sends a different message shape to each neighbour for three rounds."""
+
+    SHAPES = (("bfs", 2), ("ok",), _Report("cc", 1.5), ("x" * 20, None), [1, (2,)], None)
+
+    def on_start(self):
+        return self._send(0)
+
+    def on_round(self, round_number, inbox):
+        if round_number > 3:
+            self.halted = True
+            return {}
+        return self._send(round_number)
+
+    def _send(self, offset):
+        shapes = self.SHAPES
+        return {
+            neighbour: shapes[(self.context.node + offset + i) % len(shapes)]
+            for i, neighbour in enumerate(self.context.neighbours)
+        }
+
+
+def test_faulty_run_words_are_each_message_sized_once():
+    """The loop adds the words validation sized: the total equals the
+    telemetry column and the seed word count of the oracle loop."""
+    view = view_of(grid_graph(4, 4))
+    model = FaultModel(drop=0.2, delay=0.2, max_delay=2, duplicate=0.2, shuffle=True)
+    results = [
+        cls(view, _MixedShapesProgram, bandwidth_words=8,
+            fault_schedule=FaultSchedule(model, seed=3)).run()
+        for cls in (CongestSimulator, oracle_simulator.ReferenceSimulator)
+    ]
+    core = results[0]
+    assert core.words == sum(row.words for row in core.telemetry) > core.messages
+    assert core == results[1]
 
 
 class _ChattyProgram(NodeProgram):

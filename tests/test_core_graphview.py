@@ -61,6 +61,9 @@ def test_core_graph_csr_invariants():
     assert core.neighbor_weights(0) == [1.0, 2.5]
     assert core.has_edge(2, 3) and not core.has_edge(0, 2)
     assert not core.has_edge(0, "elsewhere")
+    pairs = [(u, v) for u in range(4) for v in range(4)]
+    assert core.has_edges(*zip(*pairs)).tolist() == [core.has_edge(u, v) for u, v in pairs]
+    assert core.has_edges([], []).tolist() == []
     assert core.is_connected()
     assert core.exact_diameter() == 2  # the 4-cycle
 

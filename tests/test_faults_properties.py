@@ -13,7 +13,10 @@ documented in docs/simulator.md:
 * the same (model, seed) pair reproduces the identical result, and both
   simulator modes and the full-scan oracle agree on it;
 * a fail-free (null) model is normalised away and reproduces today's
-  results bit-for-bit, whatever the fault seed.
+  results bit-for-bit, whatever the fault seed;
+* the schedule's per-round hash cache changes no decision: ``fate`` and
+  ``shuffle_order`` equal the seed bodies in ``oracles.faults``, which hash
+  all five parts per draw, in any query order.
 """
 
 from __future__ import annotations
@@ -22,16 +25,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest import (
+    BUILT_IN_FAULT_KINDS,
     CongestSimulator,
     FaultModel,
     FaultSchedule,
     RuntimeSimulator,
     flood_max_id,
+    parse_fault_spec,
     robust_bfs_tree,
 )
 from repro.core import view_of
 from repro.graphs.planar import grid_graph
 
+from oracles import faults as oracle_faults
 from oracles.simulator import ReferenceSimulator
 
 SETTINGS = settings(
@@ -138,3 +144,39 @@ def test_null_models_reproduce_fail_free_results_bit_for_bit(seed):
     fail_free = flood_max_id(view)
     nulled = flood_max_id(view, fault_schedule=FaultSchedule(FaultModel(), seed=seed))
     assert nulled == fail_free
+
+
+# Every built-in kind, plus the committed benchmark's grid-sim-faulty spec.
+_FIXED_MODELS = [FaultModel.preset(kind, rate=0.3) for kind in BUILT_IN_FAULT_KINDS] + [
+    parse_fault_spec("drop=0.01,delay=0.01:3,dup=0.01")
+]
+# Small values repeat rounds (cached states reused, interleaved); wide ones
+# reach negative ids and ids of 2^64 or more, which the hash masks to 64 bits.
+_WIDE = st.integers(min_value=-(2**70), max_value=2**70)
+_IDS = st.integers(min_value=0, max_value=6) | _WIDE
+_ROUNDS = st.integers(min_value=1, max_value=6) | _WIDE
+_QUERIES = st.lists(
+    st.tuples(st.booleans(), _ROUNDS, _IDS, _IDS, st.integers(min_value=0, max_value=9)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=fault_models() | st.sampled_from(_FIXED_MODELS),
+    seed=st.integers(min_value=0, max_value=6) | _WIDE,
+    queries=_QUERIES,
+)
+def test_schedule_decisions_equal_the_full_hash(model, seed, queries):
+    schedule = FaultSchedule(model, seed=seed)
+    # Forward, then backward over the now-warm cache.
+    for is_fate, round_number, node, other, count in queries + queries[::-1]:
+        if is_fate:
+            assert schedule.fate(round_number, node, other) == oracle_faults.fate(
+                schedule, round_number, node, other
+            )
+        else:
+            assert schedule.shuffle_order(round_number, node, count) == (
+                oracle_faults.shuffle_order(schedule, round_number, node, count)
+            )
