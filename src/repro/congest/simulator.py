@@ -61,7 +61,7 @@ from typing import Callable, Hashable
 import networkx as nx
 
 from ..core import GraphView, view_of
-from ..errors import InvalidGraphError, RoundLimitError, SimulationError
+from ..errors import RoundLimitError, SimulationError
 from .faults import FaultModel, FaultQueue, FaultSchedule, active_schedule
 from .node import NodeContext, NodeProgram, message_size_in_words
 
@@ -187,7 +187,10 @@ class CongestSimulator:
         self.bandwidth_words = bandwidth_words
         self._diameter_bound = diameter_bound
         self._fault_schedule = active_schedule(fault_schedule)
-        core = _require_connected_core(view)
+        # An empty or disconnected network is a precondition failure
+        # (InvalidGraphError); SimulationError is for illegal running states.
+        core = view.core
+        core.require_connected("network graph")
         self._graph = None  # lazy: materialised only if .graph is read
         # Index order == repr order of the labels, so this *is* the canonical
         # deterministic order; ints sort natively (no rank map needed).
@@ -529,22 +532,6 @@ class _Mailbox:
 
     def take_round_stats(self) -> tuple[int, int, int]:
         return (0, 0, 0)
-
-
-def _require_connected_core(view: GraphView):
-    """Return ``view.core`` after the network precondition checks.
-
-    An empty or disconnected network is a *precondition* failure of the
-    caller's input, so it raises InvalidGraphError; SimulationError stays
-    reserved for illegal states detected while a simulation is running
-    (bad sends, bandwidth, round budgets).
-    """
-    core = view.core
-    if core.num_nodes == 0:
-        raise InvalidGraphError("network graph is empty")
-    if not core.is_connected():
-        raise InvalidGraphError("network graph is not connected")
-    return core
 
 
 def _identity(value: object) -> object:

@@ -12,7 +12,8 @@ Three classes and two caches:
   member/offset arrays, owner array, CSR connectivity, per-part sorted
   Euler-tour ``tin`` views);
 * :func:`view_of` / :func:`part_set_of` -- the memoised conversions every
-  layer shares (one per graph, one per (view, part family)).
+  layer shares (one per graph, one per (view, part family));
+* :func:`validate_parts` -- the one Definition 9 check, for parts and cells.
 
 The traversal layer (``repro.structure``), the quality measurements
 (``repro.shortcuts.shortcut``), the shortcut construction engine
@@ -22,7 +23,7 @@ the CSR arrays; ``networkx`` remains the generator/witness frontend.
 """
 
 from .graph import CoreGraph
-from .partset import PartSet, part_connected, part_set_of
+from .partset import PartSet, part_set_of, validate_parts
 from .view import GraphView, nx_materializations, view_of
 
 __all__ = [
@@ -30,7 +31,7 @@ __all__ = [
     "GraphView",
     "PartSet",
     "nx_materializations",
-    "part_connected",
     "part_set_of",
+    "validate_parts",
     "view_of",
 ]

@@ -225,6 +225,14 @@ class CoreGraph:
             ) == 1)
         return self._connected
 
+    def require_connected(self, what: str = "graph") -> None:
+        """Raise :class:`InvalidGraphError` unless the graph is non-empty and
+        connected: a precondition on the caller's input, named ``what``."""
+        if self.num_nodes == 0:
+            raise InvalidGraphError(f"{what} is empty")
+        if not self.is_connected():
+            raise InvalidGraphError(f"{what} is not connected")
+
     def exact_diameter(self) -> int:
         """Return the exact diameter by running one BFS per vertex."""
         if self.num_nodes <= 1:

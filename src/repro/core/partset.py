@@ -14,12 +14,13 @@ an owner array (vertex index -> part index) and per-part CSR connectivity
 checks -- computed on demand and cached.  :func:`part_set_of` memoises part sets per
 ``(GraphView, parts)`` pair (weakly in the view, by value in the parts), so
 a budget sweep, a quality measurement and a validation pass over the same
-part family all share one conversion.
+part family all share one conversion.  :func:`validate_parts` is the one
+Definition 9 check, for part families and cell partitions alike.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from ..errors import InvalidPartitionError
 from .view import GraphView, view_of
@@ -138,9 +139,6 @@ class PartSet:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def size_of(self, part_index: int) -> int:
-        return self.offsets[part_index + 1] - self.offsets[part_index]
-
     def members_of(self, part_index: int) -> list[int]:
         """Return the member indices of one part (ascending)."""
         return self.members[self.offsets[part_index] : self.offsets[part_index + 1]]
@@ -156,8 +154,9 @@ class PartSet:
         """Return the vertex-index -> part-index map (``-1`` for uncovered).
 
         For overlapping inputs the highest part index wins; disjointness is
-        the caller's contract (``validate_parts`` / ``CellPartition.validate``
-        check it in label space, where the error message can name vertices).
+        the caller's contract (:func:`validate_parts`, which serves parts and
+        cells alike, checks it in label space, where the error message can
+        name vertices).
         """
         if self._owner is None:
             owner = [-1] * len(self.view)
@@ -204,29 +203,6 @@ class PartSet:
         return f"PartSet(parts={self.num_parts}, members={len(self.members)})"
 
 
-def part_connected(view: GraphView, part: frozenset) -> bool:
-    """Connectivity of ``graph[part]`` via a CSR BFS over an ad-hoc index set.
-
-    Standalone fallback for the validators when the family-wide
-    :class:`PartSet` cannot be built (a *later* part of the family contains
-    non-graph vertices): the checks must still run part by part in order so
-    that the first violation reported matches the ``networkx`` reference
-    path.
-    """
-    index_of = view.index_of
-    members = {index_of(node) for node in part}
-    neighbors = view.core.neighbors
-    start = next(iter(members))
-    reached = {start}
-    stack = [start]
-    while stack:
-        for v in neighbors(stack.pop()):
-            if v in members and v not in reached:
-                reached.add(v)
-                stack.append(v)
-    return len(reached) == len(members)
-
-
 def part_set_of(graph, parts: Sequence[frozenset]) -> PartSet:
     """Return the memoised :class:`PartSet` of ``parts`` over ``graph``.
 
@@ -249,3 +225,52 @@ def part_set_of(graph, parts: Sequence[frozenset]) -> PartSet:
     if part_set is None:
         part_set = per_view[key] = PartSet(view, key)
     return part_set
+
+
+def validate_parts(
+    graph,
+    parts: Sequence[frozenset],
+    noun: str = "part",
+    disconnected: str = "(Definition 9)",
+) -> None:
+    """Check Definition 9: parts are disjoint, non-empty and connected in ``graph``.
+
+    The one check for part families and for cells (Definition 14, which
+    :meth:`repro.structure.cells.CellPartition.validate` words with
+    ``noun="cell"`` and ``disconnected="in the graph"``).  ``graph`` may be
+    an ``nx.Graph`` or a :class:`GraphView`; the check runs on
+    ``view_of(graph)`` and never materialises an ``nx.Graph``.
+
+    It reports the first violation in part order, as a per-part
+    ``subgraph`` + ``is_connected`` loop would, in two passes: the label
+    checks (empty, overlap, non-graph vertex) run up to the first part that
+    fails one, then :meth:`PartSet.connected` runs on the parts before it
+    (the whole family's memoised part set when none fails), and only then
+    is the failing part's error raised.
+    """
+    view = view_of(graph)
+    index = view._index
+    seen: set[Hashable] = set()
+    error = None
+    checked = len(parts)
+    for position, part in enumerate(parts):
+        part = set(part)
+        overlap = seen & part
+        missing = [node for node in part if node not in index]
+        if not part:
+            error = f"{noun} {position} is empty"
+        elif overlap:
+            error = f"{noun}s overlap on vertices {sorted(overlap, key=repr)[:5]}"
+        elif missing:
+            missing.sort(key=repr)
+            error = f"{noun} {position} contains non-graph vertices {missing[:5]}"
+        if error is not None:
+            checked = position
+            break
+        seen |= part
+    part_set = part_set_of(view, parts[:checked])
+    for position in range(checked):
+        if not part_set.connected(position):
+            raise InvalidPartitionError(f"{noun} {position} is not connected {disconnected}")
+    if error is not None:
+        raise InvalidPartitionError(error)

@@ -8,6 +8,10 @@ part families -- long skinny parts that stretch across the whole graph --
 because those maximise the gap between the part diameter and the graph
 diameter that shortcuts exist to close (the wheel-graph discussion of
 Section 1.3.3).
+
+:func:`validate_parts` is :func:`repro.core.validate_parts`, the one
+Definition 9 check (cells use it too); it is importable from here, where
+the part generators that call it live.
 """
 
 from __future__ import annotations
@@ -18,59 +22,11 @@ from typing import Hashable, Sequence
 import networkx as nx
 import numpy as np
 
-from ..core import GraphView, part_connected, part_set_of, view_of
+from ..core import GraphView, validate_parts, view_of
 from ..core.fragments import EdgeRanks, fragments
 from ..errors import InvalidPartitionError
 from ..structure.spanning import RootedTree, bfs_spanning_tree
 from ..utils import canonical_edge, ensure_rng
-
-
-def validate_parts(graph: nx.Graph | GraphView, parts: Sequence[frozenset]) -> None:
-    """Check Definition 9: parts are disjoint, non-empty and connected in ``graph``.
-
-    Connectivity runs on the memoised int-indexed
-    :class:`~repro.core.PartSet` of the family (one flat-array BFS per part,
-    no per-part label sets).  It reports the same first violation as the
-    seed per-part ``subgraph`` + ``is_connected`` check: if the family-wide
-    part set cannot be built because a later part has non-graph vertices,
-    it falls back to per-part BFS so the per-part check order is preserved.
-
-    The check runs on ``view_of(graph)`` and never materialises an
-    ``nx.Graph`` -- native views are exactly the instances too large to
-    convert.
-    """
-    view = view_of(graph)
-    part_set = None
-    part_set_failed = False
-    nodes = None
-    seen: set[Hashable] = set()
-    for index, part in enumerate(parts):
-        if not part:
-            raise InvalidPartitionError(f"part {index} is empty")
-        overlap = seen & set(part)
-        if overlap:
-            raise InvalidPartitionError(
-                f"parts overlap on vertices {sorted(overlap, key=repr)[:5]}"
-            )
-        seen |= set(part)
-        if nodes is None:
-            nodes = set(view.nodes)
-        missing = set(part) - nodes
-        if missing:
-            raise InvalidPartitionError(
-                f"part {index} contains non-graph vertices {sorted(missing, key=repr)[:5]}"
-            )
-        if part_set is None and not part_set_failed:
-            try:
-                part_set = part_set_of(view, parts)
-            except InvalidPartitionError:
-                part_set_failed = True
-        if part_set is not None:
-            connected = part_set.connected(index)
-        else:
-            connected = part_connected(view, part)
-        if not connected:
-            raise InvalidPartitionError(f"part {index} is not connected (Definition 9)")
 
 
 def random_connected_parts(

@@ -6,6 +6,10 @@ removing the apices from the spanning tree ``T``: every surviving subtree is
 a cell of diameter at most ``2 d_T``.  Vortices complicate matters -- a cell
 that touches a vortex must swallow the whole vortex and becomes a *special*
 cell (Lemma 10) -- which :func:`merge_cells_touching` implements.
+
+Cells are a part family in the Definition 9 sense, so
+:meth:`CellPartition.validate` is the part check
+:func:`repro.core.validate_parts` in cell wording plus a cover check.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
 
-from ..core import PartSet, part_connected, part_set_of, view_of
+from ..core import PartSet, part_set_of, validate_parts, view_of
 from ..errors import InvalidPartitionError
 from .spanning import RootedTree
 
@@ -44,12 +48,6 @@ class CellPartition:
 
     def __iter__(self):
         return iter(self.cells)
-
-    def normal_cells(self) -> list[frozenset]:
-        return [cell for index, cell in enumerate(self.cells) if index not in self.special]
-
-    def special_cells(self) -> list[frozenset]:
-        return [cell for index, cell in enumerate(self.cells) if index in self.special]
 
     def cell_of(self) -> dict[Hashable, int]:
         """Return the vertex -> cell-index map."""
@@ -82,42 +80,12 @@ class CellPartition:
         ``graph`` lies in some cell; the apex construction does *not* require
         this (the apices themselves are never in a cell).
 
-        Connectivity runs on the cells' shared :class:`~repro.core.PartSet`
-        (one flat-array BFS per cell).  It reports the same first violation
-        as the seed per-cell ``subgraph`` + ``is_connected`` check: if the
-        family-wide part set cannot be built because a later cell has
-        non-graph vertices, it falls back to per-cell BFS so the per-cell
-        check order is preserved.
+        Cells are a part family, so the first three checks are
+        :func:`repro.core.validate_parts` in cell wording; it reports the
+        first violation in cell order.
         """
-        part_set = None
-        part_set_failed = False
-        seen: set[Hashable] = set()
-        for index, cell in enumerate(self.cells):
-            if not cell:
-                raise InvalidPartitionError(f"cell {index} is empty")
-            overlap = seen & cell
-            if overlap:
-                raise InvalidPartitionError(
-                    f"cells overlap on vertices {sorted(overlap, key=repr)[:5]}"
-                )
-            seen |= cell
-            missing = cell - set(graph.nodes())
-            if missing:
-                raise InvalidPartitionError(
-                    f"cell {index} contains non-graph vertices {sorted(missing, key=repr)[:5]}"
-                )
-            if part_set is None and not part_set_failed:
-                try:
-                    part_set = self.part_set(graph)
-                except InvalidPartitionError:
-                    part_set_failed = True
-            if part_set is not None:
-                connected = part_set.connected(index)
-            else:
-                connected = part_connected(view_of(graph), cell)
-            if not connected:
-                raise InvalidPartitionError(f"cell {index} is not connected in the graph")
-        if require_cover and seen != set(graph.nodes()):
+        validate_parts(graph, self.cells, noun="cell", disconnected="in the graph")
+        if require_cover and self.covered_vertices() != set(graph.nodes()):
             raise InvalidPartitionError("cells do not cover the vertex set")
 
     def measured_diameters(self, graph: nx.Graph) -> list[int]:

@@ -208,56 +208,40 @@ class RootedTree:
     def steiner_tree_edges(self, terminals: Iterable[Hashable]) -> set[Edge]:
         """Return the edges of the minimal subtree of T spanning ``terminals``.
 
-        Computed by taking the union of root-paths of all terminals and then
-        repeatedly pruning non-terminal leaves; linear in the size of the
-        union, which is all the precision the shortcut constructors need.
+        Marks each terminal's root path once, counting every marked vertex's
+        marked children, then walks down from the root to the top of the
+        Steiner tree: the first vertex that is a terminal or has two marked
+        children.  The marked edges below it are the answer.  Linear in the
+        marked set.
         """
         terminal_set = set(terminals)
         if not terminal_set:
             return set()
+        parent = self.parent
         for t in terminal_set:
-            if t not in self.parent:
+            if t not in parent:
                 raise InvalidGraphError(f"terminal {t} is not a node of the tree")
-        # Union of root paths.
-        marked: set[Hashable] = set()
+        marked_children: dict[Hashable, int] = {}
         for t in terminal_set:
-            node = t
-            while node is not None and node not in marked:
-                marked.add(node)
-                node = self.parent[node]
-        # Prune non-terminal leaves of the marked subtree with a degree-count
-        # worklist (linear in the marked set; the old per-pass nx.Graph scan
-        # was quadratic in the worst case).
-        degree: dict[Hashable, int] = {node: 0 for node in marked}
-        for node in marked:
-            par = self.parent[node]
-            if par is not None and par in marked:
-                degree[node] += 1
-                degree[par] += 1
-        removed: set[Hashable] = set()
-        worklist = [
-            node for node, deg in degree.items() if deg <= 1 and node not in terminal_set
-        ]
-        while worklist:
-            node = worklist.pop()
-            if node in removed or degree[node] > 1 or node in terminal_set:
+            if t in marked_children:
                 continue
-            removed.add(node)
-            par = self.parent[node]
-            neighbours = [par] if par is not None and par in marked else []
-            neighbours.extend(child for child in self.children[node] if child in marked)
-            for neighbour in neighbours:
-                if neighbour in removed:
-                    continue
-                degree[neighbour] -= 1
-                if degree[neighbour] <= 1 and neighbour not in terminal_set:
-                    worklist.append(neighbour)
-        kept = marked - removed
-        return {
-            canonical_edge(node, self.parent[node])
-            for node in kept
-            if self.parent[node] is not None and self.parent[node] in kept
-        }
+            marked_children[t] = 0
+            node = parent[t]
+            while node is not None and node not in marked_children:
+                marked_children[node] = 1
+                node = parent[node]
+            if node is not None:
+                marked_children[node] += 1
+        # The top lies on every terminal's root path, so on the last one's:
+        # walk it down from the root, unmarking the chain above the top and
+        # the top itself.
+        spine = [t]
+        while parent[spine[-1]] is not None:
+            spine.append(parent[spine[-1]])
+        while spine[-1] not in terminal_set and marked_children[spine[-1]] == 1:
+            del marked_children[spine.pop()]
+        del marked_children[spine[-1]]
+        return {canonical_edge(node, parent[node]) for node in marked_children}
 
     def contract_to(self, keep: Iterable[Hashable]) -> "RootedTree":
         """Return the minor of T on the vertex set ``keep`` (the repaired tree T^2).
@@ -543,10 +527,7 @@ def graph_diameter(graph: nx.Graph | GraphView, exact_threshold: int = 400) -> i
     the lowest-index (repr-smallest) vertex at maximum distance.
     """
     core = view_of(graph).core
-    if core.num_nodes == 0:
-        raise InvalidGraphError("graph is empty")
-    if not core.is_connected():
-        raise InvalidGraphError("graph is not connected")
+    core.require_connected()
     if core.num_nodes <= exact_threshold:
         return core.exact_diameter()
     return core.double_sweep_diameter()

@@ -22,7 +22,7 @@ from repro.structure.spanning import RootedTree
 from repro.utils import canonical_edge
 
 from .quality import quality
-from .structure import bfs_spanning_tree
+from .structure import bfs_spanning_tree, steiner_tree_edges
 
 
 def validate_parts(graph: nx.Graph, parts: Sequence[frozenset]) -> None:
@@ -71,7 +71,7 @@ def _congestion_capped(
     parts: Sequence[frozenset],
     congestion_budget: int,
 ) -> Shortcut:
-    steiner: list[frozenset] = [frozenset(tree.steiner_tree_edges(part)) for part in parts]
+    steiner: list[frozenset] = [frozenset(steiner_tree_edges(tree, part)) for part in parts]
     requests: dict[tuple, list[int]] = {}
     for index, edges in enumerate(steiner):
         for edge in edges:

@@ -11,6 +11,10 @@ fragments, cells, gates and tree contraction (label-keyed ``nx``).
 * :func:`tree_fragment_parts`, :func:`singleton_parts` -- the seed part
   generators of :mod:`repro.shortcuts.parts`: ``nx.connected_components``
   of the cut tree, and a repr sort of the vertex labels.
+* :func:`steiner_tree_edges` -- the seed
+  :meth:`repro.structure.spanning.RootedTree.steiner_tree_edges`: the union
+  of the terminals' root paths, pruned of non-terminal leaves by a
+  degree-count worklist (production walks down from the root once).
 * :func:`validate_cells`, :func:`validate_gates` -- the oracles for
   :meth:`repro.structure.cells.CellPartition.validate` and
   :func:`repro.structure.gates.validate_gates`: both must accept and reject
@@ -32,7 +36,7 @@ from repro.errors import InvalidGraphError, InvalidPartitionError
 from repro.structure.cells import CellPartition
 from repro.structure.gates import GateCollection
 from repro.structure.spanning import RootedTree
-from repro.utils import ensure_rng, require_connected
+from repro.utils import canonical_edge, ensure_rng, require_connected
 
 
 def bfs_spanning_tree(graph: nx.Graph, root: Hashable | None = None) -> RootedTree:
@@ -109,6 +113,55 @@ def tree_fragment_parts(
 def singleton_parts(graph: nx.Graph) -> list[frozenset]:
     """One singleton part per vertex, in repr order."""
     return [frozenset({v}) for v in sorted(graph.nodes(), key=repr)]
+
+
+def steiner_tree_edges(tree: RootedTree, terminals) -> set[tuple]:
+    """Union of the terminals' root paths, pruned of non-terminal leaves."""
+    terminal_set = set(terminals)
+    if not terminal_set:
+        return set()
+    for t in terminal_set:
+        if t not in tree.parent:
+            raise InvalidGraphError(f"terminal {t} is not a node of the tree")
+    # Union of root paths.
+    marked: set[Hashable] = set()
+    for t in terminal_set:
+        node = t
+        while node is not None and node not in marked:
+            marked.add(node)
+            node = tree.parent[node]
+    # Prune non-terminal leaves of the marked subtree with a degree-count
+    # worklist.
+    degree: dict[Hashable, int] = {node: 0 for node in marked}
+    for node in marked:
+        par = tree.parent[node]
+        if par is not None and par in marked:
+            degree[node] += 1
+            degree[par] += 1
+    removed: set[Hashable] = set()
+    worklist = [
+        node for node, deg in degree.items() if deg <= 1 and node not in terminal_set
+    ]
+    while worklist:
+        node = worklist.pop()
+        if node in removed or degree[node] > 1 or node in terminal_set:
+            continue
+        removed.add(node)
+        par = tree.parent[node]
+        neighbours = [par] if par is not None and par in marked else []
+        neighbours.extend(child for child in tree.children[node] if child in marked)
+        for neighbour in neighbours:
+            if neighbour in removed:
+                continue
+            degree[neighbour] -= 1
+            if degree[neighbour] <= 1 and neighbour not in terminal_set:
+                worklist.append(neighbour)
+    kept = marked - removed
+    return {
+        canonical_edge(node, tree.parent[node])
+        for node in kept
+        if tree.parent[node] is not None and tree.parent[node] in kept
+    }
 
 
 def validate_cells(

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import part_set_of, view_of
 from repro.graphs.planar import grid_graph, wheel_graph
@@ -378,30 +380,78 @@ def _first_violation(callable_):
     return None
 
 
-def test_validate_parts_reports_same_violation_in_both_modes():
+DEFECTS = ("empty", "overlap", "outside", "disconnected", "merge", "drop")
+
+
+@st.composite
+def defective_families(draw):
+    """A small grid or path, a covering family of connected parts over it,
+    and up to three defects at random positions: an empty part, a part
+    overlapping another, a part with a non-graph vertex, a part of two
+    non-adjacent vertices, two parts merged into one (disconnected unless
+    they touch) and a dropped part."""
+    if draw(st.booleans()):
+        graph = nx.grid_2d_graph(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    else:
+        graph = nx.path_graph(draw(st.integers(1, 8)))
+    nodes = sorted(graph, key=repr)
+    tree_edges = sorted(nx.bfs_tree(graph, nodes[0]).edges(), key=repr)
+    cut = set(draw(st.lists(st.sampled_from(tree_edges), unique=True))) if tree_edges else set()
+    forest = nx.Graph([edge for edge in tree_edges if edge not in cut])
+    forest.add_nodes_from(nodes)
+    components = sorted(map(frozenset, nx.connected_components(forest)), key=repr)
+    parts = list(draw(st.permutations(components)))
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=3)):
+        position = draw(st.integers(0, len(parts)))
+        vertex = draw(st.sampled_from(nodes))
+        if defect == "empty":
+            parts.insert(position, frozenset())
+        elif defect == "overlap":
+            parts.insert(position, frozenset({vertex}))
+        elif defect == "outside":
+            parts.insert(position, frozenset({vertex, 99}))
+        elif defect == "disconnected":
+            far = [node for node in nodes if node != vertex and not graph.has_edge(node, vertex)]
+            if far:
+                parts.insert(position, frozenset({vertex, draw(st.sampled_from(far))}))
+        elif len(parts) >= 2:
+            first, second = draw(st.lists(
+                st.integers(0, len(parts) - 1), min_size=2, max_size=2, unique=True
+            ))
+            if defect == "merge":
+                parts[first] = parts[first] | parts[second]
+            del parts[second]
+    return graph, parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(defective_families(), st.booleans())
+@example((nx.path_graph(4), [frozenset({0}), frozenset({0}), frozenset({99})]), False)
+@example((nx.path_graph(4), [frozenset({0, 3}), frozenset({99})]), False)
+@example((nx.path_graph(4), [frozenset({0}), frozenset(), frozenset({99})]), False)
+def test_validate_parts_reports_same_violation_in_both_modes(case, as_view):
     """A later part's bad vertex must not mask an earlier violation (parity)."""
     from repro.shortcuts.parts import validate_parts
 
-    graph = nx.path_graph(4)
-    cases = [
-        [frozenset({0}), frozenset({0}), frozenset({99})],  # overlap before missing
-        [frozenset({0, 3}), frozenset({99})],  # disconnection before missing
-        [frozenset({0}), frozenset(), frozenset({99})],  # empty before missing
-    ]
-    for parts in cases:
-        fast = _first_violation(lambda: validate_parts(graph, parts))
-        reference = _first_violation(lambda: oracle_shortcuts.validate_parts(graph, parts))
-        assert fast == reference is not None, parts
+    graph, parts = case
+    fast = _first_violation(lambda: validate_parts(view_of(graph) if as_view else graph, parts))
+    reference = _first_violation(lambda: oracle_shortcuts.validate_parts(graph, parts))
+    assert fast == reference, parts
 
 
-def test_cell_validate_reports_same_violation_in_both_modes():
+@settings(max_examples=300, deadline=None)
+@given(defective_families(), st.booleans())
+@example((nx.path_graph(4), [frozenset({0, 3}), frozenset({99})]), False)
+def test_cell_validate_reports_same_violation_in_both_modes(case, require_cover):
     from repro.structure.cells import CellPartition
 
-    graph = nx.path_graph(4)
-    partition = CellPartition(cells=[frozenset({0, 3}), frozenset({99})])
-    fast = _first_violation(lambda: partition.validate(graph))
-    reference = _first_violation(lambda: oracle_structure.validate_cells(partition, graph))
-    assert fast == reference is not None
+    graph, cells = case
+    partition = CellPartition(cells=cells)
+    fast = _first_violation(lambda: partition.validate(graph, require_cover))
+    reference = _first_violation(
+        lambda: oracle_structure.validate_cells(partition, graph, require_cover)
+    )
+    assert fast == reference, cells
 
 
 def test_validate_gates_tolerates_stale_cells_like_reference():

@@ -89,6 +89,12 @@ RETIRED_NAMES = (
     "_weights_list",
     "neighbor_slice",
     "edge_weight",
+    "part_connected",
+    "part_set_failed",
+    "size_of",
+    "normal_cells",
+    "special_cells",
+    "_require_connected_core",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.

@@ -2,7 +2,10 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles.structure import contract_to as seed_contract_to
+from oracles.structure import steiner_tree_edges as seed_steiner_tree_edges
 
 from repro.errors import InvalidGraphError
 from repro.graphs.planar import grid_graph, wheel_graph
@@ -65,6 +68,37 @@ def test_steiner_tree_spans_terminals_and_is_minimal(small_grid):
 def test_steiner_tree_of_single_terminal_is_empty(small_grid):
     tree = bfs_spanning_tree(small_grid)
     assert tree.steiner_tree_edges([7]) == set()
+
+
+@st.composite
+def trees_with_terminals(draw):
+    """A random rooted tree on shuffled labels and a terminal set of one of
+    five shapes: empty, one vertex, the root alone, every vertex, or a subset."""
+    n = draw(st.integers(1, 40))
+    labels = draw(st.permutations(range(n)))
+    parent = {labels[0]: None}
+    for i in range(1, n):
+        parent[labels[i]] = labels[draw(st.integers(0, i - 1))]
+    tree = RootedTree(parent, labels[0])
+    shape = draw(st.sampled_from(["empty", "single", "root", "full", "subset"]))
+    if shape == "empty":
+        terminals = []
+    elif shape == "single":
+        terminals = [draw(st.sampled_from(labels))]
+    elif shape == "root":
+        terminals = [labels[0]]
+    elif shape == "full":
+        terminals = list(labels)
+    else:
+        terminals = draw(st.lists(st.sampled_from(labels), unique=True))
+    return tree, terminals
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_terminals())
+def test_steiner_tree_walk_matches_pruning_oracle(case):
+    tree, terminals = case
+    assert tree.steiner_tree_edges(terminals) == seed_steiner_tree_edges(tree, terminals)
 
 
 def test_contract_to_produces_tree_on_kept_vertices(small_grid):
