@@ -26,8 +26,10 @@ The three pieces:
     bit-for-bit" true by construction.
 
 :class:`FaultSchedule`
-    the seeded decision stream: ``fate(round, u, v)`` for per-message
-    drop/delay/duplication, ``crash_round(node)`` for node failures,
+    the seeded decision stream: ``fates(round, senders, targets)`` for
+    one round's per-message drop/delay/duplication, decided together as
+    ``uint64`` array arithmetic (each decision still the pure hash of its
+    five parts), ``crash_round(node)`` for node failures,
     ``shuffle_order`` for delivery-order permutations.  Node identifiers
     are **canonical**: the network view's indices (repr order of the
     labels), which every simulator mode runs on -- label mode included --
@@ -38,7 +40,11 @@ The three pieces:
     round-bucketed pending store that applies the schedule at the *send*
     boundary (drop / delay / duplicate) and the *deliver* boundary
     (crashed-recipient filtering, adversarial permutation), and accounts
-    every decision into the per-round fault telemetry columns.
+    every decision into the per-round fault telemetry columns.  A round's
+    sends are only recorded as they happen; their decisions are made
+    together when the round closes, and the surviving messages are placed
+    in send order, so the mailboxes end up exactly as if each send had
+    been decided on its own.
 
 Accounting bound (asserted by the property tests): ``messages`` keeps
 counting what programs *send*; of those, ``dropped`` never arrive and each
@@ -57,9 +63,10 @@ round).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
-from ..errors import SimulationError
+import numpy as np
 
 __all__ = [
     "BUILT_IN_FAULT_KINDS",
@@ -102,10 +109,12 @@ def _u01(*parts: int) -> float:
     return _mix(*parts) / _SCALE
 
 
-def _fold(x: int, part: int) -> int:
+def _fold(x, part):
     """Resume :func:`_mix` from its state ``x`` with one more part:
     ``_fold(_mix(*parts), p) == _mix(*parts, p)``.  The part needs no
-    mask: the masked product keeps only bits its low 64 bits decide."""
+    mask: the masked product keeps only bits its low 64 bits decide.
+    The same body folds ``uint64`` arrays element-wise (numpy's array
+    arithmetic wraps modulo 2**64, so the mask is a no-op there)."""
     x = ((x ^ part) * 0xBF58476D1CE4E5B9) & _MASK
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & _MASK
@@ -120,7 +129,8 @@ class FaultModel:
         drop: per-message loss probability in ``[0, 1]``.
         delay: per-message delay probability; a delayed message arrives
             ``k`` rounds late with ``k`` uniform in ``1..max_delay``.
-        max_delay: upper bound on the per-message delay (>= 1).
+        max_delay: upper bound on the per-message delay (>= 1, below
+            ``2**63`` so a delay fits the decisions' ``int64`` array).
         duplicate: per-message duplication probability; the duplicate is a
             faithful copy delivered one round after the original and is
             exempt from further faults (at most one copy per send).
@@ -149,8 +159,8 @@ class FaultModel:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} rate must be in [0, 1], got {rate!r}")
-        if self.max_delay < 1:
-            raise ValueError(f"max_delay must be >= 1, got {self.max_delay!r}")
+        if not 1 <= self.max_delay < 1 << 63:
+            raise ValueError(f"max_delay must be in [1, 2**63), got {self.max_delay!r}")
         if self.crash_window < 1:
             raise ValueError(f"crash_window must be >= 1, got {self.crash_window!r}")
         object.__setattr__(self, "crash_at", tuple(
@@ -265,8 +275,8 @@ class FaultSchedule:
     decisions can be queried in any order (or from any process) with
     identical outcomes.  The only mutable state is two caches of pure
     values: each node's crash round, and per round the hash state after
-    ``(seed, kind, round)`` for the per-message kinds, which :meth:`fate`
-    and :meth:`shuffle_order` resume with the message's ids instead of
+    ``(seed, kind, round)`` for the per-message kinds, which :meth:`fates`
+    and :meth:`shuffle_order` resume with the messages' ids instead of
     hashing all five parts again.  Construct once per model+seed and hand
     the same schedule to any number of simulator runs.
     """
@@ -302,25 +312,36 @@ class FaultSchedule:
 
     # -- per-message decisions (send boundary) -----------------------------
 
-    def fate(self, round_number: int, sender: int, target: int) -> tuple[int, bool]:
-        """Decide one message's fate; return ``(delay, duplicate)``.
+    def fates(
+        self, round_number: int, senders: Sequence[int], targets: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decide the fates of one round's messages ``senders[i] -> targets[i]``.
 
-        ``delay`` is ``-1`` for a dropped message, ``0`` for on-time
-        delivery next round, ``k >= 1`` for arrival ``k`` rounds late.
-        ``duplicate`` asks for one extra faithful copy a round later
-        (never set for dropped messages -- the network lost the send).
+        Returns ``(delays, duplicates)``.  ``delays[i]`` is ``-1`` for a
+        dropped message, ``0`` for on-time delivery next round, ``k >= 1``
+        for arrival ``k`` rounds late.  ``duplicates[i]`` asks for one extra
+        faithful copy a round later (never set for a dropped message -- the
+        network lost the send).
+
+        Each draw is still the pure hash ``_mix(seed, kind, round, sender,
+        target)``: the round's cached ``(seed, kind, round)`` states are
+        folded with every message's ids at once, as wrapping ``uint64``
+        arithmetic over all four kinds.  Ids are masked to 64 bits like the
+        scalar hash masks them, and a uniform draw is ``float(hash) / 2**64``
+        as in :func:`_u01` (numpy's ``uint64 -> float64`` cast rounds to
+        nearest-even like Python's ``float(int)``).
         """
-        drop, delay, delay_k, dup, _ = self._states(round_number)
+        states = np.array(self._states(round_number)[:4], dtype=np.uint64)[:, None]
+        sender_ids = np.array([sender & _MASK for sender in senders], dtype=np.uint64)
+        target_ids = np.array([target & _MASK for target in targets], dtype=np.uint64)
+        hashes = _fold(_fold(states, sender_ids), target_ids)
+        drop, delay, _, dup = hashes.astype(np.float64) / _SCALE
         model = self.model
-        if model.drop and _fold(_fold(drop, sender), target) / _SCALE < model.drop:
-            return -1, False
-        late = 0
-        if model.delay and _fold(_fold(delay, sender), target) / _SCALE < model.delay:
-            late = 1 + _fold(_fold(delay_k, sender), target) % model.max_delay
-        duplicate = bool(model.duplicate) and (
-            _fold(_fold(dup, sender), target) / _SCALE < model.duplicate
-        )
-        return late, duplicate
+        dropped = drop < model.drop
+        delays = np.where(delay < model.delay, hashes[2] % model.max_delay + 1, 0)
+        delays = delays.astype(np.int64)
+        delays[dropped] = -1
+        return delays, (dup < model.duplicate) & ~dropped
 
     # -- per-node decisions ------------------------------------------------
 
@@ -379,37 +400,73 @@ def active_schedule(
 class FaultQueue:
     """The round-bucketed mailbox of the fault-aware run loop.
 
-    Sends pass through :meth:`send` (drop / delay / duplicate applied at
-    the send boundary); each round's deliveries come back from
-    :meth:`deliveries` (crashed recipients filtered, adversarial order
-    applied at the deliver boundary).  Node ids are the canonical ints
-    (view indices) the schedule is keyed by, in every mode.
+    :meth:`send` only records a message for its round.  When the round
+    closes -- :meth:`take_round_stats`, which the loop calls once per round
+    after the sends, or any read of the queue -- one
+    :meth:`FaultSchedule.fates` call decides all of the round's drops,
+    delays and duplicates together (each still a pure hash of ``(seed,
+    kind, round, sender, target)``), and the surviving messages are placed
+    in send order, exactly as if each had been placed when it was sent.
+    Each round's deliveries come back from :meth:`deliveries` (crashed
+    recipients filtered, adversarial order applied at the deliver
+    boundary).  Node ids are the canonical ints (view indices) the schedule
+    is keyed by, in every mode.
     """
 
-    __slots__ = ("schedule", "_buckets", "dropped", "delayed", "duplicated")
+    __slots__ = (
+        "schedule", "_buckets", "_round", "_senders", "_targets", "_messages",
+        "dropped", "delayed", "duplicated",
+    )
 
     def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
         # arrival round -> recipient -> {sender: message}
         self._buckets: dict[int, dict[int, dict[int, object]]] = {}
+        # The open round and its unresolved sends.  Parallel lists, not a
+        # tuple per send: short-lived tuples interleaved with the programs'
+        # message tuples fragment the small-object heap and raise peak RSS.
+        self._round: int | None = None
+        self._senders: list[int] = []
+        self._targets: list[int] = []
+        self._messages: list[object] = []
         self.dropped = 0
         self.delayed = 0
         self.duplicated = 0
 
     def send(self, round_number: int, sender: int, target: int, message) -> None:
-        """Route one program send through the schedule into the buckets."""
-        delay, duplicate = self.schedule.fate(round_number, sender, target)
-        if delay < 0:
-            self.dropped += 1
+        """Record one program send; its fate is decided when its round closes."""
+        if round_number != self._round:
+            self._resolve()
+            self._round = round_number
+        self._senders.append(sender)
+        self._targets.append(target)
+        self._messages.append(message)
+
+    def _resolve(self) -> None:
+        """Decide the open round's fates in one batch and place the
+        survivors in send order, so a later send to a mailbox slot
+        replaces an earlier one exactly as it would have at its send."""
+        senders, targets, messages = self._senders, self._targets, self._messages
+        if not senders:
             return
-        arrival = round_number + 1 + delay
-        if delay:
-            self.delayed += 1
+        self._senders, self._targets, self._messages = [], [], []
+        delays, duplicates = self.schedule.fates(self._round, senders, targets)
+        delays, duplicates = delays.tolist(), duplicates.tolist()
+        dropped = delays.count(-1)
+        self.dropped += dropped
+        self.delayed += len(delays) - dropped - delays.count(0)
+        self.duplicated += duplicates.count(True)
         buckets = self._buckets
-        buckets.setdefault(arrival, {}).setdefault(target, {})[sender] = message
-        if duplicate:
-            self.duplicated += 1
-            buckets.setdefault(arrival + 1, {}).setdefault(target, {})[sender] = message
+        on_time = self._round + 1
+        for sender, target, message, delay, duplicate in zip(
+            senders, targets, messages, delays, duplicates
+        ):
+            if delay < 0:
+                continue
+            arrival = on_time + delay
+            buckets.setdefault(arrival, {}).setdefault(target, {})[sender] = message
+            if duplicate:
+                buckets.setdefault(arrival + 1, {}).setdefault(target, {})[sender] = message
 
     def deliveries(self, round_number: int) -> dict[int, dict[int, object]]:
         """Pop and return this round's inboxes (recipient -> sender -> msg).
@@ -420,6 +477,7 @@ class FaultQueue:
         adversarial order (over the canonically sorted sender list, so the
         permutation is identical in every mode).
         """
+        self._resolve()
         bucket = self._buckets.pop(round_number, None)
         if not bucket:
             return {}
@@ -438,11 +496,14 @@ class FaultQueue:
 
     def has_mail(self) -> bool:
         """True while any bucket (present or future round) holds a message."""
+        self._resolve()
         return bool(self._buckets)
 
     def take_round_stats(self) -> tuple[int, int, int]:
         """Return and reset the (dropped, delayed, duplicated) counters --
-        called once per round to fill the fault telemetry columns."""
+        called once per round, after its sends, to fill the fault telemetry
+        columns; it closes the round, deciding its sends' fates."""
+        self._resolve()
         stats = (self.dropped, self.delayed, self.duplicated)
         self.dropped = self.delayed = self.duplicated = 0
         return stats

@@ -49,8 +49,9 @@ class NodeContext:
 
     def __setattr__(self, name: str, value: object) -> None:
         # Immutable after construction (like the frozen dataclass it replaces),
-        # except for the lazy diameter cache slot.
-        if name != "_diameter_bound" and hasattr(self, name):
+        # except for the lazy diameter cache slot.  The diameter_bound
+        # property is refused by name: reading it would resolve D.
+        if name == "diameter_bound" or (name != "_diameter_bound" and hasattr(self, name)):
             raise AttributeError(f"NodeContext.{name} is read-only")
         object.__setattr__(self, name, value)
 

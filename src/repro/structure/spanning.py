@@ -335,36 +335,32 @@ class RootedTree:
 
         Checks vertex-set equality and that every tree edge is a graph edge
         on the graph's view (one vectorised lookup; the first failing edge
-        in parent-map order is named), then the edge count and connectivity
-        from the root over the parent map; no ``nx.Graph`` is built, so the
-        million-node native pipeline validates its BFS trees on the arrays.
+        in parent-map order is named), then the edge count; no ``nx.Graph``
+        is built, so the million-node native pipeline validates its BFS
+        trees on the arrays.  Connectivity from the root needs no walk
+        here: the constructor already rejects any parent map that is not
+        one rooted tree, and the map is fixed afterwards.
         """
         parent = self.parent
-        view = None if graph is None else view_of(graph)
-        if view is not None and set(parent) != set(view.nodes):
-            raise InvalidGraphError("tree does not span the graph's vertex set")
         edges = [(node, par) for node, par in parent.items() if par is not None]
-        if view is not None:
+        if graph is not None:
+            view = view_of(graph)
             index_of = view.index_of
-            on_graph = view.core.has_edges(
-                [index_of(node) for node, _ in edges], [index_of(par) for _, par in edges]
-            )
+            # The tree's vertices are the root and each edge's child, so
+            # looking those up in the view checks the vertex set.
+            try:
+                children = [index_of(node) for node, _ in edges]
+                index_of(self.root)
+            except KeyError:
+                children = None
+            if children is None or len(parent) != len(view):
+                raise InvalidGraphError("tree does not span the graph's vertex set")
+            on_graph = view.core.has_edges(children, [index_of(par) for _, par in edges])
             if not on_graph.all():
                 node, par = edges[int(np.argmin(on_graph))]
                 raise InvalidGraphError(f"tree edge ({node}, {par}) is not a graph edge")
         if len(edges) != len(parent) - 1:
             raise InvalidGraphError("rooted tree has the wrong number of edges")
-        children: dict[Hashable, list[Hashable]] = {}
-        for node, par in edges:
-            children.setdefault(par, []).append(node)
-        reached = 1
-        stack = [self.root]
-        while stack:
-            for child in children.get(stack.pop(), ()):
-                reached += 1
-                stack.append(child)
-        if reached != len(parent):
-            raise InvalidGraphError("rooted tree is not connected")
 
 
 class EulerTourIndex:

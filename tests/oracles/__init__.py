@@ -18,7 +18,8 @@ one layer of :mod:`repro`, kept as it was before the CSR rewrites:
 * :mod:`oracles.simulator` -- the full-scan :class:`ReferenceSimulator`
   and the recursive message word count it sizes messages with;
 * :mod:`oracles.faults` -- the fault decisions that hash all five parts
-  ``(seed, kind, round, sender, target)`` per draw.
+  ``(seed, kind, round, sender, target)`` per draw, and the seed
+  ``FaultQueue`` that decided and placed each send as it happened.
 
 The oracles call each other directly, never the production code they pin.
 The differential tests compare the two with exact equality (edge sets,

@@ -37,13 +37,14 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.congest.faults import FaultQueue
 from repro.congest.node import NodeContext
 from repro.congest.simulator import CongestSimulator, RoundTelemetry, SimulationResult
 from repro.core import GraphView
 from repro.errors import RoundLimitError, SimulationError
 from repro.graphs.weights import WEIGHT
 from repro.utils import require_connected, require_simple
+
+from .faults import FaultQueue
 
 
 def message_size_in_words(message: object) -> int:
@@ -137,11 +138,13 @@ class ReferenceSimulator(CongestSimulator):
     def _run_faulty(self, max_rounds: int) -> SimulationResult:
         """The fault-aware loop in full-scan flavour.
 
-        Same :class:`~repro.congest.faults.FaultQueue` boundaries and crash
-        bookkeeping as the active-set loop, but every round scans every
-        node and re-derives global halt status by iterating all programs
-        -- the seed's cost profile, kept as the fault layer's differential
-        oracle.
+        Same fault boundaries and crash bookkeeping as the active-set
+        loop, but every round scans every node and re-derives global halt
+        status by iterating all programs -- the seed's cost profile, kept
+        as the fault layer's differential oracle.  Its mailbox is the seed
+        :class:`oracles.faults.FaultQueue`, which decides each send on its
+        own, so a faulty mode-agreement test also pins the production
+        queue's per-round batch.
         """
         programs = self.programs
         schedule = self._fault_schedule

@@ -208,6 +208,22 @@ def test_explicit_diameter_bound_respected():
     assert set(result.outputs.values()) == {99}
 
 
+def test_rejected_diameter_write_never_resolves_the_bound():
+    calls = []
+
+    def resolve():
+        calls.append(1)
+        return 7
+
+    context = NodeContext(0, (1,), {1: 1.0}, 2, resolve, id_key=int)
+    for name in ("diameter_bound", "node", "neighbours", "num_nodes"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(context, name, 3)
+    assert calls == []
+    assert context.diameter_bound == 7
+    assert calls == [1]
+
+
 def test_reference_simulator_computes_diameter_eagerly():
     simulator = ReferenceSimulator(grid_graph(4, 4), NodeProgram)
     assert simulator._diameter_bound == nx.diameter(grid_graph(4, 4))

@@ -373,6 +373,10 @@ def test_fault_model_validation():
         FaultModel(drop=-0.1)
     with pytest.raises(ValueError):
         FaultModel(delay=0.1, max_delay=0)
+    # A delay is an int64 array entry in the batched decisions.
+    FaultModel(delay=0.1, max_delay=2**63 - 1)
+    with pytest.raises(ValueError):
+        FaultModel(delay=0.1, max_delay=2**63)
     assert FaultModel().is_null
     assert not FaultModel(shuffle=True).is_null
 
@@ -382,8 +386,17 @@ def test_schedule_is_deterministic_and_seed_sensitive():
     a = FaultSchedule(model, seed=1)
     b = FaultSchedule(model, seed=1)
     c = FaultSchedule(model, seed=2)
-    fates_a = [a.fate(r, s, t) for r in range(1, 20) for s in range(4) for t in range(4)]
-    fates_b = [b.fate(r, s, t) for r in range(1, 20) for s in range(4) for t in range(4)]
-    fates_c = [c.fate(r, s, t) for r in range(1, 20) for s in range(4) for t in range(4)]
+    senders = [s for s in range(4) for _ in range(4)]
+    targets = [t for _ in range(4) for t in range(4)]
+
+    def fates(schedule):
+        return [
+            (delays.tolist(), duplicates.tolist())
+            for delays, duplicates in (
+                schedule.fates(r, senders, targets) for r in range(1, 20)
+            )
+        ]
+
+    fates_a, fates_b, fates_c = fates(a), fates(b), fates(c)
     assert fates_a == fates_b
     assert fates_a != fates_c

@@ -14,9 +14,11 @@ documented in docs/simulator.md:
   simulator modes and the full-scan oracle agree on it;
 * a fail-free (null) model is normalised away and reproduces today's
   results bit-for-bit, whatever the fault seed;
-* the schedule's per-round hash cache changes no decision: ``fate`` and
-  ``shuffle_order`` equal the seed bodies in ``oracles.faults``, which hash
-  all five parts per draw, in any query order.
+* the schedule's per-round hash cache and its batched decisions change no
+  decision: ``fates`` (element-wise) and ``shuffle_order`` equal the seed
+  bodies in ``oracles.faults``, which hash all five parts per draw, in any
+  query order; and the queue that decides a round's sends together hands
+  out exactly what the seed queue, deciding each send on its own, does.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.congest import (
     BUILT_IN_FAULT_KINDS,
     CongestSimulator,
     FaultModel,
+    FaultQueue,
     FaultSchedule,
     RuntimeSimulator,
     flood_max_id,
@@ -156,27 +159,117 @@ _WIDE = st.integers(min_value=-(2**70), max_value=2**70)
 _IDS = st.integers(min_value=0, max_value=6) | _WIDE
 _ROUNDS = st.integers(min_value=1, max_value=6) | _WIDE
 _QUERIES = st.lists(
-    st.tuples(st.booleans(), _ROUNDS, _IDS, _IDS, st.integers(min_value=0, max_value=9)),
+    st.tuples(
+        st.booleans(),
+        _ROUNDS,
+        st.lists(st.tuples(_IDS, _IDS), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=9),
+    ),
     min_size=1,
     max_size=30,
 )
+# Rates at the ends of the uniform draw: 0 and 1, and values so small only
+# a hash of 0 (or of nothing) falls below them.
+_EDGE_RATES = st.sampled_from((0.0, 1.0, 5e-324, 2.0**-64, 2.0**-40)) | st.floats(
+    min_value=0.0, max_value=1.0, allow_nan=False
+)
+
+
+@st.composite
+def decision_models(draw):
+    """Drop/delay/duplicate models at edge rates, up to the largest delay bound."""
+    return FaultModel(
+        drop=draw(_EDGE_RATES),
+        delay=draw(_EDGE_RATES),
+        max_delay=draw(st.integers(min_value=1, max_value=4) | st.just(2**63 - 1)),
+        duplicate=draw(_EDGE_RATES),
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    model=fault_models() | st.sampled_from(_FIXED_MODELS),
+    model=fault_models() | decision_models() | st.sampled_from(_FIXED_MODELS),
     seed=st.integers(min_value=0, max_value=6) | _WIDE,
     queries=_QUERIES,
 )
 def test_schedule_decisions_equal_the_full_hash(model, seed, queries):
     schedule = FaultSchedule(model, seed=seed)
     # Forward, then backward over the now-warm cache.
-    for is_fate, round_number, node, other, count in queries + queries[::-1]:
+    for is_fate, round_number, pairs, count in queries + queries[::-1]:
         if is_fate:
-            assert schedule.fate(round_number, node, other) == oracle_faults.fate(
-                schedule, round_number, node, other
+            delays, duplicates = schedule.fates(
+                round_number, [sender for sender, _ in pairs], [target for _, target in pairs]
             )
+            assert list(zip(delays.tolist(), duplicates.tolist())) == [
+                oracle_faults.fate(schedule, round_number, sender, target)
+                for sender, target in pairs
+            ]
         else:
+            node = pairs[0][1]
             assert schedule.shuffle_order(round_number, node, count) == (
                 oracle_faults.shuffle_order(schedule, round_number, node, count)
             )
+
+
+def _inboxes(queue, round_number):
+    """One round's deliveries with every key order made visible."""
+    return [
+        (target, list(inbox.items()))
+        for target, inbox in queue.deliveries(round_number).items()
+    ]
+
+
+# A round's sends: (sender, target, message) over few nodes and few
+# payloads, so mailbox slots collide and replaced messages show.
+_ROUND_SENDS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=fault_models() | st.sampled_from(_FIXED_MODELS),
+    seed=st.integers(min_value=0, max_value=2**32),
+    rounds=st.lists(
+        st.tuples(
+            _ROUND_SENDS, st.integers(min_value=0, max_value=12), st.booleans(), st.booleans()
+        ),
+        max_size=8,
+    ),
+)
+def test_batched_queue_equals_the_sequential_queue(model, seed, rounds):
+    """The queue that decides a round's sends together delivers what the
+    seed queue, which decided each send on its own, delivers: the same
+    inboxes in the same key order, and the same counters.
+
+    Each drawn round may skip its ``deliveries`` read and its closing
+    ``take_round_stats``, so one round's sends can follow the last
+    round's unresolved, and a ``has_mail`` read part-way through a round's
+    sends (at the drawn index) closes a batch early: none of it may change
+    what the queue hands out.
+    """
+    schedule = FaultSchedule(model, seed=seed)
+    batched, sequential = FaultQueue(schedule), oracle_faults.FaultQueue(schedule)
+    round_number = 0
+    for sends, peek, deliver, close in rounds:
+        round_number += 1
+        if deliver:
+            assert _inboxes(batched, round_number) == _inboxes(sequential, round_number)
+        for index, (sender, target, message) in enumerate(sends):
+            if index == peek:
+                assert batched.has_mail() == sequential.has_mail()
+            batched.send(round_number, sender, target, message)
+            sequential.send(round_number, sender, target, message)
+        if close:
+            assert batched.take_round_stats() == sequential.take_round_stats()
+    # Drain every delay and duplicate still in flight.
+    for _ in range(model.max_delay + 2):
+        round_number += 1
+        assert _inboxes(batched, round_number) == _inboxes(sequential, round_number)
+        assert batched.take_round_stats() == sequential.take_round_stats()
+    assert batched.has_mail() == sequential.has_mail()
