@@ -1,6 +1,6 @@
 """``repro.core``: the CSR-backed graph kernel under the whole reproduction.
 
-Three classes and two caches:
+Three classes and three caches:
 
 * :class:`CoreGraph` -- immutable int-indexed CSR adjacency (numpy
   ``indptr`` / ``indices`` / ``weights`` arrays, one vectorised assembly,
@@ -13,6 +13,8 @@ Three classes and two caches:
   Euler-tour ``tin`` views);
 * :func:`view_of` / :func:`part_set_of` -- the memoised conversions every
   layer shares (one per graph, one per (view, part family));
+* :func:`graph_memo` -- the memo on the graph that keeps what the shortcut
+  constructions derive from a graph and its witness, for every spanning tree;
 * :func:`validate_parts` -- the one Definition 9 check, for parts and cells.
 
 The traversal layer (``repro.structure``), the quality measurements
@@ -24,12 +26,13 @@ the CSR arrays; ``networkx`` remains the generator/witness frontend.
 
 from .graph import CoreGraph
 from .partset import PartSet, part_set_of, validate_parts
-from .view import GraphView, nx_materializations, view_of
+from .view import GraphView, graph_memo, nx_materializations, view_of
 
 __all__ = [
     "CoreGraph",
     "GraphView",
     "PartSet",
+    "graph_memo",
     "nx_materializations",
     "part_set_of",
     "validate_parts",

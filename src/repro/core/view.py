@@ -20,7 +20,13 @@ The canonical repr-sorted order is load-bearing: index order then coincides
 with the ``sorted(..., key=repr)`` tie-breaking used throughout the
 ``networkx`` code paths, which is what lets the CSR fast paths reproduce
 their results *exactly* (the differential tests in
-``tests/test_core_graphview.py`` pin this).
+``tests/test_core_graphview.py`` pin this).  Two labels with one ``repr``
+would leave that order to insertion order, so a view refuses them.
+
+:func:`graph_memo` keeps, beside the view, the structures the shortcut
+constructions derive from the graph and its witness alone (the planarity
+verdict, tree and clique-sum decompositions, folded decomposition trees,
+completed bag graphs), so every spanning tree of one graph shares them.
 
 The canonical *edge* order is index-pair order: an undirected edge is
 ``(lo, hi)`` with ``lo < hi``, edges compare as ``(lo, hi)`` tuples (as an
@@ -33,12 +39,16 @@ below ``,``.  The aggregation scheduler and Boruvka's MWOE tie-break use it.
 
 from __future__ import annotations
 
-from typing import Hashable
+from collections import Counter
+from typing import Callable, Hashable, TypeVar
 
 import networkx as nx
 
 from ..errors import InvalidGraphError
+from ..utils import memoised
 from .graph import CoreGraph
+
+T = TypeVar("T")
 
 # The edge-weight attribute name, kept in sync with
 # ``repro.graphs.weights.WEIGHT``.  Imported lazily in ``__init__`` rather
@@ -76,10 +86,19 @@ class GraphView:
     def __init__(self, graph: nx.Graph) -> None:
         from ..graphs.weights import WEIGHT
 
-        labels = sorted(graph.nodes(), key=repr)
+        # One repr per label: the canonical order sorts them, and a repr two
+        # labels share would leave that order to insertion order.
+        reprs = list(map(repr, graph))
+        by_repr = dict(zip(reprs, graph))
+        if len(by_repr) != len(reprs):
+            clash = next(text for text, count in Counter(reprs).items() if count > 1)
+            raise InvalidGraphError(
+                f"two node labels share the repr {clash}, so their canonical order "
+                "is undefined; relabel the graph"
+            )
+        reprs.sort()
+        labels = list(map(by_repr.__getitem__, reprs))
         index: dict[Hashable, int] = {label: i for i, label in enumerate(labels)}
-        if len(index) != len(labels):
-            raise InvalidGraphError("graph has duplicate node labels")
         for u, v in nx.selfloop_edges(graph):
             raise InvalidGraphError(f"GraphView rejects self-loop ({u}, {v})")
         edges = list(graph.edges(data=WEIGHT))
@@ -238,6 +257,11 @@ class GraphView:
 # edge set is not (nx has no O(1) edge count).
 _VIEW_ATTR = "_repro_graph_view"
 
+# The graph memo (graph_memo), beside the view and with the same lifetime:
+# a plain dict on the graph, so an entry that references the graph forms a
+# reference cycle the collector reclaims with it.
+_MEMO_ATTR = "_repro_graph_memo"
+
 # Running count of nx.Graph materialisations performed by the adapter
 # (GraphView.to_networkx, including lazy ``view.graph`` accesses).  The
 # tier-1 scale smoke test and the S7 gate take a delta around the native
@@ -275,3 +299,24 @@ def view_of(graph: nx.Graph | GraphView) -> GraphView:
     elif len(graph) != len(view):
         raise InvalidGraphError("graph changed after it was viewed; copy it first")
     return view
+
+
+def graph_memo(graph: nx.Graph, key: Hashable, sources: tuple, build: Callable[[], T]) -> T:
+    """Return the structure ``build()`` derives from ``graph`` and ``sources``.
+
+    Built on the first call and memoised on the graph itself, next to its
+    :func:`view_of` view, under ``key`` and the ids of ``sources``
+    (:func:`repro.utils.memoised`: a later call is served only if the entry
+    holds the very same source objects).  This is the owner of what a
+    shortcut construction reads from the graph and its witness but not from
+    the spanning tree, which :meth:`repro.structure.spanning.RootedTree.memo`
+    holds: an MST run builds its own tree, while the graph and its witness
+    are shared by every run over one instance.  Like the view, an entry
+    assumes the graph is frozen once memoised; ``graph.copy()`` carries no
+    memo.
+    """
+    store = getattr(graph, _MEMO_ATTR, None)
+    if store is None:
+        store = {}
+        setattr(graph, _MEMO_ATTR, store)
+    return memoised(store, key, sources, build)

@@ -39,7 +39,7 @@ from ..graphs.clique_sum import CliqueSumDecomposition, clique_sum_compose
 from ..graphs.lower_bound import lower_bound_graph
 from ..graphs.minor_free import MinorFreeGraph, planar_plus_apex, sample_lk_graph
 from ..graphs.native import native_grid
-from ..graphs.planar import grid_graph, is_planar
+from ..graphs.planar import grid_graph
 from ..graphs.treewidth import TreewidthWitness, random_partial_ktree
 from ..shortcuts.apex import apex_shortcut_from_witness
 from ..shortcuts.baseline import empty_shortcut, steiner_shortcut, whole_tree_shortcut
@@ -47,7 +47,7 @@ from ..shortcuts.clique_sum import clique_sum_shortcut
 from ..shortcuts.congestion_capped import oblivious_shortcut
 from ..shortcuts.genus_vortex import genus_vortex_shortcut
 from ..shortcuts.minor_free import minor_free_shortcut
-from ..shortcuts.planar import planar_shortcut
+from ..shortcuts.planar import planar_shortcut, planarity
 from ..shortcuts.shortcut import Shortcut
 from ..shortcuts.treewidth import treewidth_shortcut
 from ..structure.spanning import RootedTree
@@ -336,7 +336,7 @@ def _planar_applicable(inst: ScenarioInstance) -> bool:
         # Native grids are planar by construction; skipping the nx check
         # keeps the applicability probe array-only at million-node sizes.
         return True
-    return is_planar(inst.graph)
+    return planarity(inst.graph)
 
 
 register_constructor(ConstructorSpec(

@@ -19,14 +19,21 @@ is the difference between Lemma 1 and Theorem 7 and is exposed here through
 the ``fold`` flag so experiment E3 can measure both arms.
 
 Corollary 1 calls the construction once per Boruvka phase with new parts
-but the same graph, tree and witness.  Everything part-independent --
-the folded tree, the group vertex and edge sets, and per bag ``B^0_h`` and
-``T^2_h`` -- is therefore a :class:`CliqueSumPlan`, built once and
-memoised on the tree; :func:`clique_sum_shortcut` is
-``clique_sum_plan(...).shortcut(parts)``.  The treewidth, genus+vortex and
-minor-free constructions run on the same plan, and the apex construction
-of Theorem 8 serves its cells with the same local-shortcut step
-(:func:`add_local_shortcuts`).
+but the same graph, tree and witness, and an MST run builds its own tree
+over a graph that every run of the instance shares.  The part-independent
+work therefore goes to the owner of the data it reads:
+
+* what reads only the witness -- the folded tree with its group, descendant
+  and discard vertex sets (:class:`CliqueSumLayout`), and per bag its
+  vertex set and ``B^0_h`` (:func:`bag_graph`) -- is built once per graph
+  and memoised on it (:func:`repro.core.graph_memo`);
+* what reads the tree -- the tree-edge grants and per bag ``T^2_h`` -- is a
+  :class:`CliqueSumPlan`, built once and memoised on the tree.
+
+:func:`clique_sum_shortcut` is ``clique_sum_plan(...).shortcut(parts)``.
+The treewidth, genus+vortex and minor-free constructions run on the same
+plan, and the apex construction of Theorem 8 serves its cells with the same
+local-shortcut step (:func:`add_local_shortcuts`).
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import networkx as nx
 
+from ..core import graph_memo
 from ..errors import InvalidDecompositionError, InvalidShortcutError
 from ..graphs.clique_sum import Bag, CliqueSumDecomposition
 from ..structure.heavy_light import (
@@ -140,38 +148,18 @@ def _parent_clique_vertices(
     return vertices
 
 
-class CliqueSumPlan:
-    """The part-independent half of Theorem 7 for one (graph, tree, witness, fold).
+class CliqueSumLayout:
+    """The half of Theorem 7's plan that reads the witness but not the tree.
 
-    Built once by :func:`clique_sum_plan` and memoised on the tree; every
-    Boruvka phase then runs :meth:`shortcut` with its own parts.  The plan
-    holds the folded decomposition tree, its group parent/children/depth
-    maps, the group and descendant vertex sets, each child group's global
-    grant (the tree edges below it minus those inside its parent group),
-    and the discard vertices of every group.  Per bag it builds lazily, on
-    first use: the vertex set, ``B^0_h`` and the repaired tree
-    ``T^2_h = contract_to(bag)``.  ``B^0_h`` is the graph the local
-    shortcutter runs on; it holds every edge of ``T^2_h`` (see
-    :meth:`bag`).  It is frozen (``nx.freeze``), so a shortcutter that
-    mutates it fails instead of corrupting later phases; the cached bag
-    graphs and bag trees also let a shortcutter keep its own state on them
-    (a view, an Euler index, a nested plan) across phases.
+    Built once per (witness, fold) by the first :class:`CliqueSumPlan` and
+    memoised on the graph (:func:`repro.core.graph_memo`), so every spanning
+    tree of the graph shares it.  It holds the folded decomposition tree, its group
+    parent/children/depth maps, the group and descendant vertex sets, the
+    groups of every vertex and the discard vertices of every group.
     """
 
-    def __init__(
-        self,
-        graph: nx.Graph,
-        tree: RootedTree,
-        decomposition: CliqueSumDecomposition,
-        fold: bool,
-    ) -> None:
-        self.graph = graph
-        # The tree owns the plan (in its memo).  A weak back-reference keeps
-        # the two out of a reference cycle, so the plan dies with the tree
-        # by reference counting instead of waiting for the cycle collector.
-        self._tree = weakref.ref(tree)
+    def __init__(self, decomposition: CliqueSumDecomposition, fold: bool) -> None:
         self.decomposition = decomposition
-        self.fold = fold
         folded = fold_decomposition_tree(decomposition) if fold else identity_folding(decomposition)
         self.folded = folded
         # Parent, children and depth of every group, in one traversal of
@@ -193,38 +181,23 @@ class CliqueSumPlan:
                     self.depth[neighbour] = self.depth[node] + 1
                     stack.append(neighbour)
         group_vertices = {g: set(folded.group_vertices(g)) for g in folded.tree.nodes()}
+        self.group_vertices = group_vertices
         descendant_vertices = {g: set(vs) for g, vs in group_vertices.items()}
         for node in reversed(order):
             if parent[node] is not None:
                 descendant_vertices[parent[node]] |= descendant_vertices[node]
         self.descendant_vertices = descendant_vertices
-        self.tree_edges = tree.edge_set()
         self.groups_of: dict[Hashable, list[int]] = {}
         for group, vertices in group_vertices.items():
             for vertex in vertices:
                 self.groups_of.setdefault(vertex, []).append(group)
-        edges_in_group = {
-            g: _tree_edges_within(self.tree_edges, vs) for g, vs in group_vertices.items()
-        }
-        # Global shortcut of a part homed at h, per child of h it reaches.
-        self.global_edges = {
-            child: _tree_edges_within(self.tree_edges, descendant_vertices[child])
-            - edges_in_group[par]
-            for child, par in parent.items()
-            if par is not None
-        }
         self.discard_vertices = {
             group: _parent_clique_vertices(decomposition, folded, parent, group)
             for group in folded.tree.nodes()
         }
-        self._bags: dict[int, tuple[set, nx.Graph, RootedTree]] = {}
 
-    @property
-    def tree(self) -> RootedTree:
-        """The spanning tree that owns this plan (``None`` once it is gone)."""
-        return self._tree()
-
-    def _group_lca(self, groups: set[int]) -> int:
+    def home_group(self, groups: set[int]) -> int:
+        """Return the folded-tree LCA of ``groups``: a part's home group ``h_P``."""
         current = set(groups)
         if not current:
             return self.folded.root
@@ -238,21 +211,95 @@ class CliqueSumPlan:
                 return self.folded.root
         return next(iter(current))
 
+
+def bag_graph(
+    graph: nx.Graph, decomposition: CliqueSumDecomposition, bag_index: int
+) -> tuple[set, nx.Graph]:
+    """Return the bag's vertex set and ``B^0_h`` (frozen), memoised on ``graph``.
+
+    Both read only the witness, so both arms of the fold ablation and every
+    spanning tree share them, and so does the state a local shortcutter
+    keeps on ``B^0_h`` (its view).  The graph is frozen (``nx.freeze``):
+    a shortcutter that mutates it fails instead of corrupting later runs.
+    """
+    return graph_memo(
+        graph,
+        ("clique_sum_bag", bag_index),
+        (decomposition,),
+        lambda: (
+            set(decomposition.bags[bag_index].nodes),
+            nx.freeze(decomposition.completed_bag_graph(bag_index)),
+        ),
+    )
+
+
+class CliqueSumPlan:
+    """The part-independent half of Theorem 7 for one (graph, tree, witness, fold).
+
+    Built once by :func:`clique_sum_plan` and memoised on the tree; every
+    Boruvka phase then runs :meth:`shortcut` with its own parts.  The plan
+    reads the graph's :class:`CliqueSumLayout` and holds what reads the
+    tree: each child group's global grant (the tree edges below it minus
+    those inside its parent group) and, per bag, built lazily on first use,
+    the repaired tree ``T^2_h = contract_to(bag)`` next to the graph's
+    vertex set and ``B^0_h`` (:func:`bag_graph`).  ``B^0_h`` is the graph
+    the local shortcutter runs on; it holds every edge of ``T^2_h`` (see
+    :meth:`bag`).  The cached bag graphs and bag trees let a shortcutter
+    keep its own state on them (a view, an Euler index, a nested plan)
+    across phases.
+    """
+
+    def __init__(
+        self,
+        graph: nx.Graph,
+        tree: RootedTree,
+        decomposition: CliqueSumDecomposition,
+        fold: bool,
+    ) -> None:
+        self.graph = graph
+        # The tree owns the plan (in its memo).  A weak back-reference keeps
+        # the two out of a reference cycle, so the plan dies with the tree
+        # by reference counting instead of waiting for the cycle collector.
+        self._tree = weakref.ref(tree)
+        self.decomposition = decomposition
+        self.fold = fold
+        layout = graph_memo(
+            graph, ("clique_sum", fold), (decomposition,),
+            lambda: CliqueSumLayout(decomposition, fold),
+        )
+        self.layout = layout
+        self.tree_edges = tree.edge_set()
+        edges_in_group = {
+            g: _tree_edges_within(self.tree_edges, vs) for g, vs in layout.group_vertices.items()
+        }
+        # Global shortcut of a part homed at h, per child of h it reaches.
+        self.global_edges = {
+            child: _tree_edges_within(self.tree_edges, layout.descendant_vertices[child])
+            - edges_in_group[par]
+            for child, par in layout.parent.items()
+            if par is not None
+        }
+        self._bags: dict[int, tuple[set, nx.Graph, RootedTree]] = {}
+
+    @property
+    def tree(self) -> RootedTree:
+        """The spanning tree that owns this plan (``None`` once it is gone)."""
+        return self._tree()
+
     def bag(self, bag_index: int) -> tuple[set, nx.Graph, RootedTree]:
         """Return the bag's vertex set, ``B^0_h`` (frozen) and ``T^2_h``.
 
         ``B^0_h`` holds every edge of ``T^2_h`` for a valid decomposition: a
         kept tree edge joins two bag vertices, and the border of every
         contracted T-component lies in one partial clique, which ``B^0_h``
-        completes.  That is checked once, here.
+        completes.  That is checked once per tree, here.
 
         Raises:
             InvalidDecompositionError: an edge of ``T^2_h`` is not in ``B^0_h``.
         """
         cached = self._bags.get(bag_index)
         if cached is None:
-            vertices = set(self.decomposition.bags[bag_index].nodes)
-            completed = nx.freeze(self.decomposition.completed_bag_graph(bag_index))
+            vertices, completed = bag_graph(self.graph, self.decomposition, bag_index)
             bag_tree = self.tree.contract_to(vertices)
             for u, v in bag_tree.edges():
                 if not completed.has_edge(u, v):
@@ -274,23 +321,24 @@ class CliqueSumPlan:
         validate_parts(self.graph, parts)
         shortcutter = local_shortcutter if local_shortcutter is not None else default_local_shortcutter
         tree_edges = self.tree_edges
+        layout = self.layout
 
         edge_sets: list[set[Edge]] = [set() for _ in parts]
         parts_by_group: dict[int, list[int]] = {}
-        groups_of = self.groups_of
+        groups_of = layout.groups_of
         for part_index, part in enumerate(parts):
             touched = {g for vertex in part for g in groups_of.get(vertex, ())}
-            h = self._group_lca(touched)
+            h = layout.home_group(touched)
             parts_by_group.setdefault(h, []).append(part_index)
             # Global shortcut: descendants of h's children that the part reaches.
-            for child in self.children[h]:
-                if not self.descendant_vertices[child].isdisjoint(part):
+            for child in layout.children[h]:
+                if not layout.descendant_vertices[child].isdisjoint(part):
                     edge_sets[part_index] |= self.global_edges[child]
 
         # Local shortcuts, one pass per group over the parts homed there.
         for group, part_indices in parts_by_group.items():
-            discard = self.discard_vertices[group]
-            for bag_index in self.folded.member_bags(group):
+            discard = layout.discard_vertices[group]
+            for bag_index in layout.folded.member_bags(group):
                 vertices, completed, bag_tree = self.bag(bag_index)
                 bag = self.decomposition.bags[bag_index]
                 add_local_shortcuts(

@@ -8,14 +8,16 @@ replays that chain: build the Lemma 2/3 tree decomposition (star-replace the
 vortices, decompose, re-insert the vortex nodes), take the treewidth
 construction's plan over it (:func:`repro.shortcuts.treewidth.treewidth_plan`)
 and serve the parts with its Steiner bag shortcutter.  The decomposition
-and the plan are built once per spanning tree and witness
-(:func:`genus_vortex_plan`), not once per Boruvka phase.
+reads only the witness, so it is built once per witness and memoised on
+its graph (:func:`repro.core.graph_memo`); the plan is built once per
+spanning tree (:func:`genus_vortex_plan`), not once per Boruvka phase.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from ..core import graph_memo
 from ..errors import InvalidGraphError
 from ..graphs.apex_vortex import AlmostEmbeddableGraph
 from ..structure.spanning import RootedTree, bfs_spanning_tree
@@ -33,8 +35,9 @@ def genus_vortex_plan(almost_embeddable: AlmostEmbeddableGraph, tree: RootedTree
     """Return the Theorem 7 plan over the Lemma 2/3 decomposition, memoised on ``tree``.
 
     The decomposition (greedy when the witness has no vortices) is built
-    once per (tree, witness); :func:`treewidth_plan` adds its clique-sum
-    view and plan.
+    once per witness and memoised on the witness graph;
+    :func:`treewidth_plan` adds its clique-sum view (on the graph too) and
+    the plan.
     """
     graph = almost_embeddable.graph
 
@@ -43,7 +46,7 @@ def genus_vortex_plan(almost_embeddable: AlmostEmbeddableGraph, tree: RootedTree
             return genus_vortex_decomposition(almost_embeddable)
         return greedy_tree_decomposition(graph)
 
-    decomposition = tree.memo("genus_vortex", (almost_embeddable,), build_decomposition)
+    decomposition = graph_memo(graph, "genus_vortex", (almost_embeddable,), build_decomposition)
     return treewidth_plan(graph, tree, decomposition)
 
 

@@ -15,9 +15,13 @@ replays exactly that composition on the construction witness recorded by
 * the per-bag shortcuts are stitched together by the clique-sum construction
   with heavy-light folding.
 
-The clique-sum plan is memoised on the spanning tree, and so are the apex
-plans of the almost-embeddable bags, on the plan's cached bag trees: a
-Boruvka phase pays only for its parts.
+The witness structure of the clique-sum plan -- the folded decomposition
+tree and every bag graph ``B^0_h`` -- is memoised on the graph, so every
+spanning tree (an MST run builds its own) shares it.  The plan's tree-edge
+grants and repaired bag trees are memoised on the spanning tree, and so are
+the apex plans of the almost-embeddable bags, on the plan's cached bag
+trees, since their cells are the components of a bag tree minus the
+apices.  A Boruvka phase pays only for its parts.
 
 The expected measured shape, which experiment E5 reports, is block
 ``O(d_T)`` and congestion ``O(d_T log n + log^2 n)``, i.e. quality

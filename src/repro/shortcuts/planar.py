@@ -10,6 +10,12 @@ constructor is the oblivious congestion-capped search *seeded with the
 Theorem 4 target budgets*, plus a planarity check so that misuse is caught
 early.  Experiment E1 compares its measured block/congestion against the
 ``O(log d)`` / ``O(d log d)`` targets.
+
+The planarity verdict is the construction's only part-independent work, and
+it reads only the graph: :func:`planarity` memoises it on the graph
+(:func:`repro.core.graph_memo`), so every spanning tree of one graph -- an
+MST run builds its own -- and the scenario registry's applicability probe
+share one check.
 """
 
 from __future__ import annotations
@@ -19,10 +25,17 @@ from typing import Sequence
 
 import networkx as nx
 
+from ..core import graph_memo
 from ..errors import InvalidGraphError
+from ..graphs.planar import is_planar
 from ..structure.spanning import RootedTree, bfs_spanning_tree
 from .congestion_capped import oblivious_shortcut
 from .shortcut import Shortcut
+
+
+def planarity(graph: nx.Graph) -> bool:
+    """Return :func:`repro.graphs.planar.is_planar` of ``graph``, memoised on the graph."""
+    return graph_memo(graph, "planar", (), lambda: is_planar(graph))
 
 
 def planar_shortcut(
@@ -45,11 +58,10 @@ def planar_shortcut(
     construction first tries ``Theta(log d)`` and ``Theta(d log d)`` and the
     powers of two in between, then keeps the best measured quality.
 
-    The planarity check is the construction's only part-independent work;
-    it runs once per (tree, graph) and is memoised on the tree.
+    The planarity check runs once per graph (:func:`planarity`).
     """
     tree = tree if tree is not None else bfs_spanning_tree(graph)
-    if not tree.memo("planar", (graph,), lambda: nx.check_planarity(graph)[0]):
+    if not planarity(graph):
         raise InvalidGraphError(
             "planar_shortcut called on a non-planar graph; use apex_shortcut or "
             "minor_free_shortcut for perturbed/augmented planar networks"

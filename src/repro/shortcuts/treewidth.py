@@ -9,8 +9,10 @@ We therefore reuse the Theorem 7 machinery of
 :mod:`repro.shortcuts.clique_sum` with the tree decomposition as the
 clique-sum witness and a per-bag Steiner shortcutter
 (:func:`tiny_bag_shortcutter`, which the genus+vortex construction uses
-too); the decomposition, its clique-sum view and the folded Theorem 7
-plan are built once per spanning tree (:func:`treewidth_plan`).  The resulting bounds
+too).  The decomposition and its clique-sum view read only the graph, so
+they are built once per graph (:func:`repro.core.graph_memo`) and shared
+by every spanning tree; the Theorem 7 plan over them is built once per
+tree (:func:`treewidth_plan`).  The resulting bounds
 are ``b = O(k)`` and ``c = O(k log^2 n)`` -- a ``log n`` factor above the
 theorem's statement, coming from the generic folding argument; the measured
 values reported by experiment E2 are compared against both expressions.
@@ -22,6 +24,7 @@ from typing import Sequence
 
 import networkx as nx
 
+from ..core import graph_memo
 from ..graphs.clique_sum import Bag, CliqueSumDecomposition, decomposition_from_tree_decomposition
 from ..structure.spanning import RootedTree, bfs_spanning_tree
 from ..structure.tree_decomposition import TreeDecomposition, greedy_tree_decomposition
@@ -51,16 +54,17 @@ def treewidth_plan(
 ) -> CliqueSumPlan:
     """Return the Theorem 7 plan over the decomposition's clique-sum view.
 
-    The view of ``decomposition`` -- the greedy (min-degree) decomposition
-    of ``graph`` when that is omitted -- is built once and memoised on
-    ``tree`` with its plan.
+    The clique-sum view of ``decomposition`` -- the greedy (min-degree)
+    decomposition of ``graph`` when that is omitted -- is built once per
+    graph and memoised on it; the plan over the view is memoised on
+    ``tree``.
     """
 
     def build_view() -> CliqueSumDecomposition:
         witness = decomposition if decomposition is not None else greedy_tree_decomposition(graph)
         return decomposition_from_tree_decomposition(graph, witness.tree, witness.width)
 
-    return clique_sum_plan(graph, tree, tree.memo("treewidth", (graph, decomposition), build_view))
+    return clique_sum_plan(graph, tree, graph_memo(graph, "treewidth", (decomposition,), build_view))
 
 
 def treewidth_shortcut(
@@ -76,8 +80,9 @@ def treewidth_shortcut(
         tree: spanning tree ``T`` (defaults to BFS).
         parts: the parts to serve.
         decomposition: a :class:`TreeDecomposition`; computed heuristically
-            (min-degree) when omitted.  Its clique-sum view and the folded
-            Theorem 7 plan are built once per tree: see :func:`treewidth_plan`.
+            (min-degree) when omitted.  Its clique-sum view is built once
+            per graph and the Theorem 7 plan once per tree: see
+            :func:`treewidth_plan`.
     """
     tree = tree if tree is not None else bfs_spanning_tree(graph)
     shortcut = treewidth_plan(graph, tree, decomposition).shortcut(parts, tiny_bag_shortcutter)

@@ -8,7 +8,9 @@ works with: parent/child/depth maps, ancestor queries, tree paths, Steiner
 subtrees of a terminal set, and the "contract-to-a-vertex-subset" minor used
 by the clique-sum local shortcuts (the repaired tree ``T^2_h`` of Theorem 7).
 A tree also carries the memo (:meth:`RootedTree.memo`) in which the shortcut
-constructions keep their part-independent plans for the tree's lifetime.
+constructions keep, for the tree's lifetime, the part-independent structure
+that reads the tree; what reads only the graph lives on the graph
+(:func:`repro.core.graph_memo`).
 
 The graph entry points (:func:`bfs_spanning_tree`, :func:`graph_diameter`
 and :meth:`RootedTree.validate`) run on the CSR kernel only.  An
@@ -29,7 +31,7 @@ import numpy as np
 
 from ..core import GraphView, view_of
 from ..errors import InvalidGraphError
-from ..utils import canonical_edge
+from ..utils import canonical_edge, memoised
 
 Edge = tuple[Hashable, Hashable]
 T = TypeVar("T")
@@ -319,16 +321,18 @@ class RootedTree:
 
         Built on the first call and memoised for the tree's lifetime under
         ``key`` and the ids of ``sources``; a later call is served only if
-        the entry holds the very same source objects (``is``).  The
-        shortcut constructions keep their part-independent *plans* here:
-        Corollary 1 calls a construction once per Boruvka phase with new
-        parts but the same tree and witness.
+        the entry holds the very same source objects (``is``, see
+        :func:`repro.utils.memoised`).  Corollary 1 calls a construction
+        once per Boruvka phase with new parts but the same tree and
+        witness, so the constructions keep here the part-independent
+        structure that reads the tree: the clique-sum plan's tree-edge
+        grants and repaired bag trees ``T^2_h``, and the apex plan, whose
+        cells are the components of ``T`` minus the apices.  What reads
+        only the graph and its witness lives on the graph instead
+        (:func:`repro.core.graph_memo`), because an MST run builds a new
+        tree while its graph is shared by every run over the instance.
         """
-        slot = (key, *map(id, sources))
-        entry = self._memo.get(slot)
-        if entry is None or any(held is not given for held, given in zip(entry[0], sources)):
-            entry = self._memo[slot] = (sources, build())
-        return entry[1]
+        return memoised(self._memo, key, sources, build)
 
     def validate(self, graph: nx.Graph | GraphView | None = None) -> None:
         """Check that this is a spanning tree of ``graph`` (if provided).

@@ -2,21 +2,25 @@
 
 The helpers here are deliberately tiny and dependency-free (besides
 ``networkx``): canonical edge representation, deterministic RNG handling,
-relabelling graphs to contiguous integers, and a couple of frequently used
-graph sanity checks.
+relabelling graphs to contiguous integers, a couple of frequently used
+graph sanity checks, and the memo body (:func:`memoised`) behind the two
+owners of the constructions' part-independent structure: the spanning tree
+(:meth:`repro.structure.spanning.RootedTree.memo`) and the graph
+(:func:`repro.core.graph_memo`).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import networkx as nx
 
 from .errors import InvalidGraphError
 
 Edge = tuple[Hashable, Hashable]
+T = TypeVar("T")
 
 
 def canonical_edge(u: Hashable, v: Hashable) -> Edge:
@@ -96,3 +100,23 @@ def invert_mapping(mapping: Mapping[Hashable, Hashable]) -> dict[Hashable, set[H
     for key, value in mapping.items():
         inverse.setdefault(value, set()).add(key)
     return inverse
+
+
+def memoised(
+    store: dict[tuple, tuple[tuple, object]],
+    key: Hashable,
+    sources: tuple,
+    build: Callable[[], T],
+) -> T:
+    """Return ``build()``, memoised in ``store`` under ``key`` and ``sources``.
+
+    The slot is ``key`` plus the ids of ``sources``; a later call is served
+    only if the entry holds the very same source objects (``is``), so a
+    recycled id never hands out another object's structure.  The entry
+    keeps its sources alive for as long as ``store`` lives.
+    """
+    slot = (key, *map(id, sources))
+    entry = store.get(slot)
+    if entry is None or any(held is not given for held, given in zip(entry[0], sources)):
+        entry = store[slot] = (sources, build())
+    return entry[1]

@@ -246,6 +246,26 @@ def test_graphview_rejects_self_loops():
         GraphView(graph)
 
 
+class _Alike:
+    """A label that prints like every other ``_Alike`` (and is equal only to itself)."""
+
+    def __repr__(self) -> str:
+        return "Alike"
+
+
+def test_graphview_rejects_labels_whose_reprs_clash():
+    first, second = _Alike(), _Alike()
+    edges = [("c", first), (first, second), (second, "d")]
+    for ordered in (edges, [(v, u) for u, v in reversed(edges)]):
+        graph = nx.Graph(ordered)
+        with pytest.raises(InvalidGraphError, match="share the repr Alike"):
+            GraphView(graph)
+    # Distinct reprs fix the order whatever the insertion order.
+    edges = [("c", 1), (1, 2), (2, "d")]
+    views = [GraphView(nx.Graph(ordered)) for ordered in (edges, edges[::-1])]
+    assert views[0].nodes == views[1].nodes == ["c", "d", 1, 2]
+
+
 def test_view_of_is_memoised_per_graph_object():
     a, b = grid_graph(3, 3), grid_graph(3, 3)
     assert view_of(a) is view_of(a)
