@@ -28,7 +28,9 @@ the many-parts, shared-edges generalisation whose round counts realise the
 quality -> rounds argument of Theorem 1.
 
 **The trees.**  A *slot* is a (part, vertex) pair of a part's augmented
-subgraph.  All parts' subgraphs are laid out as one block-diagonal slot
+subgraph; the shortcut lays its slots out once and caches the layout
+(:meth:`~repro.shortcuts.shortcut.Shortcut.slots`, which the block
+parameter reads too).  All parts' subgraphs form one block-diagonal slot
 graph with sorted CSR rows, and a virtual root links to every part's
 anchor (its minimum member index) in part order.  One
 ``scipy.sparse.csgraph.breadth_first_order`` call from that root yields
@@ -49,8 +51,10 @@ delivery of the round: its up message once every child has reported,
 its children's down messages (in discovery order) once it has the
 result.  Sends on one edge queue in the order of the deliveries that
 triggered them.  The loop runs once per round, not once per message:
-each directed edge's id is its CSR arc position (in key order) and it
-has a linked-list FIFO, a round is a handful of numpy passes over the
+each directed edge's id is its CSR arc position (in key order; a tree
+edge's down arc is one search into the arc keys, its up arc the reverse
+arc, :attr:`~repro.core.CoreGraph.reverse_arcs`) and it has a
+linked-list FIFO, a round is a handful of numpy passes over the
 active edges and the messages they deliver, and what a slot sends when it fires is one
 gather from a per-event emission CSR.  A part's aggregate is then one
 fold of ``combine`` over its members in ascending index order, which
@@ -184,8 +188,8 @@ class _Trees(NamedTuple):
     ``emitted[emit_start[e] : emit_start[e + 1]]`` are the tasks event
     ``e`` sends: its own up task below an anchor, its children's down tasks
     in discovery order at an anchor or on a down delivery.  ``leaves`` are
-    the first up tasks, in part order and then discovery order, and
-    ``part`` is every slot's part.
+    the first up tasks, in part order and then discovery order, and part
+    ``i`` holds the slots ``part_offsets[i] <= s < part_offsets[i + 1]``.
     """
 
     pending: np.ndarray
@@ -195,25 +199,27 @@ class _Trees(NamedTuple):
     task_edge: np.ndarray
     num_edges: int
     leaves: np.ndarray
-    part: np.ndarray
+    part_offsets: np.ndarray
 
 
 def _aggregation_trees(shortcut: Shortcut) -> _Trees:
     """Build every part's BFS aggregation tree in one ``breadth_first_order`` call.
 
-    A *slot* is a (part, vertex) pair of a part's augmented subgraph
-    ``G[P_i] + H_i``; slots are numbered in (part, vertex) order.  All
-    parts' subgraphs form one block-diagonal slot graph with sorted CSR
-    rows, and a virtual root links to every part's anchor (its minimum
-    member) in part order.  The global FIFO of one BFS from that root,
-    restricted to one part, is that part's own BFS from its anchor over
-    ascending neighbours, so parents and children orders are exactly the
-    per-part ones.
+    The nodes are the shortcut's (part, vertex) slots
+    (:meth:`~repro.shortcuts.shortcut.Shortcut.slots`), numbered in
+    (part, vertex) order.  All parts' subgraphs ``G[P_i] + H_i`` form one
+    block-diagonal slot graph with sorted CSR rows, and a virtual root
+    links to every part's anchor (its minimum member) in part order.  The
+    global FIFO of one BFS from that root, restricted to one part, is that
+    part's own BFS from its anchor over ascending neighbours, so parents
+    and children orders are exactly the per-part ones.
 
     The tree is then recast as the tables :func:`_schedule` reads (see
     :class:`_Trees`): tasks, the CSR arc positions of their directed edges
-    (one ``searchsorted`` into the graph's arc keys) and the per-event
-    emission CSR.
+    and the per-event emission CSR.  A down task's arc is found by one
+    ``searchsorted`` into the graph's arc keys, with the needles in
+    (parent slot, child) order; its up task's arc is the reverse arc
+    (:attr:`~repro.core.CoreGraph.reverse_arcs`).
     """
     part_set = shortcut.part_set()
     view = part_set.view
@@ -225,107 +231,120 @@ def _aggregation_trees(shortcut: Shortcut) -> _Trees:
         empty = int(np.flatnonzero(sizes == 0)[0])
         raise SimulationError(f"part {empty} is empty")
     members = np.asarray(part_set.members, dtype=np.int64)
-    member_part = np.repeat(np.arange(num_parts, dtype=np.int64), sizes)
+    layout = shortcut.slots()
+    slot_offsets, vertex, member_slots, home, heads, tails = layout
+    slot_part = layout.part()
+    num_slots = len(slot_part)
 
     # Directed edges of G[P_i] (both endpoints in the part) and of H_i, as
-    # (part * n + vertex) keys.
+    # (source slot, target slot) pairs.
     core = view.core
     indptr, indices = core.indptr, core.indices
-    owner = np.full(n, -1, dtype=np.int64)
-    owner[members] = member_part
     starts, degrees = indptr[members], indptr[members + 1] - indptr[members]
-    row = np.repeat(np.arange(len(members)), degrees)
-    neighbours = indices[_ranges(starts, degrees)]
-    inside = owner[neighbours] == member_part[row]
-    row_base = member_part[row[inside]] * n
-    edge_offsets, heads, tails = shortcut.index_edges()
-    edge_base = np.repeat(np.arange(num_parts, dtype=np.int64) * n, np.diff(edge_offsets))
-    source = np.concatenate(
-        [row_base + members[row[inside]], edge_base + heads, edge_base + tails]
-    )
-    target = np.concatenate(
-        [row_base + neighbours[inside], edge_base + tails, edge_base + heads]
-    )
-    member_keys = member_part * n + members
-    keys = np.sort(np.concatenate([member_keys, source]))
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    num_slots = len(keys)
+    row = np.repeat(member_slots, degrees)
+    neighbours = home[indices[_ranges(starts, degrees)]]
+    del starts
+    inside = neighbours >= 0
+    inside[inside] = slot_part[neighbours[inside]] == slot_part[row[inside]]
+    source = np.concatenate([row[inside], heads, tails])
+    target = np.concatenate([neighbours[inside], tails, heads])
+    del row, neighbours, inside
 
     # Arcs sorted by (source slot, target slot) give sorted CSR rows; a
     # shortcut edge inside its part repeats an arc, which the BFS ignores.
-    arcs = np.searchsorted(keys, source)
-    arcs *= num_slots
-    arcs += np.searchsorted(keys, target)
+    row_ptr = np.zeros(num_slots + 2, dtype=np.int32)
+    np.cumsum(np.bincount(source, minlength=num_slots), out=row_ptr[1:-1])
+    row_ptr[-1] = len(source) + num_parts
+    arcs = source * num_slots
+    arcs += target
     del source, target
     arcs.sort()
-    anchors = np.searchsorted(keys, member_keys[offsets[:-1]])
-    row_ptr = np.searchsorted(arcs, np.arange(num_slots + 1) * num_slots)
-    graph = csr_matrix(
-        (
-            np.ones(len(arcs) + num_parts),
-            np.concatenate([arcs % num_slots, anchors]).astype(np.int32),
-            np.append(row_ptr, len(arcs) + num_parts).astype(np.int32),
-        ),
-        shape=(num_slots + 1, num_slots + 1),
-    )
+    columns = np.empty(len(arcs) + num_parts, dtype=np.int32)
+    np.remainder(arcs, num_slots, out=columns[: len(arcs)])
+    columns[len(arcs) :] = member_slots[offsets[:-1]]
     del arcs
+    graph = csr_matrix(
+        (np.ones(len(columns)), columns, row_ptr), shape=(num_slots + 1, num_slots + 1)
+    )
+    del columns, row_ptr
     order, predecessors = breadth_first_order(
         graph, num_slots, directed=True, return_predecessors=True
     )
     del graph
 
-    parent = predecessors[:num_slots].astype(np.int64)
-    unreached = parent[np.searchsorted(keys, member_keys)] < 0
+    # The tables are filled in place; the first halves of event_of and
+    # pending double as the parent and child-count arrays.
+    event_of = np.empty(2 * num_slots, dtype=np.int64)
+    parent = event_of[:num_slots]
+    parent[:] = predecessors[:num_slots]
+    del predecessors
+    unreached = parent[member_slots] < 0
     if unreached.any():
         first = int(np.flatnonzero(unreached)[0])
         raise SimulationError(
-            f"member {view.nodes[members[first]]!r} of part {int(member_part[first])} "
+            f"member {view.nodes[members[first]]!r} of part {int(slot_part[member_slots[first]])} "
             "is not connected to the part's anchor in its augmented subgraph"
         )
     parent[(parent < 0) | (parent == num_slots)] = -1
+    event_of[num_slots:] = np.arange(num_slots, 2 * num_slots)
     discovered = order[1:]
     tree_slots = discovered[parent[discovered] >= 0]
-    child_count = np.bincount(parent[tree_slots], minlength=num_slots)
-    slot_part = keys // n
-    ranked = discovered[np.argsort(slot_part[discovered], kind="stable")]
-    leaves = ranked[(child_count[ranked] == 0) & (parent[ranked] >= 0)]
-    del order, discovered, ranked
+    del order, discovered
+    pending = np.ones(2 * num_slots, dtype=np.int64)
+    child_count = pending[:num_slots]
+    child_count[:] = np.bincount(parent[tree_slots], minlength=num_slots)
+    # Sorts by (part, discovery) and (parent, discovery): a slot's
+    # children are discovered in ascending slot order, so children lists
+    # them in (parent slot, child) order.
+    leaves = tree_slots[child_count[tree_slots] == 0]
+    leaves = leaves[np.argsort(slot_part[leaves] * len(leaves) + np.arange(len(leaves)))]
+    del slot_part
+    children = tree_slots[
+        np.argsort(parent[tree_slots] * len(tree_slots) + np.arange(len(tree_slots)))
+    ]
+    del tree_slots
 
-    # Task t crosses directed edge task_edge[t]: c -> parent(c) for the up
-    # task c, parent(c) -> c for the down task num_slots + c.
-    vertex = keys % n
-    del keys
-    below, above = vertex[tree_slots], vertex[parent[tree_slots]]
-    del vertex
-    arc_keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    # Task c crosses c -> parent(c) (the up task), task num_slots + c the
+    # reverse arc.
+    down = np.searchsorted(
+        core.arc_keys(), vertex[parent[children]] * n + vertex[children]
+    )
     task_edge = np.zeros(2 * num_slots, dtype=np.int64)
-    task_edge[tree_slots] = np.searchsorted(arc_keys, below * n + above)
-    task_edge[num_slots + tree_slots] = np.searchsorted(arc_keys, above * n + below)
-    del below, above, arc_keys
+    task_edge[num_slots + children] = down
+    task_edge[children] = core.reverse_arcs[down]
+    del down
 
     # Event r sends r's up task below an anchor and, at an anchor (or an
     # unreached slot, which has no children), its children's down tasks;
-    # event num_slots + c sends c's children's down tasks.
-    children = tree_slots[np.argsort(parent[tree_slots], kind="stable")]
-    child_start = np.concatenate(([0], np.cumsum(child_count)))
-    slots = np.arange(num_slots)
+    # event num_slots + c sends c's children's down tasks, which start at
+    # emit_start[num_slots + c] = num_up + (c's offset in children).
     is_top = parent < 0
     up_lengths = np.where(is_top, child_count, 1)
-    up_emitted = np.repeat(slots, up_lengths)
+    emit_start = np.zeros(2 * num_slots + 1, dtype=np.int64)
+    np.cumsum(up_lengths, out=emit_start[1 : num_slots + 1])
+    num_up = int(emit_start[num_slots])
+    np.cumsum(child_count, out=emit_start[num_slots + 1 :])
+    emit_start[num_slots + 1 :] += num_up
+    emitted = np.empty(num_up + len(children), dtype=np.int64)
+    up_emitted = emitted[:num_up]
+    up_emitted[:] = np.repeat(np.arange(num_slots), up_lengths)
+    del up_lengths
     tops = np.flatnonzero(is_top)
-    up_emitted[is_top[up_emitted]] = (
-        num_slots + children[_ranges(child_start[tops], child_count[tops])]
-    )
-    emit_start = np.concatenate(([0], np.cumsum(up_lengths), len(up_emitted) + child_start[1:]))
+    children += num_slots
+    up_emitted[is_top[up_emitted]] = children[
+        _ranges(emit_start[num_slots + tops] - num_up, child_count[tops])
+    ]
+    emitted[num_up:] = children
+    del children, is_top, tops
     return _Trees(
-        pending=np.concatenate((child_count, np.ones(num_slots, dtype=np.int64))),
-        event_of=np.concatenate((parent, num_slots + slots)),
+        pending=pending,
+        event_of=event_of,
         emit_start=emit_start,
-        emitted=np.concatenate((up_emitted, num_slots + children)),
+        emitted=emitted,
         task_edge=task_edge,
         num_edges=len(indices),
         leaves=leaves,
-        part=slot_part,
+        part_offsets=slot_offsets,
     )
 
 
@@ -354,15 +373,17 @@ def _schedule(shortcut: Shortcut, max_rounds: int) -> tuple[int, int, list[int]]
     num_parts = shortcut.part_set().num_parts
     if not num_parts:
         return 0, 0, []
-    pending, event_of, emit_start, emitted, task_edge, num_edges, leaves, slot_part = (
+    pending, event_of, emit_start, emitted, task_edge, num_edges, leaves, part_offsets = (
         _aggregation_trees(shortcut)
     )
-    num_slots = len(slot_part)
+    num_slots = len(event_of) // 2
     follower = np.full(2 * num_slots + num_edges, -1, dtype=np.int64)
     cursor = np.arange(2 * num_slots, 2 * num_slots + num_edges)
     tail = cursor.copy()
-    last_position = np.full(2 * num_slots, -1, dtype=np.int64)
-    delivered_round = np.zeros(2 * num_slots, dtype=np.int64)
+    # Every task is delivered at most once, so rounds and message positions
+    # stay below 2 * num_slots: int32 holds them in half the memory.
+    last_position = np.full(2 * num_slots, -1, dtype=np.int32)
+    delivered_round = np.zeros(2 * num_slots, dtype=np.int32)
 
     def append(tasks: np.ndarray) -> np.ndarray:
         """Chain ``tasks`` (in send order, at least one) behind their edges'
@@ -402,7 +423,7 @@ def _schedule(shortcut: Shortcut, max_rounds: int) -> tuple[int, int, list[int]]
 
         events = event_of[delivered]
         # Positions run on across rounds, so last_position needs no reset.
-        positions = np.arange(messages, messages + len(delivered))
+        positions = np.arange(messages, messages + len(delivered), dtype=np.int32)
         messages += len(delivered)
         np.subtract.at(pending, events, 1)
         np.maximum.at(last_position, events, positions)
@@ -410,6 +431,6 @@ def _schedule(shortcut: Shortcut, max_rounds: int) -> tuple[int, int, list[int]]
         starts = emit_start[events]
         sent = emitted[_ranges(starts, emit_start[events + 1] - starts)]
 
-    per_part_done = np.zeros(num_parts, dtype=np.int64)
-    np.maximum.at(per_part_done, slot_part, delivered_round[num_slots:])
+    # Every part has a slot, so no reduceat segment is empty.
+    per_part_done = np.maximum.reduceat(delivered_round[num_slots:], part_offsets[:-1])
     return rounds, messages, per_part_done.tolist()

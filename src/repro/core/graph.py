@@ -51,7 +51,8 @@ class CoreGraph:
     """
 
     __slots__ = (
-        "num_nodes", "num_edges", "indptr", "indices", "weights", "_lists", "_connected"
+        "num_nodes", "num_edges", "indptr", "indices", "weights", "_lists", "_connected",
+        "_reverse_arcs",
     )
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple]) -> None:
@@ -113,6 +114,7 @@ class CoreGraph:
         self.weights = weights
         self._lists = None
         self._connected: bool | None = None
+        self._reverse_arcs: np.ndarray | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -137,6 +139,30 @@ class CoreGraph:
         indptr, _, weights = self.lists
         return weights[indptr[u] : indptr[u + 1]]
 
+    def arc_keys(self) -> np.ndarray:
+        """The directed edges as int keys ``row * n + column``, in CSR order.
+
+        They ascend, because every CSR row does, so a ``searchsorted`` into
+        them finds an arc's CSR position.
+        """
+        keys = np.repeat(np.arange(self.num_nodes, dtype=np.int64) * self.num_nodes,
+                         np.diff(self.indptr))
+        keys += self.indices
+        return keys
+
+    @property
+    def reverse_arcs(self) -> np.ndarray:
+        """The CSR position of every arc's reverse: ``(v, u)`` for ``(u, v)``.
+
+        An involution without fixed points (the graph is symmetric and has
+        no self-loops).  Sorting the arcs by (column, row) lists them in the
+        ascending order of their reverses' keys, so that order is the
+        permutation.  Built on first use and cached.
+        """
+        if self._reverse_arcs is None:
+            self._reverse_arcs = np.argsort(self.indices, kind="stable")
+        return self._reverse_arcs
+
     def has_edge(self, u: int, v: int) -> bool:
         if not (isinstance(u, int) and isinstance(v, int)):
             return False
@@ -151,15 +177,12 @@ class CoreGraph:
         """Vectorised :meth:`has_edge`: whether each ``(u[i], v[i])`` is an
         edge, for index arrays ``u`` and ``v`` within ``0 .. n-1``.
 
-        One ``searchsorted`` into the arc keys ``row * n + column``, which
-        ascend because every CSR row does.
+        One ``searchsorted`` into :meth:`arc_keys`.
         """
-        n = self.num_nodes
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        arc_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(self.indptr))
-        arc_keys += self.indices
-        keys = u * n + v
+        arc_keys = self.arc_keys()
+        keys = u * self.num_nodes + v
         found = np.searchsorted(arc_keys, keys)
         present = found < len(arc_keys)
         present[present] = arc_keys[found[present]] == keys[present]

@@ -23,14 +23,18 @@ whole-family array passes with no per-part Python loop:
   a pair's rank is its offset within its edge's run, so the budget-``b``
   winners of an edge are exactly its pairs of rank ``< b``.
 
-The sweep prices a budget ``b`` in closed form: per-edge congestion is
-``min(#owners, b)``, and a part's blocks are the terminal-bearing
-components of its kept pairs, counted for all parts at once over
-(part, vertex) slots by :func:`~repro.shortcuts.shortcut.max_part_blocks`,
-the block count :meth:`~repro.shortcuts.shortcut.Shortcut.block_parameter`
-uses too.  Budgets at or above the largest owner count keep every pair,
-so they share one price.  :meth:`ConstructionEngine.build_shortcut` is a
-``rank < b`` mask over the pairs.
+The sweep prices every budget from one pass over the Steiner forest.  Its
+slots are the (part, vertex) Steiner vertices: every pair's child, whose
+arc to its parent slot has the pair's rank ``up``, and every part's top.
+A pass up the forest, one depth level at a time, gives each slot ``h``,
+the smallest over members below it of the largest rank on the path up to
+it.  At budget ``b`` the kept pairs are the arcs of rank ``< b``, so a
+slot roots a terminal-bearing component of its part (a block,
+Definition 12) exactly when ``h < b <= up``, and per-edge congestion is
+``min(#owners, b)``.  Budgets at or above the largest owner count keep
+every pair, so they share one price.
+:meth:`ConstructionEngine.build_shortcut` is a ``rank < b`` mask over the
+pairs.
 
 The engine reproduces the preserved seed implementation in
 ``tests/oracles/shortcuts.py`` *exactly* (edge sets, congestion, blocks,
@@ -49,7 +53,7 @@ import numpy as np
 from ..core import PartSet
 from ..errors import InvalidPartitionError
 from ..structure.spanning import RootedTree
-from .shortcut import IndexEdges, Shortcut, max_part_blocks
+from .shortcut import IndexEdges, Shortcut
 
 
 class ConstructionEngine:
@@ -114,7 +118,6 @@ class ConstructionEngine:
             raise InvalidPartitionError(f"part {empty} is empty")
         members = np.asarray(self.part_set.members, dtype=np.int64)
         member_part = np.repeat(np.arange(num_parts, dtype=np.int64), sizes)
-        self._member_keys = member_part * n + members
 
         # Members sorted by (part, tin); the keys part * n + tin are unique.
         tin_keys = member_part * n + tin[members]
@@ -133,7 +136,7 @@ class ConstructionEngine:
             np.concatenate([by_tin[offsets[1:] - 1], by_tin[later]]),
         )
         stop = np.empty_like(by_tin)
-        stop[first] = self._tops = stops[:num_parts]
+        stop[first] = tops = stops[:num_parts]
         stop[later] = stops[num_parts:]
         lengths = depth[by_tin] - depth[stop]
 
@@ -152,6 +155,24 @@ class ConstructionEngine:
         self.pair_benefit = np.searchsorted(tin_keys, high, side="right") - np.searchsorted(
             tin_keys, low, side="left"
         )
+
+        # The Steiner forest over slots: slot p < total is pair p's child,
+        # slot total + i is part i's top.  A segment's pairs climb one step
+        # each, and its last pair hangs below its stop: the part's top, or
+        # else a vertex on the segment of the part's first member at or
+        # after the stop in tin order (its first member below the stop).
+        self._pair_parent = np.arange(1, total + 1, dtype=np.int64)
+        # A member is its segment's first pair's child, or its part's top
+        # when its segment is empty (a first member that is the top).
+        climbs = lengths > 0
+        self._terminal_slots = np.where(climbs, segment_start, total + member_part)
+        last = (segment_start + lengths - 1)[climbs]
+        stop, stop_part = stop[climbs], member_part[climbs]
+        at_top = stop == tops[stop_part]
+        self._pair_parent[last[at_top]] = total + stop_part[at_top]
+        last, stop, stop_part = last[~at_top], stop[~at_top], stop_part[~at_top]
+        below = np.searchsorted(tin_keys, stop_part * n + tin[stop])
+        self._pair_parent[last] = segment_start[below] + depth[by_tin[below]] - depth[stop]
 
     def _rank_owners(self) -> None:
         """Rank every tree edge's owners by (benefit desc, part index asc)."""
@@ -187,39 +208,37 @@ class ConstructionEngine:
         if not distinct:
             return {}
         diameter = self.tree_diameter()
-        n = len(self.euler.parent)
-        parent = self.euler.arrays()[0]
-        # The slots are the Steiner vertices, (part, vertex) keys: every
-        # pair's child and every part's top, all distinct.  Slot s holds
-        # pair order[s] when order[s] < num_pairs, else a top.
-        num_pairs = len(self.pair_edge)
-        keys = np.concatenate([
-            self.pair_part * n + self.pair_edge,
-            np.arange(self.num_parts, dtype=np.int64) * n + self._tops,
-        ])
-        order = np.argsort(keys)
-        slot_keys = keys[order]
-        member_slots = np.searchsorted(slot_keys, self._member_keys)
-        # A slot is the child of at most one pair, so the kept pairs' arcs
-        # come out in ascending source-slot order.
-        arc_rows = np.flatnonzero(order < num_pairs)
-        arc_pairs = order[arc_rows]
-        arc_targets = np.searchsorted(
-            slot_keys, self.pair_part[arc_pairs] * n + parent[self.pair_edge[arc_pairs]]
-        ).astype(np.int32)
-        arc_ranks = self.pair_rank[arc_pairs]
-        slot_part = slot_keys // n
-
-        def max_blocks(budget: int) -> int:
-            kept = arc_ranks < budget
-            return max_part_blocks(arc_rows[kept], arc_targets[kept], slot_part, member_slots)
+        num_pairs, num_parts = len(self.pair_edge), self.num_parts
+        # up(s): the rank of slot s's arc, above every budget at a top.
+        # h(s): the smallest, over members t at or below s, of the largest
+        # arc rank on the path from t up to s; -1 at a member.  One pass up
+        # the forest, a depth level at a time, deepest first.
+        up = np.concatenate([self.pair_rank, np.full(num_parts, self.max_owner_count)])
+        h = np.full(num_pairs + num_parts, self.max_owner_count, dtype=np.int64)
+        h[self._terminal_slots] = -1
+        depth = self.euler.arrays()[1][self.pair_edge]
+        order = np.argsort(depth)[::-1]
+        depth = depth[order]
+        levels = np.concatenate(([0], np.flatnonzero(depth[1:] != depth[:-1]) + 1, [num_pairs]))
+        parents, ranks = self._pair_parent[order], self.pair_rank[order]
+        for start, end in zip(levels[:-1].tolist(), levels[1:].tolist()):
+            np.minimum.at(
+                h, parents[start:end], np.maximum(h[order[start:end]], ranks[start:end])
+            )
+        # At budget b a slot roots a block of its part exactly when some
+        # member reaches it over kept arcs (h < b) and its own arc is cut
+        # (b <= up); only slots with h < up ever do.
+        roots = np.flatnonzero(h < up)
+        h, up = h[roots], up[roots]
+        slot_part = np.concatenate([self.pair_part, np.arange(num_parts)])[roots]
 
         qualities: dict[int, int] = {}
         priced: dict[int, int] = {}
         for budget in distinct:
             congestion = min(budget, self.max_owner_count)
             if congestion not in priced:
-                block = max_blocks(congestion)
+                counted = slot_part[(h < congestion) & (congestion <= up)]
+                block = int(np.bincount(counted).max(initial=0))
                 priced[congestion] = block * diameter + congestion
             qualities[budget] = priced[congestion]
         return qualities

@@ -22,11 +22,15 @@ over the graph's shared :class:`~repro.core.GraphView`.  Label input is
 converted once, when the shortcut is built; the label ``parts`` and
 ``edge_sets`` are derived, read-only views.  The measures run on the index
 arrays: congestion is one ``np.unique`` over the int edge keys
-``lo * n + hi``, and the block parameter one component count over
-(part, vertex) slots (:func:`max_part_blocks`, shared with the
-construction engine's budget sweep).  The differential tests pin them to
-the seed per-part ``networkx`` recomputation in ``tests/oracles/quality.py``
+``lo * n + hi``, and the block parameter one component count over the
+shortcut's (part, vertex) slots.  The differential tests pin them to the
+seed per-part ``networkx`` recomputation in ``tests/oracles/quality.py``
 on every graph family and on hypothesis-drawn shortcuts.
+
+The slots are the vertices of every part's ``G[P_i] + H_i``.  Their layout
+(:class:`Slots`) is built once per shortcut, on first use, and cached on
+it: the block parameter and the part-wise aggregation's trees
+(:mod:`repro.congest.aggregation`) both read it.
 """
 
 from __future__ import annotations
@@ -95,35 +99,59 @@ class IndexEdges(NamedTuple):
     v: np.ndarray
 
 
-def max_part_blocks(
-    sources: np.ndarray, targets: np.ndarray, slot_part: np.ndarray, terminal_slots: np.ndarray
-) -> int:
-    """Return the largest number of terminal-bearing components of one part.
+class Slots(NamedTuple):
+    """A shortcut's (part, vertex) slots, numbered in (part, vertex) order.
 
-    The slots ``0 .. len(slot_part) - 1`` are (part, vertex) pairs,
-    ``slot_part`` gives each slot's part and ``terminal_slots`` the slots of
-    part members.  The arcs ``sources[k] -> targets[k]`` (``sources``
-    ascending) never join two parts' slots.  A part's blocks
-    (Definition 12) are the weak components of its slots that hold a
-    terminal, so one ``connected_components`` call and a ``bincount``
-    count them for every part at once; without arcs every terminal is its
-    own block.
+    A part's slots are its members and its edges' endpoints outside it:
+    the vertices of ``G[P_i] + H_i``.  Part ``i`` holds the slots
+    ``offsets[i] <= s < offsets[i + 1]``, and slot ``s`` is vertex
+    ``vertex[s]``.  ``members[j]`` is the slot of the part set's ``j``-th
+    member, ``home[x]`` the slot of vertex ``x`` in its own part (the
+    last part holding it, should parts share ``x``; ``-1`` in none), and
+    ``heads[k]`` / ``tails[k]`` are the slots of index edge ``k``'s
+    endpoints ``u[k]`` / ``v[k]`` in the edge's part.
     """
-    if not len(sources):
-        return int(np.bincount(slot_part[terminal_slots]).max(initial=0))
-    num_slots = len(slot_part)
-    row_ptr = np.zeros(num_slots + 1, dtype=np.int32)
-    np.cumsum(np.bincount(sources, minlength=num_slots), out=row_ptr[1:])
-    graph = csr_matrix(
-        (np.ones(len(sources)), targets.astype(np.int32, copy=False), row_ptr),
-        shape=(num_slots, num_slots),
+
+    offsets: np.ndarray
+    vertex: np.ndarray
+    members: np.ndarray
+    home: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+
+    def part(self) -> np.ndarray:
+        """Every slot's part (a fresh array: the layout keeps only offsets)."""
+        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
+
+
+def _slot_layout(part_set, index_edges: IndexEdges) -> Slots:
+    """Lay out the slots of ``part_set`` and ``index_edges`` (see :class:`Slots`).
+
+    One ``np.unique`` over the ``part * n + vertex`` keys of every member
+    and every edge endpoint numbers the slots in (part, vertex) order, and
+    its inverse gives each member's and each endpoint's slot.
+    """
+    n = len(part_set.view)
+    num_parts = part_set.num_parts
+    part_base = np.arange(num_parts, dtype=np.int64) * n
+    members = np.asarray(part_set.members, dtype=np.int64)
+    offsets, u, v = index_edges
+    edge_base = np.repeat(part_base, np.diff(offsets))
+    keys, slot = np.unique(
+        np.concatenate([np.repeat(part_base, np.diff(part_set.offsets)) + members,
+                        edge_base + u, edge_base + v]),
+        return_inverse=True,
     )
-    count, labels = connected_components(graph, directed=True, connection="weak")
-    component_part = np.empty(count, dtype=np.int64)
-    component_part[labels] = slot_part
-    has_terminal = np.zeros(count, dtype=bool)
-    has_terminal[labels[terminal_slots]] = True
-    return int(np.bincount(component_part[has_terminal]).max(initial=0))
+    member_slots = slot[: len(members)]
+    home = np.full(n, -1, dtype=np.int64)
+    home[members] = member_slots
+    part, vertex = np.divmod(keys, n)
+    slot_offsets = np.zeros(num_parts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(part, minlength=num_parts), out=slot_offsets[1:])
+    heads = slot[len(members) : len(members) + len(u)]
+    return Slots(
+        slot_offsets, vertex, member_slots, home, heads, slot[len(members) + len(u) :]
+    )
 
 
 def _index_edges_of(view, edge_sets: Sequence[Iterable[Edge]]) -> IndexEdges:
@@ -222,6 +250,7 @@ class Shortcut:
         self.chosen_budget: int | None = None
         self.chosen_quality: int | None = None
         self._tree_diameter: int | None = None
+        self._slots: Slots | None = None
 
     # -- representation and label views --------------------------------------
 
@@ -232,6 +261,12 @@ class Shortcut:
     def index_edges(self) -> IndexEdges:
         """Return the shortcut edges as :class:`IndexEdges`."""
         return self._index_edges
+
+    def slots(self) -> Slots:
+        """Return the (part, vertex) slot layout, built on first use (:class:`Slots`)."""
+        if self._slots is None:
+            self._slots = _slot_layout(self._part_set, self._index_edges)
+        return self._slots
 
     @property
     def parts(self) -> tuple[frozenset, ...]:
@@ -294,29 +329,26 @@ class Shortcut:
     def block_parameter(self) -> int:
         """Return the block parameter (Definition 12): max blocks of any part.
 
-        The slots are the (part, vertex) pairs of every part's members and
-        edge endpoints, keyed ``part * n + vertex``; each part edge is an
-        arc between two of its part's slots, and :func:`max_part_blocks`
-        counts the terminal-bearing components.  Untouched part members are
-        singleton blocks.
+        Each part edge is an arc between two of its part's :meth:`slots`,
+        and a part's blocks are the weak components of its slots that hold
+        a member, so one ``connected_components`` call and a ``bincount``
+        count them for every part at once.  Without edges every member is
+        its own block.
         """
-        part_set = self._part_set
-        n = len(part_set.view)
-        offsets, u, v = self._index_edges
-        part_base = np.arange(part_set.num_parts, dtype=np.int64) * n
-        member_keys = np.repeat(part_base, np.diff(part_set.offsets)) + np.asarray(
-            part_set.members, dtype=np.int64
-        )
-        edge_base = np.repeat(part_base, np.diff(offsets))
-        heads, tails = edge_base + u, edge_base + v
-        slot_keys = np.unique(np.concatenate([member_keys, heads, tails]))
-        order = np.argsort(heads)
-        return max_part_blocks(
-            np.searchsorted(slot_keys, heads[order]),
-            np.searchsorted(slot_keys, tails[order]),
-            slot_keys // n,
-            np.searchsorted(slot_keys, member_keys),
-        )
+        slots = self.slots()
+        if not len(slots.heads):
+            return int(np.diff(self._part_set.offsets).max(initial=0))
+        num_slots = len(slots.vertex)
+        row_ptr = np.zeros(num_slots + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slots.heads, minlength=num_slots), out=row_ptr[1:])
+        targets = slots.tails[np.argsort(slots.heads)].astype(np.int32)
+        graph = csr_matrix((np.ones(len(targets)), targets, row_ptr), shape=(num_slots, num_slots))
+        count, labels = connected_components(graph, directed=True, connection="weak")
+        component_part = np.empty(count, dtype=np.int64)
+        component_part[labels] = slots.part()
+        has_member = np.zeros(count, dtype=bool)
+        has_member[labels[slots.members]] = True
+        return int(np.bincount(component_part[has_member]).max(initial=0))
 
     def quality(self, tree_diameter: int | None = None) -> int:
         """Return the quality ``b * d + c`` (Definition 13)."""

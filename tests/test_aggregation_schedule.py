@@ -39,7 +39,7 @@ from collections import Counter
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.mst import boruvka_mst
@@ -196,8 +196,24 @@ def drawn_shortcuts():
     return drawn_shortcut_inputs().map(lambda drawn: Shortcut(*drawn, constructor="drawn"))
 
 
+def _cycle_inputs(edge_sets):
+    """A 6-cycle rooted at 0 (its tree drops edge 3-4), parts {0, 1, 2} and
+    {4, 5}, and the given per-part edge sets."""
+    graph = nx.cycle_graph(6)
+    parts = [frozenset({0, 1, 2}), frozenset({4, 5})]
+    return graph, bfs_spanning_tree(graph, root=0), parts, edge_sets
+
+
+# Part 0 lists an edge inside itself (its arc repeats a G[P_i] arc); part 1
+# a non-tree edge, which leaves the shortcut not tree-restricted.
+INSIDE_EDGE = _cycle_inputs([{(1, 2), (2, 3)}, {(4, 5)}])
+NON_TREE_EDGE = _cycle_inputs([{(2, 3)}, {(3, 4), (0, 5)}])
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(drawn_shortcuts(), st.integers(min_value=0, max_value=100))
+@example(Shortcut(*INSIDE_EDGE, constructor="drawn"), 3)
+@example(Shortcut(*NON_TREE_EDGE, constructor="drawn"), 5)
 def test_drawn_shortcuts_schedule_like_the_oracle(shortcut, seed):
     values = _values(shortcut.graph, seed)
     engine_built = oblivious_shortcut(shortcut.graph, shortcut.tree, shortcut.parts)
@@ -208,6 +224,8 @@ def test_drawn_shortcuts_schedule_like_the_oracle(shortcut, seed):
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(drawn_shortcut_inputs())
+@example(INSIDE_EDGE)
+@example(NON_TREE_EDGE)
 def test_drawn_shortcuts_measure_like_the_oracle(drawn):
     """The index-space measures equal the seed label measures, and the
     derived label view is the canonical form of the input edge sets."""
@@ -224,6 +242,42 @@ def test_drawn_shortcuts_measure_like_the_oracle(drawn):
         assert candidate.edge_congestion() == oracle_quality.edge_congestion(candidate)
         assert candidate.measure() == oracle_quality.measure(candidate)
         assert candidate.is_tree_restricted() == oracle_quality.is_tree_restricted(candidate)
+
+
+def test_block_parameter_counts_a_shared_vertex_in_each_part():
+    """Parts that share vertex 1 are no Definition 9 family, but they are
+    measurable: member 1 of the first part is a block of its own, apart
+    from the second part's slot of vertex 1."""
+    graph = nx.path_graph(4)
+    shortcut = Shortcut(
+        graph, bfs_spanning_tree(graph, root=0), [frozenset({0, 1}), frozenset({1, 3})],
+        [set(), {(1, 2), (2, 3)}],
+    )
+    assert shortcut.block_parameter() == oracle_quality.block_parameter(shortcut) == 2
+
+
+def test_slot_layout_is_built_once_per_shortcut(monkeypatch):
+    """A label construction's shortcut, measured and then aggregated (the
+    ``family-mst`` path), lays its slots out once; both results still equal
+    the oracles."""
+    import repro.shortcuts.shortcut as shortcut_module
+
+    calls = []
+    real = shortcut_module._slot_layout
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shortcut_module, "_slot_layout", counting)
+    instance = build_instance("planar", seed=1)
+    parts = instance.parts("tree_fragments", num_parts=6, seed=1)
+    shortcut = constructor("planar").build(instance, instance.tree, parts)
+    assert shortcut.quality() == oracle_quality.quality(shortcut)
+    values = _values(instance.graph, 1)
+    _assert_same_as_oracle(shortcut, values, min)
+    assert shortcut.block_parameter() == oracle_quality.block_parameter(shortcut)
+    assert len(calls) == 1
 
 
 def test_a_receiver_fires_at_its_last_delivery_of_the_round():

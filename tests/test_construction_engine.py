@@ -123,13 +123,17 @@ def test_incremental_sweep_matches_from_scratch_at_every_budget(make_graph):
 def test_sweep_handles_unsorted_duplicate_and_negative_budgets():
     graph = grid_graph(6, 6)
     tree = bfs_spanning_tree(graph)
-    parts = tree_fragment_parts(graph, tree, num_parts=7, seed=5)
-    budgets = [4, 1, 4, -3, 2, 1, 9]
-    fast = oblivious_shortcut(graph, tree, parts, budgets=budgets)
-    reference = oracle_shortcuts.oblivious_shortcut(graph, tree, parts, budgets=budgets)
-    assert fast.edge_sets == reference.edge_sets
-    assert fast.chosen_budget == reference.chosen_budget
-    assert fast.measure() == reference.measure()
+    comb_graph, comb_tree, comb_parts = _comb(5)
+    for graph, tree, parts in (
+        (graph, tree, tree_fragment_parts(graph, tree, num_parts=7, seed=5)),
+        (comb_graph, comb_tree, comb_parts),
+    ):
+        budgets = [4, 1, 4, -3, 2, 1, 9]
+        fast = oblivious_shortcut(graph, tree, parts, budgets=budgets)
+        reference = oracle_shortcuts.oblivious_shortcut(graph, tree, parts, budgets=budgets)
+        assert fast.edge_sets == reference.edge_sets
+        assert fast.chosen_budget == reference.chosen_budget
+        assert fast.measure() == reference.measure()
 
 
 def test_default_budget_schedule_is_strictly_increasing_to_num_parts():
@@ -203,6 +207,32 @@ def _snake_tree(rows: int, cols: int) -> RootedTree:
     return RootedTree(parent, order[0])
 
 
+def _comb(teeth: int) -> tuple[nx.Graph, RootedTree, list[frozenset]]:
+    """Three rows of leaves hanging off one spine, and five parts over them.
+
+    The tree is the spine ``0 - 1 - ... - teeth`` rooted at 0, with leaf
+    ``100 * row + i`` hanging off spine vertex ``i`` (``row`` 1-3,
+    ``i >= 1``); the graph also joins each row's leaves into a path.  Parts:
+    row 1 plus spine vertex 2 (a member on other members' paths to the
+    top, spine vertex 1), rows 2 and 3, and the one-vertex parts ``{0}``
+    and ``{teeth}``.  The three row parts request every spine edge from 2
+    down, and below 2 they all have the same benefit there, so the part
+    index breaks the rank ties.
+    """
+    parent = {0: None}
+    parent.update({i: i - 1 for i in range(1, teeth + 1)})
+    graph = nx.Graph((i - 1, i) for i in range(1, teeth + 1))
+    rows = []
+    for row in (1, 2, 3):
+        leaves = [100 * row + i for i in range(1, teeth + 1)]
+        parent.update({leaf: i for i, leaf in enumerate(leaves, start=1)})
+        graph.add_edges_from((leaf, i) for i, leaf in enumerate(leaves, start=1))
+        graph.add_edges_from(zip(leaves, leaves[1:]))
+        rows.append(frozenset(leaves))
+    parts = [rows[0] | {2}, rows[1], rows[2], frozenset({0}), frozenset({teeth})]
+    return graph, RootedTree(parent, 0), parts
+
+
 def _budgets(num_parts: int) -> list[int]:
     """Negative, zero, small and past-``max_owner_count`` budgets."""
     return [-2, 0, 1, 2, 3, 5, num_parts, num_parts + 7]
@@ -239,7 +269,17 @@ def test_engine_matches_seed_on_a_star_tree():
 def test_engine_matches_seed_on_ancestor_chains_and_the_root():
     """Heavy paths are root-ward chains: every member is an ancestor of the
     next, so each part's first segment has length zero; one part holds the
-    root."""
+    root.  On the comb (:func:`_comb`) a member lies on other members'
+    paths up to a top that is no member, ranks tie across parts, and two
+    parts have one vertex."""
+    graph, tree, parts = _comb(5)
+    engine = ConstructionEngine(graph, tree, part_set_of(view_of(graph), parts))
+    assert engine.max_owner_count == 3
+    spine_edge = engine.pair_edge == view_of(graph).index_of(4)
+    assert engine.pair_benefit[spine_edge].tolist() == [2, 2, 2]
+    assert engine.pair_rank[spine_edge].tolist() == [0, 1, 2]
+    _assert_engine_matches_seed(graph, tree, parts, _budgets(len(parts)))
+
     graph = grid_graph(7, 7)
     tree = bfs_spanning_tree(graph)
     parts = path_parts(graph, tree)

@@ -45,6 +45,7 @@ from repro.structure.heavy_light import heavy_light_chains
 from repro.structure.spanning import RootedTree, bfs_spanning_tree, graph_diameter
 
 from oracles import core as oracle_core
+from oracles.graphs import NATIVE_GENERATORS
 from oracles import quality as oracle_quality
 from oracles import seed_paths
 from oracles import structure as oracle_structure
@@ -188,6 +189,31 @@ def test_core_graph_arrays_are_stored_not_copied():
         assert built._lists is None, "the list adjacency must be built lazily"
     assert core.neighbors(0) == core.indices[: core.indptr[1]].tolist()
     assert core._lists is not None
+
+
+def _assert_reverse_arcs(core: CoreGraph) -> None:
+    reverse = core.reverse_arcs
+    assert reverse is core.reverse_arcs, "built once and cached"
+    arcs = np.arange(len(core.indices))
+    np.testing.assert_array_equal(reverse[reverse], arcs)
+    assert not (reverse == arcs).any()
+    rows = np.repeat(np.arange(core.num_nodes), np.diff(core.indptr))
+    keys = core.arc_keys()
+    np.testing.assert_array_equal(keys, rows * core.num_nodes + core.indices)
+    np.testing.assert_array_equal(keys[reverse], core.indices * core.num_nodes + rows)
+
+
+def test_reverse_arcs_are_a_fixed_point_free_involution():
+    """On every native generator and its ``nx`` twin, every registered
+    family, and graphs with degree-0 rows (first, inner, last, all)."""
+    for native, twin, cases in NATIVE_GENERATORS.values():
+        for kwargs in cases:
+            _assert_reverse_arcs(native(**kwargs).core)
+            _assert_reverse_arcs(view_of(twin(**kwargs)).core)
+    for family_name in family_names():
+        _assert_reverse_arcs(_family_instance(family_name).view.core)
+    _assert_reverse_arcs(CoreGraph(6, [(1, 2), (2, 4), (1, 4)]))
+    _assert_reverse_arcs(CoreGraph(3, []))
 
 
 # ---------------------------------------------------------------- round trip

@@ -35,8 +35,9 @@ SOURCE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
 # The retired switch, the seed implementations that moved to tests/oracles/,
 # the label measurement path of Shortcut, the label-space id keys of the
 # simulator and its fault queue, the second bodies of the structure layer,
-# the unsorted-adjacency knob, the native generators' nx twins and the
-# per-message aggregation scheduler's helpers.
+# the unsorted-adjacency knob, the native generators' nx twins, the
+# per-message aggregation scheduler's helpers and the per-budget block
+# count with the engine's slot keys (the one-pass sweep replaced them).
 RETIRED_NAMES = (
     "core_enabled",
     "networkx_reference_paths",
@@ -95,6 +96,9 @@ RETIRED_NAMES = (
     "normal_cells",
     "special_cells",
     "_require_connected_core",
+    "_member_keys",
+    "_tops",
+    "max_part_blocks",
 )
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 # [text](target) markdown links; external schemes and pure anchors are skipped.
